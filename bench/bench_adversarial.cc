@@ -76,7 +76,7 @@ int Run() {
   {
     auto materialized = ricd::scenario::Materialize(options.base);
     RICD_CHECK(materialized.ok()) << materialized.status();
-    auto graph = shard::BuildFullGraph(materialized->table);
+    auto graph = graph::GraphBuilder::FromTable(materialized->table);
     RICD_CHECK(graph.ok()) << graph.status();
     workload_desc.users = graph->num_users();
     workload_desc.items = graph->num_items();

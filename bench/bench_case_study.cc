@@ -73,7 +73,7 @@ int Run() {
       background, attack,
       gen::OrganicConfigFor(gen::ScenarioScale::kSmall), SeedFromEnv(7));
   RICD_CHECK(scenario.ok()) << scenario.status();
-  auto graph = shard::BuildFullGraph(scenario->table);
+  auto graph = graph::GraphBuilder::FromTable(scenario->table);
   RICD_CHECK(graph.ok()) << graph.status();
 
   core::FrameworkOptions options;
@@ -134,7 +134,7 @@ int Run() {
         return !scenario->labels.IsAbnormalUser(r.user) &&
                !scenario->labels.IsAbnormalItem(r.item);
       });
-  auto clean_graph = shard::BuildFullGraph(cleaned);
+  auto clean_graph = graph::GraphBuilder::FromTable(cleaned);
   RICD_CHECK(clean_graph.ok()) << clean_graph.status();
   std::vector<graph::VertexId> clean_audience;
   for (const graph::VertexId u : audience) {

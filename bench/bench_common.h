@@ -19,7 +19,6 @@
 #include "scenario/materialize.h"
 #include "scenario/registry.h"
 #include "shard/shard_plan.h"
-#include "shard/sharded_graph.h"
 #include "snapshot/snapshot.h"
 #include "table/table_io.h"
 
@@ -135,7 +134,7 @@ inline void PrintWorkloadLine(const BenchWorkload& w) {
 inline BenchWorkload GenerateWorkload(const scenario::ScenarioSpec& spec) {
   auto scenario = scenario::Materialize(spec);
   RICD_CHECK(scenario.ok()) << scenario.status();
-  auto graph = shard::BuildFullGraph(scenario->table);
+  auto graph = graph::GraphBuilder::FromTable(scenario->table);
   RICD_CHECK(graph.ok()) << graph.status();
   return BenchWorkload{std::move(scenario).value(), std::move(graph).value(),
                        spec.scale, spec.seed, spec};

@@ -62,6 +62,9 @@ int Run() {
               "region edges", "ingest(s)", "full rescan(s)", "attackers found");
   size_t attackers_found = 0;
   int detection_day = 0;
+  int cheaper_days = 0;
+  double ingest_total_s = 0.0;
+  double rescan_total_s = 0.0;
   for (int day = 0; day < kDays; ++day) {
     Result<core::IncrementalUpdate> update = Status::Internal("not run");
     const double ingest_s = TimedStage("bench.incremental.ingest", [&] {
@@ -80,6 +83,9 @@ int Run() {
       rescan = full.Run(incremental.MaterializeTable());
     });
     RICD_CHECK(rescan.ok()) << rescan.status();
+    if (ingest_s < rescan_s) ++cheaper_days;
+    ingest_total_s += ingest_s;
+    rescan_total_s += rescan_s;
 
     std::printf("%4d %12zu %14llu %12.3f %14.3f %11zu/%u\n", day + 1,
                 days[day].num_rows(),
@@ -88,10 +94,20 @@ int Run() {
                 attack.num_groups * attack.workers_per_group);
   }
 
-  std::printf("\nfirst attackers flagged on stream day %d; per-batch regional "
-              "detection stays\nwell below the full-rescan cost while "
-              "converging to the same suspicious set.\n",
-              detection_day);
+  // The summary is built from the table above, never asserted ahead of it.
+  std::printf("\n");
+  if (detection_day > 0) {
+    std::printf("first attackers flagged on stream day %d.\n", detection_day);
+  } else {
+    std::printf("no streamed attacker was flagged.\n");
+  }
+  const double cost_ratio =
+      rescan_total_s > 0.0 ? ingest_total_s / rescan_total_s : 0.0;
+  std::printf("per-batch regional detection cost %.0f%% of the full rescan "
+              "over the stream (%.3f s vs %.3f s);\nit was cheaper than the "
+              "rescan on %d of %d days.\n",
+              100.0 * cost_ratio, ingest_total_s, rescan_total_s, cheaper_days,
+              kDays);
 
   // Same machine-readable schema keys as every other bench: the standing
   // marketplace the stream was bootstrapped on.

@@ -45,7 +45,7 @@ const graph::BipartiteGraph& CachedGraph(gen::ScenarioScale scale) {
   static auto* cache = new std::map<int, std::unique_ptr<graph::BipartiteGraph>>;
   auto& slot = (*cache)[static_cast<int>(scale)];
   if (slot == nullptr) {
-    auto graph = shard::BuildFullGraph(CachedScenario(scale).table);
+    auto graph = graph::GraphBuilder::FromTable(CachedScenario(scale).table);
     RICD_CHECK(graph.ok());
     slot = std::make_unique<graph::BipartiteGraph>(std::move(graph).value());
   }
@@ -59,7 +59,7 @@ gen::ScenarioScale ScaleArg(int64_t arg) {
 void BM_GraphBuild(benchmark::State& state) {
   const auto& scenario = CachedScenario(ScaleArg(state.range(0)));
   for (auto _ : state) {
-    auto g = shard::BuildFullGraph(scenario.table);
+    auto g = graph::GraphBuilder::FromTable(scenario.table);
     benchmark::DoNotOptimize(g);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -53,7 +53,7 @@ int Run() {
 
     Result<graph::BipartiteGraph> graph = Status::Internal("not run");
     const double build_s = TimedStage("bench.scaling.build", [&] {
-      graph = shard::BuildFullGraph(scenario->table);
+      graph = graph::GraphBuilder::FromTable(scenario->table);
     });
     RICD_CHECK(graph.ok()) << graph.status();
 

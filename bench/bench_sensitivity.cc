@@ -104,7 +104,7 @@ int Run() {
         gen::BackgroundConfigFor(scale), attack, gen::OrganicConfigFor(scale),
         SeedFromEnv(42));
     RICD_CHECK(scenario.ok()) << scenario.status();
-    auto graph = shard::BuildFullGraph(scenario->table);
+    auto graph = graph::GraphBuilder::FromTable(scenario->table);
     RICD_CHECK(graph.ok()) << graph.status();
 
     core::FrameworkOptions options;

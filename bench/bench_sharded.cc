@@ -130,7 +130,7 @@ int Main() {
   // The graph is built once here only to describe the workload; each
   // pipeline run below builds its own (build time is part of what shards
   // parallelize, so it belongs inside the timed section).
-  auto described = shard::BuildFullGraph(scenario.table);
+  auto described = graph::GraphBuilder::FromTable(scenario.table);
   RICD_CHECK(described.ok()) << described.status();
   char scale_name[32];
   std::snprintf(scale_name, sizeof(scale_name), "x10%s",

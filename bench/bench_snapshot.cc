@@ -55,7 +55,7 @@ int Run() {
 
   graph::BipartiteGraph graph;
   const double build_s = TimedStage("bench.snapshot.build", [&] {
-    auto built = shard::BuildFullGraph(parsed);
+    auto built = graph::GraphBuilder::FromTable(parsed);
     RICD_CHECK(built.ok()) << built.status();
     graph = std::move(built).value();
   });

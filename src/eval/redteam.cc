@@ -9,7 +9,6 @@
 #include "eval/experiment.h"
 #include "gen/attack_strategy.h"
 #include "graph/graph_builder.h"
-#include "shard/sharded_graph.h"
 #include "obs/metrics.h"
 #include "ricd/framework.h"
 #include "ricd/ui_adapter.h"
@@ -85,7 +84,7 @@ Result<std::vector<RedteamPoint>> RunRedteam(const RedteamOptions& options) {
       RICD_ASSIGN_OR_RETURN(gen::Scenario scenario,
                             scenario::Materialize(spec));
       RICD_ASSIGN_OR_RETURN(graph::BipartiteGraph graph,
-                            shard::BuildFullGraph(scenario.table));
+                            graph::GraphBuilder::FromTable(scenario.table));
 
       for (auto& [detector_name, detector] : MakePanel(options.params)) {
         RICD_ASSIGN_OR_RETURN(

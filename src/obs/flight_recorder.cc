@@ -99,16 +99,29 @@ void FlightRecorder::Record(FlightEventKind kind, uint64_t a, uint64_t b,
   if (!enabled_.load(std::memory_order_relaxed)) return;  // order: advisory flag; a racing toggle may record or skip one event
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);  // order: ticket allocation only; slot hand-off syncs via marker acq/rel
   Slot& slot = slots_[ticket & mask_];
-  // Mark busy so a concurrent reader drops this slot instead of reporting
-  // a mix of the old and new event.
-  slot.marker.store(kBusy, std::memory_order_relaxed);  // order: fence below orders this before the payload stores
-  // Without this fence the relaxed kBusy store could become visible after
-  // the payload stores, and a reader copying a torn payload would pass its
+  // Claim the slot by moving its marker from an older event to kBusy. A
+  // busy slot or a newer marker belongs to another writer: drop this event
+  // rather than write over it (see the class comment).
+  uint64_t seen = slot.marker.load(std::memory_order_relaxed);  // order: claim hint only; the CAS below re-validates it
+  for (;;) {
+    if (seen == kBusy || (seen != kEmpty && seen > ticket)) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);  // order: monotonic drop stat; no data hangs off it
+      return;
+    }
+    if (slot.marker.compare_exchange_weak(seen, kBusy,
+                                          std::memory_order_acquire,  // order: pairs with the last publish so its payload stores precede ours
+                                          std::memory_order_relaxed)) {  // order: a failed claim just re-reads the marker
+      break;
+    }
+  }
+  // Without this fence the kBusy claim could become visible after the
+  // payload stores, and a reader copying a torn payload would pass its
   // unchanged-marker re-check.
   std::atomic_thread_fence(std::memory_order_release);  // order: pins kBusy before every payload store
   slot.timestamp_micros.store(NowMicros(), std::memory_order_relaxed);  // order: payload; fenced after kBusy, released by the marker publish
   slot.kind.store(static_cast<uint32_t>(kind), std::memory_order_relaxed);  // order: payload; see timestamp_micros above
   slot.a.store(a, std::memory_order_relaxed);  // order: payload; see timestamp_micros above
+  if (preempt_hook_ != nullptr) preempt_hook_(preempt_arg_, ticket);
   slot.b.store(b, std::memory_order_relaxed);  // order: payload; see timestamp_micros above
   uint64_t words[3] = {0, 0, 0};
   if (detail != nullptr) {

@@ -44,12 +44,17 @@ struct FlightEvent {
 ///
 /// Writers claim a global ticket with one fetch_add, then publish the
 /// payload of slot `ticket % capacity` under a per-slot sequence marker:
-/// the slot's `marker` is set to kBusy (relaxed), payload fields (all plain
-/// atomics, relaxed) are stored, then `marker` is release-stored to
-/// `ticket + 1`. Readers acquire-load the marker, copy the payload, and
-/// re-check the marker; a slot whose marker changed mid-copy (or is kBusy)
-/// is being rewritten by a wrapped writer and is skipped. Nothing blocks:
-/// a stalled reader can at worst drop slots that were overwritten while it
+/// the writer claims the slot by CAS-ing `marker` from the event it last
+/// held (normally the previous lap's, `ticket + 1 - capacity`) to kBusy,
+/// stores the payload fields (all plain atomics, relaxed), then
+/// release-stores `marker` to `ticket + 1`. A writer that finds the slot
+/// busy (an earlier lap still storing) or already holding a newer event
+/// drops its own event and counts it in dropped(), so a preempted writer
+/// that gets lapped can never finish over a published event, and a slot's
+/// marker only moves forwards. Readers acquire-load the marker, copy the
+/// payload, and re-check the marker; a slot whose marker changed mid-copy
+/// (or is kBusy) is being rewritten and is skipped. Nothing blocks: a
+/// stalled reader can at worst drop slots that were overwritten while it
 /// was copying, which is the intended semantics of a flight recorder.
 ///
 /// All payload fields are atomics accessed relaxed, so a torn read of a
@@ -91,9 +96,25 @@ class FlightRecorder {
     return enabled_.load(std::memory_order_relaxed);  // order: advisory flag read; exactness not required
   }
 
-  /// Total events ever recorded (including overwritten ones).
+  /// Total events ever recorded (including overwritten and dropped ones).
   uint64_t total_recorded() const noexcept {
     return head_.load(std::memory_order_relaxed);  // order: monotonic stat; readers tolerate a slightly stale count
+  }
+
+  /// Events dropped because their slot was still busy with an earlier lap's
+  /// writer (or already held a newer event) when they tried to claim it.
+  uint64_t dropped() const noexcept {
+    return dropped_.load(std::memory_order_relaxed);  // order: monotonic stat; readers tolerate a slightly stale count
+  }
+
+  /// Test hook: Record calls `hook(arg, ticket)` after claiming its slot and
+  /// storing part of the payload, before the rest of the payload and the
+  /// publish — the window in which a writer can be preempted and lapped.
+  /// Set it before any concurrent use; nullptr removes it.
+  using PreemptHook = void (*)(void* arg, uint64_t ticket);
+  void SetPreemptHookForTesting(PreemptHook hook, void* arg) noexcept {
+    preempt_hook_ = hook;
+    preempt_arg_ = arg;
   }
 
   size_t capacity() const noexcept { return slots_.size(); }
@@ -123,7 +144,10 @@ class FlightRecorder {
   std::vector<Slot> slots_;
   size_t mask_;
   std::atomic<uint64_t> head_{0};
+  std::atomic<uint64_t> dropped_{0};
   std::atomic<bool> enabled_{true};
+  PreemptHook preempt_hook_ = nullptr;  // test-only; set before concurrent use
+  void* preempt_arg_ = nullptr;
   uint64_t start_micros_;  // steady-clock origin, set once in the ctor
 };
 

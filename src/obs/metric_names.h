@@ -47,6 +47,8 @@ inline constexpr char kRicdExtractionRounds[] = "ricd.extraction.rounds";
 inline constexpr char kRicdExtractionScratchReuses[] =
     "ricd.extraction.scratch_reuses";
 inline constexpr char kRicdExtractionSweeps[] = "ricd.extraction.sweeps";
+inline constexpr char kRicdExtractionTwoHopEntries[] =
+    "ricd.extraction.two_hop_entries";
 inline constexpr char kRicdExtractionUsersPrunedCore[] =
     "ricd.extraction.users_pruned_core";
 inline constexpr char kRicdExtractionUsersPrunedSquare[] =

@@ -2,9 +2,13 @@
 #include "ricd/extension_biclique.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <numeric>
+#include <span>
 
 #include "check/validate.h"
+#include "common/logging.h"
 #include "engine/worker_buffers.h"
 #include "graph/connected_components.h"
 #include "graph/intersection.h"
@@ -34,6 +38,7 @@ struct ExtractionCounters {
   obs::Counter* round_rechecks;
   obs::Counter* core_levels;
   obs::Counter* scratch_reuses;
+  obs::Counter* two_hop_entries;
 
   static const ExtractionCounters& Get() {
     static const ExtractionCounters counters = [] {
@@ -48,44 +53,132 @@ struct ExtractionCounters {
           registry.GetCounter(obs::metric_names::kRicdExtractionRounds),
           registry.GetCounter(obs::metric_names::kRicdExtractionRoundRechecks),
           registry.GetCounter(obs::metric_names::kRicdExtractionCoreLevels),
-          registry.GetCounter(obs::metric_names::kRicdExtractionScratchReuses)};
+          registry.GetCounter(obs::metric_names::kRicdExtractionScratchReuses),
+          registry.GetCounter(obs::metric_names::kRicdExtractionTwoHopEntries)};
     }();
     return counters;
   }
 };
 
+/// The active subgraph of a MutableView as a compact CSR, taken at the start
+/// of a SquarePruning side pass. Active vertices on each side are numbered
+/// by rank, so local ids keep the original order; adjacency keeps only
+/// active counterparts, in local ids.
+struct CompactSubgraph {
+  std::array<std::vector<VertexId>, 2> ids;      // local -> original id
+  std::array<std::vector<uint64_t>, 2> offsets;  // size() + 1 row starts
+  std::array<std::vector<VertexId>, 2> adj;
+
+  static size_t Index(Side side) { return side == Side::kUser ? 0 : 1; }
+  uint32_t size(Side side) const {
+    return static_cast<uint32_t>(ids[Index(side)].size());
+  }
+  VertexId Original(Side side, VertexId x) const { return ids[Index(side)][x]; }
+  uint64_t Degree(Side side, VertexId x) const {
+    const auto& off = offsets[Index(side)];
+    return off[x + 1] - off[x];
+  }
+  std::span<const VertexId> Neighbors(Side side, VertexId x) const {
+    const auto& off = offsets[Index(side)];
+    return std::span<const VertexId>(adj[Index(side)])
+        .subspan(off[x], off[x + 1] - off[x]);
+  }
+};
+
+/// Gathers the active subgraph of `view`. Row sizes come from the view's
+/// active degrees; one side's rows are filled by a parallel scan of its
+/// original adjacency (the side with fewer original entries to read, so
+/// dead neighbours of hot vertices are skipped at most once) and the other
+/// side's rows by transposing them.
+CompactSubgraph CompactActive(const graph::MutableView& view,
+                              const engine::WorkerEngine& engine) {
+  const graph::BipartiteGraph& g = view.graph();
+  CompactSubgraph sub;
+  std::array<uint64_t, 2> original_entries = {0, 0};
+  for (const Side side : {Side::kUser, Side::kItem}) {
+    const size_t s = CompactSubgraph::Index(side);
+    sub.ids[s] = view.ActiveVertices(side);
+    auto& off = sub.offsets[s];
+    off.assign(sub.ids[s].size() + 1, 0);
+    for (size_t x = 0; x < sub.ids[s].size(); ++x) {
+      off[x + 1] = off[x] + view.ActiveDegree(side, sub.ids[s][x]);
+      original_entries[s] += g.Degree(side, sub.ids[s][x]);
+    }
+    sub.adj[s].resize(off.back());
+  }
+
+  const Side scan =
+      original_entries[0] <= original_entries[1] ? Side::kUser : Side::kItem;
+  const Side other = Other(scan);
+  const size_t sc = CompactSubgraph::Index(scan);
+  const size_t ot = CompactSubgraph::Index(other);
+  constexpr VertexId kInactive = ~VertexId{0};
+  std::vector<VertexId> to_local(g.num_vertices(other), kInactive);
+  for (size_t x = 0; x < sub.ids[ot].size(); ++x) {
+    to_local[sub.ids[ot][x]] = static_cast<VertexId>(x);
+  }
+  engine.ParallelForChunks(
+      sub.size(scan), [&](size_t, engine::VertexRange range) {
+        for (VertexId x = range.begin; x < range.end; ++x) {
+          uint64_t out = sub.offsets[sc][x];
+          for (const VertexId w : g.Neighbors(scan, sub.ids[sc][x])) {
+            const VertexId local = to_local[w];
+            if (local != kInactive) sub.adj[sc][out++] = local;
+          }
+          RICD_DCHECK_EQ(out, sub.offsets[sc][x + 1]);
+        }
+      });
+
+  // Scan rows are visited in ascending local order, so every transposed
+  // row comes out ascending too.
+  std::vector<uint64_t> cursor(sub.offsets[ot].begin(),
+                               sub.offsets[ot].end() - 1);
+  for (VertexId x = 0; x < sub.size(scan); ++x) {
+    for (const VertexId w : sub.Neighbors(scan, x)) {
+      sub.adj[ot][cursor[w]++] = x;
+    }
+  }
+  return sub;
+}
+
 /// Reusable per-worker scratch of the Lemma-2 test: a flat counting array
 /// (reset cost proportional to the touched list, not to n) plus the touched
 /// list itself. Pooled per worker and reused across every candidate and
 /// round — the parallel schedule allocates nothing per candidate.
+/// `two_hop_entries` tallies the second-hop entries the test has read.
 struct PruneScratch {
   std::vector<uint32_t> counts;
   std::vector<VertexId> touched;
+  uint64_t two_hop_entries = 0;
 
   void EnsureUniverse(uint32_t n) {
     if (counts.size() < n) counts.assign(n, 0);
   }
 };
 
-/// The Lemma-2 qualification test for candidate `x` against the current
-/// state of `view`: counts, for every active same-side vertex y reachable
-/// in two hops, |N(x) ∩ N(y)| restricted to active counterparts, then asks
-/// whether at least `neighbors_needed` of them (x itself included) reach
-/// `common_needed`. Read-only on `view`, so any number of workers may run
-/// it concurrently against a fixed view.
-bool PassesLemma2(const graph::MutableView& view, Side side, VertexId x,
+/// The Lemma-2 qualification test for local candidate `x` of `side`: counts,
+/// for every alive same-side vertex y reachable in two hops,
+/// |N(x) ∩ N(y)| over the compact subgraph, then asks whether at least
+/// `neighbors_needed` of them (x itself included) reach `common_needed`.
+/// Every counterpart in `sub` is active for the whole side pass, so only
+/// same-side vertices need the `alive` test. Read-only on `sub` and `alive`,
+/// so any number of workers may run it concurrently between commits.
+bool PassesLemma2(const CompactSubgraph& sub, Side side,
+                  const std::vector<uint8_t>& alive, VertexId x,
                   uint32_t common_needed, uint32_t neighbors_needed,
                   PruneScratch& scratch) {
-  const graph::BipartiteGraph& g = view.graph();
   const Side other = Other(side);
   scratch.touched.clear();
-  for (const VertexId w : g.Neighbors(side, x)) {
-    if (!view.IsActive(other, w)) continue;
-    for (const VertexId y : g.Neighbors(other, w)) {
-      if (!view.IsActive(side, y)) continue;
+  uint64_t entries = 0;
+  for (const VertexId w : sub.Neighbors(side, x)) {
+    const std::span<const VertexId> second = sub.Neighbors(other, w);
+    entries += second.size();
+    for (const VertexId y : second) {
+      if (alive[y] == 0) continue;
       if (scratch.counts[y]++ == 0) scratch.touched.push_back(y);
     }
   }
+  scratch.two_hop_entries += entries;
 
   // counts[x] is x's own active degree, so x is counted as its own
   // (alpha, k)-neighbor exactly when Lemma 1 already holds for it.
@@ -213,10 +306,16 @@ void ExtensionBicliqueExtractor::CorePruning(graph::MutableView& view,
 void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
                                                  Side side, bool ordered,
                                                  ExtractionStats* stats) const {
-  const graph::BipartiteGraph& g = view.graph();
-  const uint32_t n = g.num_vertices(side);
-  const Side other = Other(side);
   const size_t workers = engine_->num_workers();
+
+  // A side pass removes only `side` vertices, so the other side is fixed
+  // for the whole pass: the compact subgraph taken here stays exact, with
+  // same-side removals tracked in `alive` and committed to the view as they
+  // happen (DESIGN.md §9.5). Candidates are local ids from here on.
+  const CompactSubgraph sub = CompactActive(view, *engine_);
+  const Side other = Other(side);
+  const uint32_t n = sub.size(side);
+  std::vector<uint8_t> alive(n, 1);
 
   // Thresholds per Definition 4 / Lemma 2: a user needs >= k1 members in
   // its (alpha, k2)-neighbor set (self included); items symmetrically.
@@ -226,21 +325,17 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
 
   // Candidate order: non-decreasing two-hop neighborhood size (sum of
   // active counterpart degrees), the reduce2Hop ordering.
-  std::vector<VertexId> order;
-  order.reserve(view.NumActive(side));
-  for (VertexId x = 0; x < n; ++x) {
-    if (view.IsActive(side, x)) order.push_back(x);
-  }
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), VertexId{0});
   if (ordered) {
     // Two-hop sizes are independent per vertex: chunked across workers,
     // each writing a disjoint range of `two_hop`.
     std::vector<uint64_t> two_hop(n, 0);
     engine_->ParallelForChunks(n, [&](size_t, engine::VertexRange range) {
       for (VertexId x = range.begin; x < range.end; ++x) {
-        if (!view.IsActive(side, x)) continue;
         uint64_t size = 0;
-        for (const VertexId w : g.Neighbors(side, x)) {
-          if (view.IsActive(other, w)) size += view.ActiveDegree(other, w);
+        for (const VertexId w : sub.Neighbors(side, x)) {
+          size += sub.Degree(other, w);
         }
         two_hop[x] = size;
       }
@@ -251,7 +346,8 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
   }
 
   const auto commit_removal = [&](VertexId x) {
-    view.Remove(side, x);
+    alive[x] = 0;
+    view.Remove(side, sub.Original(side, x));
     if (stats != nullptr) {
       if (side == Side::kUser) {
         ++stats->users_removed_square;
@@ -268,11 +364,12 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
     PruneScratch scratch;
     scratch.EnsureUniverse(n);
     for (const VertexId x : order) {
-      if (!PassesLemma2(view, side, x, common_needed, neighbors_needed,
+      if (!PassesLemma2(sub, side, alive, x, common_needed, neighbors_needed,
                         scratch)) {
         commit_removal(x);
       }
     }
+    ExtractionCounters::Get().two_hop_entries->Add(scratch.two_hop_entries);
     return;
   }
 
@@ -305,7 +402,7 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
           PruneScratch& sc = scratch[worker];
           auto& out = fail_buf.ForWorker(worker);
           for (uint32_t i = range.begin; i < range.end; ++i) {
-            if (!PassesLemma2(view, side, order[pos + i], common_needed,
+            if (!PassesLemma2(sub, side, alive, order[pos + i], common_needed,
                               neighbors_needed, sc)) {
               out.push_back(i);
             }
@@ -327,7 +424,7 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
           ++f;
         } else {
           ++rechecks;
-          remove = !PassesLemma2(view, side, x, common_needed,
+          remove = !PassesLemma2(sub, side, alive, x, common_needed,
                                  neighbors_needed, scratch[0]);
         }
         if (remove) {
@@ -341,9 +438,12 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
     pooled_evals += round_size;
     pos += round_size;
   }
+  uint64_t two_hop_entries = 0;
+  for (const PruneScratch& s : scratch) two_hop_entries += s.two_hop_entries;
   ExtractionCounters::Get().rounds->Add(rounds_run);
   ExtractionCounters::Get().round_rechecks->Add(rechecks);
   ExtractionCounters::Get().scratch_reuses->Add(pooled_evals);
+  ExtractionCounters::Get().two_hop_entries->Add(two_hop_entries);
 }
 
 void ExtensionBicliqueExtractor::SquarePruning(graph::MutableView& view,

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "graph/graph_builder.h"
-#include "shard/sharded_graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -13,7 +12,7 @@ namespace ricd::core {
 
 Result<graph::BipartiteGraph> GenerateGraph(const table::ClickTable& table) {
   RICD_TRACE_SPAN("ricd.generation");
-  return shard::BuildFullGraph(table);
+  return graph::GraphBuilder::FromTable(table);
 }
 
 Result<graph::BipartiteGraph> GenerateGraph(const table::ClickTable& table,
@@ -25,7 +24,7 @@ Result<graph::BipartiteGraph> GenerateGraph(const table::ClickTable& table,
   // rebuild the graph on the induced rows. (Cheaper than per-seed
   // MaxBiGraph calls: seed neighborhoods overlap heavily in practice.)
   RICD_ASSIGN_OR_RETURN(graph::BipartiteGraph full,
-                        shard::BuildFullGraph(table));
+                        graph::GraphBuilder::FromTable(table));
 
   std::unordered_set<graph::VertexId> keep_users;
   std::unordered_set<graph::VertexId> keep_items;
@@ -85,7 +84,7 @@ Result<graph::BipartiteGraph> GenerateGraph(const table::ClickTable& table,
       induced.Append(table.user(i), table.item(i), table.clicks(i));
     }
   }
-  return shard::BuildFullGraph(induced);
+  return graph::GraphBuilder::FromTable(induced);
 }
 
 }  // namespace ricd::core

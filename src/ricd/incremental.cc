@@ -5,7 +5,6 @@
 
 #include "check/validate.h"
 #include "graph/graph_builder.h"
-#include "shard/sharded_graph.h"
 #include "graph/hot_items.h"
 #include "obs/trace.h"
 #include "ricd/graph_generator.h"
@@ -161,7 +160,7 @@ Status IncrementalRicd::Bootstrap(const table::ClickTable& initial) {
 
   if (num_edges_ > 0) {
     RICD_ASSIGN_OR_RETURN(graph::BipartiteGraph graph,
-                          shard::BuildFullGraph(MaterializeTable()));
+                          graph::GraphBuilder::FromTable(MaterializeTable()));
     // Pin the hot threshold globally: regional derivations would be biased.
     if (options_.params.t_hot == 0) {
       options_.params.t_hot = graph::DeriveHotThreshold(graph, 0.8);
@@ -197,7 +196,7 @@ Result<IncrementalUpdate> IncrementalRicd::Ingest(const table::ClickTable& batch
 
   RICD_TRACE_SPAN("ricd.incremental.detect");
   RICD_ASSIGN_OR_RETURN(graph::BipartiteGraph graph,
-                        shard::BuildFullGraph(region));
+                        graph::GraphBuilder::FromTable(region));
   if (check::ValidationEnabled()) {
     // The region graph is rebuilt from incrementally folded stream state —
     // exactly the structure a lost update or double-counted edge corrupts,

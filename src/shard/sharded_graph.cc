@@ -66,10 +66,6 @@ Result<GlobalIdSpace> AssignGlobalIds(const table::ClickTable& table) {
   return ids;
 }
 
-Result<graph::BipartiteGraph> BuildFullGraph(const table::ClickTable& table) {
-  return graph::GraphBuilder::FromTable(table);
-}
-
 Result<ShardedGraph> BuildShardedGraph(const table::ClickTable& table,
                                        uint32_t num_shards,
                                        const engine::WorkerEngine& engine) {

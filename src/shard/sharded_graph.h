@@ -103,17 +103,10 @@ struct ShardedGraph {
   }
 };
 
-/// Sanctioned monolithic entry: builds one full-table CSR. This forwards to
-/// GraphBuilder::FromTable and is the only way library code outside
-/// src/shard, src/snapshot and tests may request a full-table build (the
-/// `monolithic-build` ricd_lint rule enforces it), so every monolithic
-/// construction site is visible from the shard layer.
-Result<graph::BipartiteGraph> BuildFullGraph(const table::ClickTable& table);
-
 /// Partitions `table` by user hash into `num_shards` sub-tables (row order
 /// preserved) and builds the per-shard CSRs in parallel on `engine`.
 /// num_shards == 1 produces a single shard whose graph is bit-identical to
-/// BuildFullGraph's.
+/// GraphBuilder::FromTable's.
 Result<ShardedGraph> BuildShardedGraph(
     const table::ClickTable& table, uint32_t num_shards,
     const engine::WorkerEngine& engine = engine::DefaultEngine());

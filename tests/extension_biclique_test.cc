@@ -9,7 +9,10 @@
 #include <unordered_set>
 
 #include "common/random.h"
+#include "engine/worker_engine.h"
 #include "graph/graph_builder.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 
 namespace ricd::core {
 namespace {
@@ -151,6 +154,48 @@ TEST(SquarePruningTest, RemovesVerticesWithoutEnoughAlphaKNeighbors) {
     ASSERT_TRUE(g.LookupUser(ext, &u));
     EXPECT_TRUE(view.IsActive(Side::kUser, u));
   }
+}
+
+/// An 8 x 8 planted biclique whose item 1000 is also clicked once by each
+/// of `one_click_users` background users. CorePruning removes every one of
+/// those users before SquarePruning runs.
+table::ClickTable BicliqueWithOneClickCrowd(uint32_t one_click_users) {
+  table::ClickTable t = PlantedBiclique(8, 0, 0, 1);
+  for (uint32_t u = 0; u < one_click_users; ++u) t.Append(50000 + u, 1000, 1);
+  return t;
+}
+
+TEST(SquarePruningTest, TwoHopWorkIgnoresVerticesCorePruningRemoved) {
+  engine::WorkerEngine engine(1);
+  obs::Counter* entries = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kRicdExtractionTwoHopEntries);
+  struct Outcome {
+    std::vector<graph::Group> groups;
+    uint64_t two_hop_entries = 0;
+  };
+  const auto run = [&](uint32_t crowd) {
+    const auto g =
+        graph::GraphBuilder::FromTable(BicliqueWithOneClickCrowd(crowd)).value();
+    ExtensionBicliqueExtractor ex(Params(8, 8, 1.0), &engine);
+    Outcome out;
+    const uint64_t before = entries->Value();
+    auto groups = ex.Extract(g);
+    out.two_hop_entries = entries->Value() - before;
+    EXPECT_TRUE(groups.ok());
+    if (groups.ok()) out.groups = std::move(groups).value();
+    return out;
+  };
+  const Outcome small = run(100);
+  const Outcome large = run(10000);
+
+  // One clean sweep: each side reads 8 candidates x 8 counterparts x 8
+  // same-side rows, whatever the crowd size.
+  EXPECT_EQ(small.two_hop_entries, uint64_t{2 * 8 * 8 * 8});
+  EXPECT_EQ(large.two_hop_entries, small.two_hop_entries);
+  ASSERT_EQ(small.groups.size(), 1u);
+  ASSERT_EQ(large.groups.size(), small.groups.size());
+  EXPECT_EQ(large.groups[0].users, small.groups[0].users);
+  EXPECT_EQ(large.groups[0].items, small.groups[0].items);
 }
 
 TEST(ExtractorTest, FindsPlantedBicliqueExactly) {

@@ -128,15 +128,16 @@ TEST(FlightRecorderTest, EveryKindHasAName) {
   EXPECT_NE(FlightEventKindName(static_cast<FlightEventKind>(255)), nullptr);
 }
 
-TEST(FlightRecorderTest, ConcurrentWritersNeverProduceTornEvents) {
-  FlightRecorder recorder(16);  // small ring: constant wrap pressure
+// Four writers hammer a 16-slot ring (constant wrap pressure) while a
+// reader dumps it in a loop. Writers tag each event with a = writer id,
+// b = i and a detail that also encodes the writer, so a torn slot (fields
+// from two different writes) is detectable in the dump; a slot's seq must
+// also never move backwards between dumps.
+void ExpectConcurrentWritersNeverTear(FlightRecorder& recorder) {
   constexpr int kWriters = 4;
   constexpr uint64_t kEventsPerWriter = 20000;
   std::atomic<bool> stop{false};
 
-  // Writers tag each event with a = writer id, b = i and a detail that
-  // also encodes the writer, so a torn slot (fields from two different
-  // writes) is detectable in the dump.
   ThreadPool writers(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     writers.Submit([&recorder, w] {
@@ -150,6 +151,7 @@ TEST(FlightRecorderTest, ConcurrentWritersNeverProduceTornEvents) {
     });
   }
   std::thread reader([&] {
+    std::vector<uint64_t> newest_in_slot(recorder.capacity(), 0);
     while (!stop.load(std::memory_order_acquire)) {
       const std::vector<FlightEvent> events = recorder.Dump();
       uint64_t last_seq = 0;
@@ -164,6 +166,9 @@ TEST(FlightRecorderTest, ConcurrentWritersNeverProduceTornEvents) {
         }
         first = false;
         last_seq = ev.seq;
+        uint64_t& newest = newest_in_slot[ev.seq & (recorder.capacity() - 1)];
+        ASSERT_GE(ev.seq, newest);
+        newest = ev.seq;
       }
     }
   });
@@ -173,7 +178,68 @@ TEST(FlightRecorderTest, ConcurrentWritersNeverProduceTornEvents) {
 
   EXPECT_EQ(recorder.total_recorded(),
             static_cast<uint64_t>(kWriters) * kEventsPerWriter);
+  EXPECT_LT(recorder.dropped(), recorder.total_recorded());
   EXPECT_EQ(recorder.Dump().size(), recorder.capacity());
+}
+
+TEST(FlightRecorderTest, ConcurrentWritersNeverProduceTornEvents) {
+  FlightRecorder recorder(16);
+  ExpectConcurrentWritersNeverTear(recorder);
+}
+
+TEST(FlightRecorderTest, ConcurrentWritersYieldingMidPayloadNeverTear) {
+  // Every writer yields inside its claimed slot, so writers are routinely
+  // descheduled mid-payload while the others lap the ring.
+  FlightRecorder recorder(16);
+  recorder.SetPreemptHookForTesting(
+      [](void*, uint64_t) { std::this_thread::yield(); }, nullptr);
+  ExpectConcurrentWritersNeverTear(recorder);
+}
+
+// Deterministic preemption: on a one-slot ring the hook runs a complete
+// second Record inside the first one, after writer 0 has stored part of its
+// payload — writer 0 is preempted and lapped by writer 1 on its own slot.
+// The lapping writer must find the slot busy and drop its event; writing
+// anyway would leave writer 0 to finish over it (a torn a/b/detail mix)
+// and publish an older seq than the one a reader already saw.
+TEST(FlightRecorderTest, LappedWriterCannotTearOrRewindAPreemptedSlot) {
+  FlightRecorder recorder(1);
+  struct Lap {
+    FlightRecorder* recorder;
+    std::vector<FlightEvent> seen_while_preempted;
+  } lap{&recorder, {}};
+  recorder.SetPreemptHookForTesting(
+      [](void* arg, uint64_t ticket) {
+        auto* l = static_cast<Lap*>(arg);
+        if (ticket != 0) return;
+        l->recorder->Record(FlightEventKind::kRebuild, 1, 100, "B");
+        l->seen_while_preempted = l->recorder->Dump();
+      },
+      &lap);
+  recorder.Record(FlightEventKind::kPublish, 0, 7, "A");
+  recorder.SetPreemptHookForTesting(nullptr, nullptr);
+
+  const std::vector<FlightEvent> events = recorder.Dump();
+  ASSERT_EQ(events.size(), 1u);
+  const FlightEvent& ev = events[0];
+  EXPECT_EQ(ev.seq, 0u);
+  EXPECT_EQ(ev.kind, FlightEventKind::kPublish);
+  EXPECT_EQ(ev.a, 0u);
+  EXPECT_EQ(ev.b, 7u);
+  EXPECT_STREQ(ev.detail, "A");
+  for (const FlightEvent& earlier : lap.seen_while_preempted) {
+    EXPECT_LE(earlier.seq, ev.seq) << "slot marker moved backwards";
+  }
+  EXPECT_EQ(recorder.dropped(), 1u);
+  EXPECT_EQ(recorder.total_recorded(), 2u);
+
+  // Once the slot is published again, the next lap claims it normally.
+  recorder.Record(FlightEventKind::kShutdown, 2, 0, "C");
+  const std::vector<FlightEvent> after = recorder.Dump();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].seq, 2u);
+  EXPECT_STREQ(after[0].detail, "C");
+  EXPECT_EQ(recorder.dropped(), 1u);
 }
 
 TEST(RequestTraceTest, DeterministicSampling) {

@@ -51,13 +51,6 @@
 //                              scenario-registry specs (or the sanctioned
 //                              MaterializeCustom/InjectCampaign wrappers)
 //                              so every workload is reproducible by name
-//   monolithic-build           direct GraphBuilder::FromTable calls outside
-//                              src/shard, src/snapshot, tests/ and the
-//                              builder itself — pipelines build graphs
-//                              through shard::BuildFullGraph (or
-//                              BuildShardedGraph) so every build path honors
-//                              RICD_SHARDS instead of silently staying
-//                              monolithic
 //   atomic-order-justify       every memory_order_relaxed / memory_order
 //                              _consume operand and every standalone
 //                              atomic_thread_fence/atomic_signal_fence in
@@ -352,7 +345,6 @@ const char* const kAllRules[] = {
     "std-function-hot-loop",
     "metric-name-literal",
     "ad-hoc-workload",
-    "monolithic-build",
     "atomic-order-justify",
     "guarded-field",
     "bare-lock",
@@ -568,16 +560,6 @@ class Linter {
         HasPrefix(file.rel_path, "tests/") ||
         HasPrefix(file.rel_path, "src/gen/") ||
         HasPrefix(file.rel_path, "src/scenario/");
-    // Sanctioned homes of direct GraphBuilder::FromTable calls: the builder
-    // itself, the shard layer that wraps it (per-shard sub-builds), the
-    // snapshot layer (docs/round-trip), and unit tests. Everything else
-    // builds through shard::BuildFullGraph so RICD_SHARDS keeps meaning
-    // something on every pipeline entry point.
-    const bool monolithic_sanctioned =
-        HasPrefix(file.rel_path, "tests/") ||
-        HasPrefix(file.rel_path, "src/shard/") ||
-        HasPrefix(file.rel_path, "src/snapshot/") ||
-        HasPrefix(file.rel_path, "src/graph/graph_builder.");
     // Sanctioned homes of member-state click appends: the window itself
     // (its live buffer is what retention bounds) and the table layer the
     // append methods live in. Everywhere else a `name_.Append*` call is
@@ -657,14 +639,6 @@ class Linter {
                "scenario (scenario::LoadScenario + Materialize, or "
                "MaterializeCustom/InjectCampaign for parameter sweeps) so "
                "every workload stays reproducible by name");
-      }
-      if (!monolithic_sanctioned && id == "GraphBuilder" &&
-          is_punct(i + 1, "::") && is_ident(i + 2, "FromTable") &&
-          is_punct(i + 3, "(")) {
-        Report(file, line_no, "monolithic-build",
-               "direct GraphBuilder::FromTable — build through "
-               "shard::BuildFullGraph (or BuildShardedGraph) so the build "
-               "path honors RICD_SHARDS");
       }
       if (in_library && !append_sanctioned &&
           (id == "Append" || id == "AppendTable") && i >= 2 &&

@@ -100,7 +100,6 @@
 #include "gen/label_io.h"
 #include "gen/scenario.h"
 #include "graph/graph_builder.h"
-#include "shard/sharded_graph.h"
 #include "i2i/i2i_score.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -244,7 +243,7 @@ Result<graph::BipartiteGraph> LoadGraphFromFlags(const FlagParser& flags) {
     return std::move(view).TakeGraph();
   }
   RICD_ASSIGN_OR_RETURN(const auto clicks, LoadClicks(flags));
-  return shard::BuildFullGraph(clicks);
+  return graph::GraphBuilder::FromTable(clicks);
 }
 
 int RunGenerate(const FlagParser& flags) {
@@ -447,7 +446,7 @@ int RunCompare(const FlagParser& flags) {
   } else {
     auto clicks = LoadClicks(flags);
     if (!clicks.ok()) return Fail(clicks.status());
-    auto built = shard::BuildFullGraph(*clicks);
+    auto built = graph::GraphBuilder::FromTable(*clicks);
     if (!built.ok()) return Fail(built.status());
     graph = std::move(built).value();
   }
@@ -563,7 +562,7 @@ int RunSelftest(const FlagParser& flags) {
   auto result = framework.Run(scenario->table);
   if (!result.ok()) return Fail(result.status());
 
-  auto graph = shard::BuildFullGraph(scenario->table);
+  auto graph = graph::GraphBuilder::FromTable(scenario->table);
   if (!graph.ok()) return Fail(graph.status());
   g_workload.scale = gen::ScenarioScaleName(spec->scale);
   g_workload.seed = spec->seed;
@@ -782,7 +781,7 @@ int RunSnapshotSave(const FlagParser& flags) {
   if (!out.ok() || !labels_path.ok()) return 2;
   if (const int rc = RejectUnknown(flags)) return rc;
 
-  auto graph = shard::BuildFullGraph(*clicks);
+  auto graph = graph::GraphBuilder::FromTable(*clicks);
   if (!graph.ok()) return Fail(graph.status());
 
   gen::LabelSet labels;
