@@ -18,24 +18,21 @@
 #include "ricd/params.h"
 #include "scenario/materialize.h"
 #include "scenario/registry.h"
-#include "shard/shard_plan.h"
 #include "snapshot/snapshot.h"
 #include "table/table_io.h"
 
 namespace ricd::bench {
 
 /// Scale selection for experiment benches: set RICD_SCALE to tiny, small,
-/// medium, or large. Each bench picks its own default.
+/// medium, large, or xlarge (medium x10). Each bench picks its own default.
 inline gen::ScenarioScale ScaleFromEnv(gen::ScenarioScale default_scale) {
   const char* env = std::getenv("RICD_SCALE");
   if (env == nullptr) return default_scale;
-  const std::string value(env);
-  if (value == "tiny") return gen::ScenarioScale::kTiny;
-  if (value == "small") return gen::ScenarioScale::kSmall;
-  if (value == "medium") return gen::ScenarioScale::kMedium;
-  if (value == "large") return gen::ScenarioScale::kLarge;
-  RICD_LOG(WARNING) << "unknown RICD_SCALE '" << value << "', using default";
-  return default_scale;
+  gen::ScenarioScale scale = default_scale;
+  if (!gen::ParseScenarioScale(env, &scale)) {
+    RICD_LOG(WARNING) << "unknown RICD_SCALE '" << env << "', using default";
+  }
+  return scale;
 }
 
 /// Seed selection: RICD_SEED overrides the default workload seed. Anything
@@ -152,31 +149,20 @@ inline BenchWorkload GenerateWorkload(gen::ScenarioScale scale, uint64_t seed) {
 /// graph construction entirely. Injected-group/community provenance is not
 /// stored in the container, so `scenario.groups` / `organic_clubs` are
 /// empty on a cache hit (benches that need them document it or regenerate).
-///
-/// The cache key also carries RICD_SHARDS: sharded runs append a `.sN`
-/// token so a bench sweeping shard counts against one prefix never collides
-/// with the unsharded entry (sharded runs additionally spill their own
-/// `<prefix>.shardK.snap` files next to it). The shards=1 key stays
-/// token-free so existing caches remain hot.
 inline BenchWorkload MakeWorkloadCached(const std::string& prefix,
                                         gen::ScenarioScale scale,
                                         uint64_t seed) {
   const scenario::ScenarioSpec spec = SpecFromEnv(scale, seed);
-  const uint32_t shards = shard::NumShardsFromEnv();
-  char shard_token[16] = "";
-  if (shards > 1) {
-    std::snprintf(shard_token, sizeof(shard_token), ".s%u", shards);
-  }
   char suffix[160];
   if (spec.name == "baseline") {
     // Keep the pre-registry cache key so existing snapshot caches stay hot.
-    std::snprintf(suffix, sizeof(suffix), ".%s.%llu%s.snap",
+    std::snprintf(suffix, sizeof(suffix), ".%s.%llu.snap",
                   gen::ScenarioScaleName(scale),
-                  static_cast<unsigned long long>(seed), shard_token);
+                  static_cast<unsigned long long>(seed));
   } else {
-    std::snprintf(suffix, sizeof(suffix), ".%s.%s.%llu%s.snap",
+    std::snprintf(suffix, sizeof(suffix), ".%s.%s.%llu.snap",
                   spec.name.c_str(), gen::ScenarioScaleName(scale),
-                  static_cast<unsigned long long>(seed), shard_token);
+                  static_cast<unsigned long long>(seed));
   }
   const std::string snap_path = prefix + suffix;
   const std::string table_path = snap_path + ".tbl";

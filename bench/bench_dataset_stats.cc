@@ -2,8 +2,8 @@
 // Fig. 2a/2b (click distributions) of the paper on the synthetic
 // TaoBao-shaped workload.
 //
-// Scale with RICD_SCALE=tiny|small|medium|large (default: medium, ~1/100 of
-// the paper's 20M-user table). Absolute numbers scale with the workload;
+// Scale with RICD_SCALE=tiny|small|medium|large|xlarge (default: medium,
+// ~1/100 of the paper's 20M-user table; xlarge is medium x10). Absolute numbers scale with the workload;
 // the reproduced result is the *shape*: heavy-tailed distributions on both
 // sides, item-side stdev an order of magnitude above the mean, and an
 // 80%-mass hot threshold several times the mean item clicks (paper:

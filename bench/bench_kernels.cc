@@ -70,28 +70,6 @@ BENCHMARK(BM_GraphBuild)
     ->Arg(static_cast<int>(gen::ScenarioScale::kSmall))
     ->Unit(benchmark::kMillisecond);
 
-/// Adopted-graph view of the cached graph, with the binary-search lookup
-/// permutations materialized — the storage shape a mmap'd snapshot presents.
-const graph::BipartiteGraph& CachedAdoptedGraph(gen::ScenarioScale scale) {
-  struct Adopted {
-    std::vector<graph::VertexId> user_sorted;
-    std::vector<graph::VertexId> item_sorted;
-    graph::BipartiteGraph graph;
-  };
-  static auto* cache = new std::map<int, std::unique_ptr<Adopted>>;
-  auto& slot = (*cache)[static_cast<int>(scale)];
-  if (slot == nullptr) {
-    slot = std::make_unique<Adopted>();
-    graph::GraphSections s = CachedGraph(scale).Freeze();
-    slot->user_sorted = graph::GraphBuilder::ArgsortByExternalId(s.user_ids);
-    slot->item_sorted = graph::GraphBuilder::ArgsortByExternalId(s.item_ids);
-    s.user_lookup_sorted = slot->user_sorted;
-    s.item_lookup_sorted = slot->item_sorted;
-    slot->graph = graph::BipartiteGraph::AdoptExternal(s, nullptr);
-  }
-  return slot->graph;
-}
-
 /// Point-lookup query stream: ~75% hits drawn from the graph's external ids,
 /// ~25% misses, in a shuffled order that defeats branch-predictor warmup.
 std::vector<table::UserId> LookupQueries(const graph::BipartiteGraph& g,
@@ -111,10 +89,14 @@ std::vector<table::UserId> LookupQueries(const graph::BipartiteGraph& g,
 }
 
 /// The production adopted-graph path: FlatIdMap (open addressing, SplitMix64
-/// mix, one probe run per query) under the default RICD_ID_LOOKUP.
+/// mix, one probe run per query) over the storage shape a mmap'd snapshot
+/// presents.
 void BM_IdLookupFlat(benchmark::State& state) {
-  const auto& g = CachedAdoptedGraph(ScaleArg(state.range(0)));
+  const graph::BipartiteGraph g = graph::BipartiteGraph::AdoptExternal(
+      CachedGraph(ScaleArg(state.range(0))).Freeze(), nullptr);
   const auto queries = LookupQueries(g, 4096);
+  graph::VertexId warm = 0;
+  benchmark::DoNotOptimize(g.LookupUser(queries[0], &warm));  // builds the map
   size_t i = 0;
   for (auto _ : state) {
     graph::VertexId out = 0;
@@ -128,24 +110,25 @@ BENCHMARK(BM_IdLookupFlat)
     ->Arg(static_cast<int>(gen::ScenarioScale::kSmall))
     ->Arg(static_cast<int>(gen::ScenarioScale::kMedium));
 
-/// The RICD_ID_LOOKUP=bsearch fallback, inlined here because the env gate is
-/// read once per process: lower_bound over the external-id argsort — the
-/// exact shape of LookupSorted in bipartite_graph.cc, ~log2(U) dependent
-/// cache-missing rounds per query.
+/// The comparison arm: lower_bound over the snapshot's external-id argsort,
+/// the binary search adopted graphs used before FlatIdMap — ~log2(U)
+/// dependent cache-missing rounds per query.
 void BM_IdLookupBsearch(benchmark::State& state) {
-  const auto& g = CachedAdoptedGraph(ScaleArg(state.range(0)));
+  const auto& g = CachedGraph(ScaleArg(state.range(0)));
   const graph::GraphSections s = g.Freeze();
+  const std::vector<graph::VertexId> sorted =
+      graph::GraphBuilder::ArgsortByExternalId(s.user_ids);
   const auto queries = LookupQueries(g, 4096);
   size_t i = 0;
   for (auto _ : state) {
     const table::UserId q = queries[i];
     const auto it = std::lower_bound(
-        s.user_lookup_sorted.begin(), s.user_lookup_sorted.end(), q,
+        sorted.begin(), sorted.end(), q,
         [&](graph::VertexId dense, table::UserId value) {
           return s.user_ids[dense] < value;
         });
     graph::VertexId out = 0;
-    bool found = it != s.user_lookup_sorted.end() && s.user_ids[*it] == q;
+    bool found = it != sorted.end() && s.user_ids[*it] == q;
     if (found) out = *it;
     benchmark::DoNotOptimize(found);
     benchmark::DoNotOptimize(out);

@@ -1,8 +1,8 @@
 // Parallel pruning scaling: runs the full extraction at 1, 2, and 4
-// workers with the round/frontier machinery forced on, checks the outputs
-// are bit-identical (the determinism contract of DESIGN.md §9), and records
-// the 4-vs-1 worker speedup and the 4-worker serial-recheck share in the
-// bench record.
+// workers with the round/frontier machinery forced on, checks groups,
+// ranking and extraction counters are bit-identical (DESIGN.md §9), and
+// records the 4-vs-1 worker speedup and the 4-worker serial-recheck share
+// in the bench record.
 //
 // The serial-recheck share is round_rechecks / scratch_reuses over the
 // 4-worker run: the fraction of pooled Lemma-2 evaluations that the commit
@@ -16,11 +16,12 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "check/diff_result.h"
 #include "common/logging.h"
 #include "engine/worker_engine.h"
-#include "graph/group.h"
 #include "obs/metric_names.h"
 #include "ricd/extension_biclique.h"
+#include "ricd/framework.h"
 #include "ricd/identification.h"
 #include "ricd/round_scheduler.h"
 
@@ -28,8 +29,7 @@ namespace ricd::bench {
 namespace {
 
 struct RunResult {
-  std::vector<graph::Group> groups;
-  core::ExtractionStats stats;
+  core::FrameworkResult result;  // groups, ranking, extraction counters
   double seconds = 0.0;
   uint64_t round_rechecks = 0;  // counter deltas over this run
   uint64_t pooled_evals = 0;
@@ -54,24 +54,17 @@ RunResult RunAtWorkers(const BenchWorkload& workload, size_t workers) {
       registry.GetCounter(obs::metric_names::kRicdExtractionScratchReuses);
   const uint64_t rechecks_before = rechecks->Value();
   const uint64_t pooled_before = pooled->Value();
-  RunResult result;
-  result.seconds = TimedStage(histogram_name, [&] {
-    auto groups = extractor.Extract(workload.graph, &result.stats);
+  RunResult run;
+  core::FrameworkResult& result = run.result;
+  run.seconds = TimedStage(histogram_name, [&] {
+    auto groups = extractor.Extract(workload.graph, &result.extraction_stats);
     RICD_CHECK(groups.ok()) << groups.status();
-    result.groups = std::move(groups).value();
+    result.detection.groups = std::move(groups).value();
   });
-  result.round_rechecks = rechecks->Value() - rechecks_before;
-  result.pooled_evals = pooled->Value() - pooled_before;
-  return result;
-}
-
-bool SameGroups(const std::vector<graph::Group>& a,
-                const std::vector<graph::Group>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].users != b[i].users || a[i].items != b[i].items) return false;
-  }
-  return true;
+  run.round_rechecks = rechecks->Value() - rechecks_before;
+  run.pooled_evals = pooled->Value() - pooled_before;
+  result.ranked = core::RankByRisk(workload.graph, result.detection.groups);
+  return run;
 }
 
 int Main() {
@@ -87,23 +80,25 @@ int Main() {
   for (const size_t workers : worker_counts) {
     runs.push_back(RunAtWorkers(workload, workers));
     const RunResult& run = runs.back();
+    const core::ExtractionStats& stats = run.result.extraction_stats;
     std::printf("workers=%zu  extract=%.3fs  groups=%zu  square_removed=%u/%u\n",
-                workers, run.seconds, run.groups.size(),
-                run.stats.users_removed_square, run.stats.items_removed_square);
+                workers, run.seconds, run.result.detection.groups.size(),
+                stats.users_removed_square, stats.items_removed_square);
   }
 
-  // Determinism contract: every worker count yields the same groups (and
-  // hence the same business-facing ranking).
+  // Determinism contract: every worker count yields the same groups,
+  // business-facing ranking and extraction counters.
   for (size_t i = 1; i < runs.size(); ++i) {
-    RICD_CHECK(SameGroups(runs[0].groups, runs[i].groups))
-        << "extraction output diverged between " << worker_counts[0] << " and "
-        << worker_counts[i] << " workers";
+    const Status diff =
+        check::DiffPipelineResult(runs[0].result, runs[i].result);
+    RICD_CHECK(diff.ok()) << "extraction output diverged between "
+                          << worker_counts[0] << " and " << worker_counts[i]
+                          << " workers: " << diff;
   }
-  const core::RankedOutput ranking =
-      core::RankByRisk(workload.graph, runs[0].groups);
   std::printf("bit-identity: OK across {1,2,4} workers (%zu groups, "
               "%zu ranked users)\n",
-              runs[0].groups.size(), ranking.users.size());
+              runs[0].result.detection.groups.size(),
+              runs[0].result.ranked.users.size());
 
   const double speedup =
       runs[2].seconds > 0.0 ? runs[0].seconds / runs[2].seconds : 0.0;

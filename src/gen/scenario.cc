@@ -25,6 +25,10 @@ BackgroundConfig BackgroundConfigFor(ScenarioScale scale) {
       config.num_users = 200000;
       config.num_items = 40000;
       break;
+    case ScenarioScale::kXLarge:
+      config.num_users = 800000;
+      config.num_items = 160000;
+      break;
   }
   return config;
 }
@@ -50,6 +54,11 @@ AttackConfig AttackConfigFor(ScenarioScale scale) {
     case ScenarioScale::kLarge:
       config.num_groups = 20;
       config.workers_per_group = 28;
+      config.targets_per_group = 12;
+      break;
+    case ScenarioScale::kXLarge:
+      config.num_groups = 120;
+      config.workers_per_group = 24;
       config.targets_per_group = 12;
       break;
   }
@@ -78,6 +87,11 @@ OrganicCommunityConfig OrganicConfigFor(ScenarioScale scale) {
       config.num_clubs = 24;
       config.users_per_club = 40;
       config.num_tight_clubs = 8;
+      break;
+    case ScenarioScale::kXLarge:
+      config.num_clubs = 160;
+      config.users_per_club = 30;
+      config.num_tight_clubs = 5;
       break;
   }
   return config;
@@ -139,8 +153,22 @@ const char* ScenarioScaleName(ScenarioScale scale) {
       return "medium";
     case ScenarioScale::kLarge:
       return "large";
+    case ScenarioScale::kXLarge:
+      return "xlarge";
   }
   return "unknown";
+}
+
+bool ParseScenarioScale(std::string_view name, ScenarioScale* out) {
+  for (const ScenarioScale scale :
+       {ScenarioScale::kTiny, ScenarioScale::kSmall, ScenarioScale::kMedium,
+        ScenarioScale::kLarge, ScenarioScale::kXLarge}) {
+    if (name == ScenarioScaleName(scale)) {
+      *out = scale;
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace ricd::gen

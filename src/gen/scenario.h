@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -33,6 +34,7 @@ enum class ScenarioScale {
   kSmall,   // ~20k users — fast benches
   kMedium,  // ~80k users — default bench scale
   kLarge,   // ~200k users — scaling runs
+  kXLarge,  // ~800k users — medium x10, the Fig. 8b scale-up runs
 };
 
 /// Returns calibrated configs for a preset scale.
@@ -52,6 +54,10 @@ Result<Scenario> MakeScenario(ScenarioScale scale, uint64_t seed);
 
 /// Human-readable name of a scale preset ("tiny", "small", ...).
 const char* ScenarioScaleName(ScenarioScale scale);
+
+/// Inverse of ScenarioScaleName: sets `*out` and returns true for a known
+/// preset name, returns false (leaving `*out` untouched) otherwise.
+bool ParseScenarioScale(std::string_view name, ScenarioScale* out);
 
 }  // namespace ricd::gen
 

@@ -1,38 +1,9 @@
 #include "graph/bipartite_graph.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 namespace ricd::graph {
-namespace {
-
-/// Binary search over a dense-id permutation ordered by external id.
-template <typename ExtId>
-bool LookupSorted(std::span<const ExtId> ids, std::span<const VertexId> sorted,
-                  ExtId external, VertexId* out) {
-  const auto it = std::lower_bound(
-      sorted.begin(), sorted.end(), external,
-      [&](VertexId dense, ExtId value) { return ids[dense] < value; });
-  if (it == sorted.end() || ids[*it] != external) return false;
-  *out = *it;
-  return true;
-}
-
-/// RICD_ID_LOOKUP=bsearch pins adopted graphs to the pre-flat-map binary
-/// search — the escape hatch (and the comparison arm of bench_kernels'
-/// point-lookup case). Read once: flipping it mid-process would leave
-/// already-built flat maps in use.
-bool UseFlatIdLookup() {
-  static const bool use = [] {
-    const char* mode = std::getenv("RICD_ID_LOOKUP");
-    return mode == nullptr || std::strcmp(mode, "bsearch") != 0;
-  }();
-  return use;
-}
-
-}  // namespace
 
 table::ClickCount BipartiteGraph::EdgeWeight(VertexId u, VertexId v) const {
   const auto neighbors = UserNeighbors(u);
@@ -42,18 +13,17 @@ table::ClickCount BipartiteGraph::EdgeWeight(VertexId u, VertexId v) const {
   return UserEdgeClicks(u)[idx];
 }
 
+const BipartiteGraph::IdLookupState& BipartiteGraph::FlatLookup() const {
+  IdLookupState& state = *flat_lookup_;
+  std::call_once(state.once, [&] {
+    state.users = FlatIdMap(ext_.user_ids);
+    state.items = FlatIdMap(ext_.item_ids);
+  });
+  return state;
+}
+
 bool BipartiteGraph::LookupUser(table::UserId external, VertexId* out) const {
-  if (external_) {
-    if (flat_lookup_ != nullptr && UseFlatIdLookup()) {
-      IdLookupState& state = *flat_lookup_;
-      std::call_once(state.once, [&] {
-        state.users = FlatIdMap(ext_.user_ids);
-        state.items = FlatIdMap(ext_.item_ids);
-      });
-      return state.users.Lookup(external, out);
-    }
-    return LookupSorted(ext_.user_ids, ext_.user_lookup_sorted, external, out);
-  }
+  if (external_) return FlatLookup().users.Lookup(external, out);
   const auto it = user_lookup_.find(external);
   if (it == user_lookup_.end()) return false;
   *out = it->second;
@@ -61,17 +31,7 @@ bool BipartiteGraph::LookupUser(table::UserId external, VertexId* out) const {
 }
 
 bool BipartiteGraph::LookupItem(table::ItemId external, VertexId* out) const {
-  if (external_) {
-    if (flat_lookup_ != nullptr && UseFlatIdLookup()) {
-      IdLookupState& state = *flat_lookup_;
-      std::call_once(state.once, [&] {
-        state.users = FlatIdMap(ext_.user_ids);
-        state.items = FlatIdMap(ext_.item_ids);
-      });
-      return state.items.Lookup(external, out);
-    }
-    return LookupSorted(ext_.item_ids, ext_.item_lookup_sorted, external, out);
-  }
+  if (external_) return FlatLookup().items.Lookup(external, out);
   const auto it = item_lookup_.find(external);
   if (it == item_lookup_.end()) return false;
   *out = it->second;

@@ -28,10 +28,10 @@ inline Side Other(Side s) { return s == Side::kUser ? Side::kItem : Side::kUser;
 /// Freeze() produces one over a live graph; AdoptExternal() builds a graph
 /// whose accessors alias these spans (e.g. an mmap'd snapshot file).
 ///
-/// The lookup spans hold dense ids ordered by ascending external id, so an
-/// adopted graph answers LookupUser/LookupItem by binary search instead of
-/// rebuilding a hash map. Freeze() leaves them empty on hash-backed graphs;
-/// GraphBuilder::ArgsortByExternalId materializes them for writers.
+/// The lookup spans hold dense ids ordered by ascending external id; the
+/// snapshot format stores and validates them. Freeze() leaves them empty on
+/// hash-backed graphs (GraphBuilder::ArgsortByExternalId materializes them
+/// for writers); adopted graphs look ids up through a lazy FlatIdMap.
 struct GraphSections {
   std::span<const uint64_t> user_offsets;  // num_users + 1
   std::span<const uint64_t> item_offsets;  // num_items + 1
@@ -128,10 +128,7 @@ class BipartiteGraph {
 
   /// Dense id of an external user id; returns false if unknown. O(1) on
   /// built graphs (hash map) and on adopted graphs (a flat open-addressing
-  /// map built lazily on first lookup). RICD_ID_LOOKUP=bsearch falls the
-  /// adopted path back to binary search over the external-storage lookup
-  /// table (the pre-flat-map behavior; also the comparison arm of
-  /// bench_kernels' point-lookup case).
+  /// map built lazily on first lookup).
   bool LookupUser(table::UserId external, VertexId* out) const;
 
   /// Dense id of an external item id; returns false if unknown.
@@ -153,9 +150,8 @@ class BipartiteGraph {
   /// `retention` keeps the backing memory (heap buffer, mmap handle) alive
   /// for the graph's lifetime, including through copies and moves. The
   /// caller is responsible for having validated the sections (the snapshot
-  /// loader runs check::ValidateSnapshotHeader + checksum first); the
-  /// lookup spans must be populated. Both lookup paths and all accessors
-  /// behave identically to a built graph.
+  /// loader runs check::ValidateSnapshotHeader + checksum first). Lookups
+  /// and all accessors behave identically to a built graph.
   static BipartiteGraph AdoptExternal(const GraphSections& sections,
                                       std::shared_ptr<const void> retention);
 
@@ -233,14 +229,16 @@ class BipartiteGraph {
 
   // Lazily built flat id maps for adopted graphs (built graphs keep their
   // hash maps). Shared across copies like the retention handle; call_once
-  // makes the first concurrent lookups race-free. Null on built graphs and
-  // under RICD_ID_LOOKUP=bsearch.
+  // makes the first concurrent lookups race-free. Null on built graphs.
   struct IdLookupState {
     std::once_flag once;
     FlatIdMap users;
     FlatIdMap items;
   };
   std::shared_ptr<IdLookupState> flat_lookup_;
+
+  /// The adopted graph's flat maps, built on first use.
+  const IdLookupState& FlatLookup() const;
 };
 
 }  // namespace ricd::graph

@@ -21,10 +21,9 @@ class GraphBuilder {
   static Result<BipartiteGraph> FromTable(const table::ClickTable& table);
 
   /// Freeze-side companion to BipartiteGraph::AdoptExternal: the dense ids
-  /// [0, ids.size()) permuted into ascending external-id order. This is the
-  /// id lookup table a snapshot stores so adopted (hash-map-free) graphs
-  /// answer LookupUser/LookupItem by binary search. External ids produced
-  /// by FromTable are unique, so the order is total.
+  /// [0, ids.size()) permuted into ascending external-id order: the sorted
+  /// id table a snapshot stores next to the id arrays. External ids
+  /// produced by FromTable are unique, so the order is total.
   static std::vector<VertexId> ArgsortByExternalId(
       std::span<const int64_t> ids);
 };

@@ -14,21 +14,15 @@ std::vector<uint8_t> ComputeHotFlags(const BipartiteGraph& graph, uint64_t t_hot
 }
 
 uint64_t DeriveHotThreshold(const BipartiteGraph& graph, double mass_fraction) {
+  if (graph.num_items() == 0 || graph.total_clicks() == 0) return 0;
   std::vector<uint64_t> totals;
   totals.reserve(graph.num_items());
   for (VertexId v = 0; v < graph.num_items(); ++v) {
     totals.push_back(graph.ItemTotalClicks(v));
   }
-  return DeriveHotThresholdFromTotals(std::move(totals), graph.total_clicks(),
-                                      mass_fraction);
-}
-
-uint64_t DeriveHotThresholdFromTotals(std::vector<uint64_t> totals,
-                                      uint64_t total_clicks,
-                                      double mass_fraction) {
-  if (totals.empty() || total_clicks == 0) return 0;
   std::sort(totals.begin(), totals.end(), std::greater<uint64_t>());
-  const double target = mass_fraction * static_cast<double>(total_clicks);
+  const double target =
+      mass_fraction * static_cast<double>(graph.total_clicks());
   uint64_t acc = 0;
   for (uint64_t t : totals) {
     acc += t;

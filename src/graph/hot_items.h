@@ -17,15 +17,6 @@ std::vector<uint8_t> ComputeHotFlags(const BipartiteGraph& graph, uint64_t t_hot
 /// is covered; returns the click total of the last item taken.
 uint64_t DeriveHotThreshold(const BipartiteGraph& graph, double mass_fraction);
 
-/// The same derivation over a raw per-item click-total array (`totals` is
-/// taken by value because the computation sorts it). The result depends
-/// only on the totals multiset and `total_clicks`, which is what lets a
-/// sharded pipeline derive a T_hot bit-identical to the monolithic graph's
-/// from globally summed totals.
-uint64_t DeriveHotThresholdFromTotals(std::vector<uint64_t> totals,
-                                      uint64_t total_clicks,
-                                      double mass_fraction);
-
 }  // namespace ricd::graph
 
 #endif  // RICD_GRAPH_HOT_ITEMS_H_

@@ -74,23 +74,6 @@ inline constexpr char kRicdScreeningItemsRemoved[] =
 inline constexpr char kRicdScreeningUsersRemoved[] =
     "ricd.screening.users_removed";
 
-// --- shard: partitioned graph engine ---
-inline constexpr char kShardBalanceRatio[] = "ricd.shard.balance_ratio";
-inline constexpr char kShardBuildSeconds[] = "ricd.shard.build_seconds";
-inline constexpr char kShardCandidatesTotal[] = "ricd.shard.candidates_total";
-inline constexpr char kShardCount[] = "ricd.shard.count";
-inline constexpr char kShardEdgesMax[] = "ricd.shard.edges_max";
-inline constexpr char kShardEdgesTotal[] = "ricd.shard.edges_total";
-inline constexpr char kShardMergeSeconds[] = "ricd.shard.merge_seconds";
-inline constexpr char kShardPruneSeconds[] = "ricd.shard.prune_seconds";
-inline constexpr char kShardReloads[] = "ricd.shard.reloads";
-inline constexpr char kShardSpills[] = "ricd.shard.spills";
-/// Per-shard series are minted dynamically from these printf formats
-/// (ricd.shard.3.edges, ...); the formats live here so the dynamic names
-/// stay greppable next to the static ones.
-inline constexpr char kShardEdgesFormat[] = "ricd.shard.%u.edges";
-inline constexpr char kShardCandidatesFormat[] = "ricd.shard.%u.candidates";
-
 // --- serve: online detection service + TCP front end ---
 inline constexpr char kServeDrainBatchSeconds[] = "serve.drain_batch.seconds";
 inline constexpr char kServeEpoch[] = "serve.epoch";

@@ -24,14 +24,6 @@ Status Bad(const char* tag, const std::string& detail) {
 /// what makes the JSON round-trip byte-stable.
 std::string FormatDouble(double value) { return StringPrintf("%g", value); }
 
-Result<gen::ScenarioScale> ParseScale(std::string_view value) {
-  if (value == "tiny") return gen::ScenarioScale::kTiny;
-  if (value == "small") return gen::ScenarioScale::kSmall;
-  if (value == "medium") return gen::ScenarioScale::kMedium;
-  if (value == "large") return gen::ScenarioScale::kLarge;
-  return Bad("bad-scale", std::string(value));
-}
-
 Result<ArrivalPattern> ParseArrival(std::string_view value) {
   if (value == "uniform") return ArrivalPattern::kUniform;
   if (value == "flash_sale") return ArrivalPattern::kFlashSale;
@@ -155,7 +147,9 @@ Result<ScenarioSpec> ParseScenarioSpec(const std::string& json) {
       spec.name = member.string_value;
     } else if (key == "scale") {
       if (!member.is_string()) return Bad("bad-type", "scale must be a string");
-      RICD_ASSIGN_OR_RETURN(spec.scale, ParseScale(member.string_value));
+      if (!gen::ParseScenarioScale(member.string_value, &spec.scale)) {
+        return Bad("bad-scale", member.string_value);
+      }
     } else if (key == "skew") {
       if (!member.is_number()) return Bad("bad-type", "skew must be a number");
       spec.skew = member.number_value;

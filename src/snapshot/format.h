@@ -46,8 +46,8 @@ inline constexpr uint32_t kMaxSnapshotSections = 64;
 
 /// Section kinds. Required sections materialize BipartiteGraph's arrays;
 /// the lookup sections hold dense vertex ids ordered by ascending external
-/// id so adopted graphs answer LookupUser/LookupItem by binary search
-/// without rebuilding a hash map. Label sections are optional.
+/// id (adopted graphs answer LookupUser/LookupItem from a flat id map built
+/// over the id sections instead). Label sections are optional.
 enum class SectionKind : uint32_t {
   kUserOffsets = 1,   // uint64[num_users + 1]
   kItemOffsets = 2,   // uint64[num_items + 1]

@@ -1,25 +1,32 @@
 // Tests of the src/check invariant validators. The core pattern: build a
 // well-formed graph, corrupt it in exactly one way through GraphTestPeer,
 // and assert the validator rejects it with the expected `validate.<area>:
-// <tag>:` Status — each corruption maps to a distinct failure.
+// <tag>:` Status — each corruption maps to a distinct failure. The result
+// diff oracle gets the same treatment: one changed field of a real
+// pipeline result per divergence kind.
 
 #include "check/validate.h"
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "check/diff_result.h"
 #include "common/status.h"
+#include "gen/scenario.h"
 #include "graph/graph_builder.h"
 #include "graph_test_peer.h"
 #include "obs/metrics.h"
+#include "ricd/framework.h"
 #include "table/click_table.h"
 
 namespace ricd {
 namespace {
 
+using core::FrameworkResult;
 using graph::BipartiteGraph;
 using graph::GraphTestPeer;
 using graph::Group;
@@ -316,6 +323,84 @@ TEST_F(ValidateResultTest, RejectsRankedExternalIdMismatch) {
   ExpectRejected(check::ValidatePipelineResult(graph_, groups_, &ranked),
                  StatusCode::kInternal, "ranked-external-id-mismatch");
 }
+
+/// A real pipeline result over the tiny scenario, computed once.
+const FrameworkResult& TinyPipelineResult() {
+  static const FrameworkResult result = [] {
+    auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, 2024);
+    EXPECT_TRUE(scenario.ok()) << scenario.status();
+    core::FrameworkOptions options;
+    options.params.k1 = 6;
+    options.params.k2 = 6;
+    options.params.t_hot = 800;
+    auto run = core::RicdFramework(options).Run(scenario->table);
+    EXPECT_TRUE(run.ok()) << run.status();
+    return std::move(run).value();
+  }();
+  return result;
+}
+
+/// One divergence kind: `mutate` changes a single field of a copy of the
+/// result, and the oracle's message must contain `names`.
+struct DiffCase {
+  const char* name;
+  void (*mutate)(FrameworkResult*);
+  const char* names;
+};
+
+class DiffPipelineResultTest : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(DiffPipelineResultTest, MessageNamesTheDivergentField) {
+  const FrameworkResult& want = TinyPipelineResult();
+  ASSERT_TRUE(!want.detection.groups.empty() && want.ranked.users.size() > 1 &&
+              want.ranked.items.size() > 1);
+  const Status same = check::DiffPipelineResult(want, want);
+  EXPECT_TRUE(same.ok()) << same;
+  FrameworkResult got = want;
+  GetParam().mutate(&got);
+  ExpectRejected(check::DiffPipelineResult(want, got), StatusCode::kInternal,
+                 GetParam().names);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OneFieldEach, DiffPipelineResultTest,
+    ::testing::Values(
+        DiffCase{"GroupMember",
+                 [](FrameworkResult* r) { r->detection.groups[0].items[0]++; },
+                 "groups: group 0 items[0]"},
+        DiffCase{"GroupCount",
+                 [](FrameworkResult* r) { r->detection.groups.pop_back(); },
+                 "groups: count"},
+        DiffCase{"RankDenseId",
+                 [](FrameworkResult* r) { r->ranked.users[1].user++; },
+                 "ranked-users: rank 1 user"},
+        DiffCase{"RankExternalId",
+                 [](FrameworkResult* r) { r->ranked.items[1].external_id++; },
+                 "ranked-items: rank 1 external_id"},
+        DiffCase{"RankRisk",
+                 [](FrameworkResult* r) {
+                   double& risk = r->ranked.items[0].risk;
+                   risk = std::nextafter(risk, HUGE_VAL);  // one ulp up
+                 },
+                 "ranked-items: rank 0 risk"},
+        DiffCase{"RankRows",
+                 [](FrameworkResult* r) { r->ranked.users.pop_back(); },
+                 "ranked-users: rows"},
+        DiffCase{"EffectiveParam",
+                 [](FrameworkResult* r) { r->effective_params.alpha -= 0.1; },
+                 "effective-params: alpha"},
+        DiffCase{"FeedbackRounds",
+                 [](FrameworkResult* r) { r->feedback_rounds_used++; },
+                 "feedback-rounds: feedback_rounds_used"},
+        DiffCase{"ExtractionStat",
+                 [](FrameworkResult* r) { r->extraction_stats.sweeps_run++; },
+                 "extraction-stats: sweeps_run"},
+        DiffCase{"ScreeningStat",
+                 [](FrameworkResult* r) { r->screening_stats.items_removed++; },
+                 "screening-stats: items_removed"}),
+    [](const ::testing::TestParamInfo<DiffCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace ricd

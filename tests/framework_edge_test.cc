@@ -32,15 +32,24 @@ TEST(FrameworkEdgeTest, SingleEdgeGraph) {
   EXPECT_TRUE(result->detection.groups.empty());
 }
 
-TEST(FrameworkEdgeTest, InvalidAlphaPropagates) {
+TEST(FrameworkEdgeTest, InvalidParamsPropagate) {
+  core::RicdParams bad[4];
+  bad[0].alpha = 2.0;
+  bad[1].alpha = 0.0;
+  bad[2].k1 = 0;
+  bad[3].k2 = 0;
   table::ClickTable t;
   t.Append(1, 1, 5);
-  core::FrameworkOptions options;
-  options.params.alpha = 2.0;
-  core::RicdFramework ricd(options);
-  auto result = ricd.Run(t);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  for (const core::RicdParams& params : bad) {
+    SCOPED_TRACE(testing::Message() << "alpha=" << params.alpha
+                                    << " k1=" << params.k1
+                                    << " k2=" << params.k2);
+    core::FrameworkOptions options;
+    options.params = params;
+    auto result = core::RicdFramework(options).Run(t);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(FrameworkEdgeTest, FeedbackStopsWhenNothingLeftToRelax) {

@@ -364,9 +364,17 @@ TEST(ScenarioTest, PresetsGrowWithScale) {
   const auto small = BackgroundConfigFor(ScenarioScale::kSmall);
   const auto medium = BackgroundConfigFor(ScenarioScale::kMedium);
   const auto large = BackgroundConfigFor(ScenarioScale::kLarge);
+  const auto xlarge = BackgroundConfigFor(ScenarioScale::kXLarge);
   EXPECT_LT(tiny.num_users, small.num_users);
   EXPECT_LT(small.num_users, medium.num_users);
   EXPECT_LT(medium.num_users, large.num_users);
+  // xlarge is medium x10, the Fig. 8b scale-up workload.
+  EXPECT_EQ(xlarge.num_users, 10 * medium.num_users);
+  EXPECT_EQ(xlarge.num_items, 10 * medium.num_items);
+  EXPECT_EQ(AttackConfigFor(ScenarioScale::kXLarge).num_groups,
+            10 * AttackConfigFor(ScenarioScale::kMedium).num_groups);
+  EXPECT_EQ(OrganicConfigFor(ScenarioScale::kXLarge).num_clubs,
+            10 * OrganicConfigFor(ScenarioScale::kMedium).num_clubs);
 }
 
 TEST(ScenarioTest, AssembledTableContainsAllParts) {
@@ -413,6 +421,18 @@ TEST(ScenarioTest, DifferentSeedsDiffer) {
 TEST(ScenarioTest, ScaleNames) {
   EXPECT_STREQ(ScenarioScaleName(ScenarioScale::kTiny), "tiny");
   EXPECT_STREQ(ScenarioScaleName(ScenarioScale::kLarge), "large");
+  EXPECT_STREQ(ScenarioScaleName(ScenarioScale::kXLarge), "xlarge");
+  for (const ScenarioScale scale :
+       {ScenarioScale::kTiny, ScenarioScale::kSmall, ScenarioScale::kMedium,
+        ScenarioScale::kLarge, ScenarioScale::kXLarge}) {
+    ScenarioScale parsed = ScenarioScale::kTiny;
+    EXPECT_TRUE(ParseScenarioScale(ScenarioScaleName(scale), &parsed))
+        << ScenarioScaleName(scale);
+    EXPECT_EQ(parsed, scale);
+  }
+  ScenarioScale untouched = ScenarioScale::kSmall;
+  EXPECT_FALSE(ParseScenarioScale("huge", &untouched));
+  EXPECT_EQ(untouched, ScenarioScale::kSmall);
 }
 
 }  // namespace

@@ -199,8 +199,8 @@ TEST(FlatIdMapTest, MapsEveryIdAndRejectsAbsentOnes) {
 TEST(GraphTest, AdoptedFlatLookupMatchesBuiltGraphHashLookup) {
   // Differential oracle for the adopted-graph flat id map: every external id
   // the built graph's hash maps resolve must resolve to the same dense id
-  // through the adopted graph (which defaults to FlatIdMap), and near-miss
-  // ids must miss on both.
+  // through the adopted graph's FlatIdMap, and near-miss ids must miss on
+  // both.
   Rng rng(2024);
   table::ClickTable t;
   for (int i = 0; i < 4000; ++i) {
@@ -211,16 +211,10 @@ TEST(GraphTest, AdoptedFlatLookupMatchesBuiltGraphHashLookup) {
   auto built = GraphBuilder::FromTable(t);
   ASSERT_TRUE(built.ok());
 
-  GraphSections s = built->Freeze();
-  const std::vector<VertexId> user_sorted =
-      GraphBuilder::ArgsortByExternalId(s.user_ids);
-  const std::vector<VertexId> item_sorted =
-      GraphBuilder::ArgsortByExternalId(s.item_ids);
-  s.user_lookup_sorted = user_sorted;
-  s.item_lookup_sorted = item_sorted;
-  // Backing storage is `built` + the argsort vectors on this frame; no
-  // retention handle needed for the scope of this test.
-  const BipartiteGraph adopted = BipartiteGraph::AdoptExternal(s, nullptr);
+  // Backing storage is `built` on this frame; no retention handle needed
+  // for the scope of this test.
+  const BipartiteGraph adopted =
+      BipartiteGraph::AdoptExternal(built->Freeze(), nullptr);
   ASSERT_TRUE(adopted.is_external());
 
   for (VertexId u = 0; u < built->num_users(); ++u) {

@@ -9,6 +9,7 @@
 #include "baselines/fraudar.h"
 #include "baselines/lpa.h"
 #include "baselines/naive.h"
+#include "check/diff_result.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "gen/scenario.h"
@@ -86,14 +87,11 @@ TEST_F(IntegrationTest, RicdIsDeterministicAcrossRuns) {
   core::FrameworkOptions options;
   options.params = TinyParams();
   core::RicdFramework ricd(options);
-  auto a = ricd.Detect(*graph_);
-  auto b = ricd.Detect(*graph_);
+  auto a = ricd.RunOnGraph(*graph_);
+  auto b = ricd.RunOnGraph(*graph_);
   ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(a->groups.size(), b->groups.size());
-  for (size_t i = 0; i < a->groups.size(); ++i) {
-    EXPECT_EQ(a->groups[i].users, b->groups[i].users);
-    EXPECT_EQ(a->groups[i].items, b->groups[i].items);
-  }
+  const Status diff = check::DiffPipelineResult(*a, *b);
+  EXPECT_TRUE(diff.ok()) << diff;
 }
 
 TEST_F(IntegrationTest, ExperimentHarnessProducesConsistentRows) {

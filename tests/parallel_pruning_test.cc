@@ -10,11 +10,13 @@
 #include <tuple>
 #include <vector>
 
+#include "check/diff_result.h"
 #include "common/random.h"
 #include "engine/worker_buffers.h"
 #include "engine/worker_engine.h"
 #include "graph/graph_builder.h"
 #include "ricd/extension_biclique.h"
+#include "ricd/framework.h"
 #include "ricd/identification.h"
 #include "ricd/round_scheduler.h"
 
@@ -79,34 +81,16 @@ RicdParams MakeParams(uint32_t k1, uint32_t k2, double alpha) {
   return p;
 }
 
-void ExpectSameStats(const ExtractionStats& a, const ExtractionStats& b) {
-  EXPECT_EQ(a.users_removed_core, b.users_removed_core);
-  EXPECT_EQ(a.items_removed_core, b.items_removed_core);
-  EXPECT_EQ(a.users_removed_square, b.users_removed_square);
-  EXPECT_EQ(a.items_removed_square, b.items_removed_square);
-  EXPECT_EQ(a.sweeps_run, b.sweeps_run);
-}
-
-void ExpectSameGroups(const std::vector<graph::Group>& a,
-                      const std::vector<graph::Group>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].users, b[i].users) << "group " << i;
-    EXPECT_EQ(a[i].items, b[i].items) << "group " << i;
-  }
-}
-
-void ExpectSameRanking(const RankedOutput& a, const RankedOutput& b) {
-  ASSERT_EQ(a.users.size(), b.users.size());
-  for (size_t i = 0; i < a.users.size(); ++i) {
-    EXPECT_EQ(a.users[i].external_id, b.users[i].external_id) << "rank " << i;
-    EXPECT_EQ(a.users[i].risk, b.users[i].risk) << "rank " << i;
-  }
-  ASSERT_EQ(a.items.size(), b.items.size());
-  for (size_t i = 0; i < a.items.size(); ++i) {
-    EXPECT_EQ(a.items[i].external_id, b.items[i].external_id) << "rank " << i;
-    EXPECT_EQ(a.items[i].risk, b.items[i].risk) << "rank " << i;
-  }
+/// One extraction as the diff oracle sees it: the groups, their
+/// business-facing ranking and the extraction counters.
+FrameworkResult AsResult(const graph::BipartiteGraph& g,
+                         std::vector<graph::Group> groups,
+                         const ExtractionStats& stats) {
+  FrameworkResult result;
+  result.ranked = RankByRisk(g, groups);
+  result.detection.groups = std::move(groups);
+  result.extraction_stats = stats;
+  return result;
 }
 
 /// The core differential: full extraction (groups + stats + business-facing
@@ -126,22 +110,22 @@ TEST_P(ParallelExtractionTest, BitIdenticalToSequential) {
   // regardless of schedule (workers == 1 short-circuits the round path).
   engine::WorkerEngine reference_engine(1);
   ExtractionStats ref_stats;
-  const auto ref =
+  auto ref =
       ExtensionBicliqueExtractor(params, &reference_engine).Extract(g, &ref_stats);
   ASSERT_TRUE(ref.ok());
-  const RankedOutput ref_ranking = RankByRisk(g, *ref);
+  const FrameworkResult want = AsResult(g, std::move(ref).value(), ref_stats);
 
   for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     SCOPED_TRACE(testing::Message() << "workers=" << workers);
     engine::WorkerEngine engine(workers);
     ExtractionStats stats;
-    const auto got = ExtensionBicliqueExtractor(params, &engine,
-                                                ForcedParallelSchedule())
-                         .Extract(g, &stats);
+    auto got = ExtensionBicliqueExtractor(params, &engine,
+                                          ForcedParallelSchedule())
+                   .Extract(g, &stats);
     ASSERT_TRUE(got.ok());
-    ExpectSameGroups(*ref, *got);
-    ExpectSameStats(ref_stats, stats);
-    ExpectSameRanking(ref_ranking, RankByRisk(g, *got));
+    const Status diff = check::DiffPipelineResult(
+        want, AsResult(g, std::move(got).value(), stats));
+    EXPECT_TRUE(diff.ok()) << diff;
   }
 }
 
@@ -203,8 +187,11 @@ TEST(ParallelExtractionTest, AnyPinnedRoundSizeMatches) {
   const auto g = graph::GraphBuilder::FromTable(MakeWorkload(42)).value();
   const RicdParams params = MakeParams(5, 5, 0.8);
   engine::WorkerEngine seq_engine(1);
-  const auto ref = ExtensionBicliqueExtractor(params, &seq_engine).Extract(g);
+  ExtractionStats ref_stats;
+  auto ref =
+      ExtensionBicliqueExtractor(params, &seq_engine).Extract(g, &ref_stats);
   ASSERT_TRUE(ref.ok());
+  const FrameworkResult want = AsResult(g, std::move(ref).value(), ref_stats);
 
   engine::WorkerEngine engine(4);
   for (const uint32_t pinned : {1u, 3u, 17u, 1000u}) {
@@ -213,9 +200,13 @@ TEST(ParallelExtractionTest, AnyPinnedRoundSizeMatches) {
     s.min_round = pinned;
     s.initial_round = pinned;
     s.max_round = pinned;
-    const auto got = ExtensionBicliqueExtractor(params, &engine, s).Extract(g);
+    ExtractionStats stats;
+    auto got =
+        ExtensionBicliqueExtractor(params, &engine, s).Extract(g, &stats);
     ASSERT_TRUE(got.ok());
-    ExpectSameGroups(*ref, *got);
+    const Status diff = check::DiffPipelineResult(
+        want, AsResult(g, std::move(got).value(), stats));
+    EXPECT_TRUE(diff.ok()) << diff;
   }
 }
 

@@ -1,9 +1,10 @@
 // Deterministic concurrency stress tests, written for the TSan leg of
 // tools/check.sh: every test drives a fixed amount of work through the
 // shared-state surfaces (ThreadPool, WorkerEngine, the metrics registry,
-// and whole detection pipelines) and asserts the deterministic parts of
-// the outcome. Under -DRICD_SANITIZE=thread the interleavings themselves
-// are the assertion; without a sanitizer they still pass as fast checks.
+// an adopted graph's lazy id maps, and whole detection pipelines) and
+// asserts the deterministic parts of the outcome. Under
+// -DRICD_SANITIZE=thread the interleavings themselves are the assertion;
+// without a sanitizer they still pass as fast checks.
 //
 // This file deliberately spawns raw std::thread contenders (allowlisted in
 // tools/lint_allowlist.txt) — the point is to race *against* the pool and
@@ -11,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -135,6 +137,58 @@ TEST(RaceTest, MetricsRegistryConcurrentReadersWriters) {
   obs::Counter* counter = registry.GetCounter("race.counter.0");
   counter->Add(7);
   EXPECT_EQ(counter->Value(), 7u);
+}
+
+// The first lookups on an adopted graph race to build its lazily built
+// flat id maps (one std::call_once for both sides): half the threads enter
+// through LookupUser, half through LookupItem, all released at once. Every
+// answer, hit or miss, must equal the built graph's hash-map lookup.
+TEST(RaceTest, AdoptedGraphFirstLookups) {
+  auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, /*seed=*/42);
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  auto built = graph::GraphBuilder::FromTable(scenario.value().table);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const graph::BipartiteGraph& g = built.value();
+  // No retention handle: the sections alias `g`, which outlives `adopted`.
+  const graph::BipartiteGraph adopted =
+      graph::BipartiteGraph::AdoptExternal(g.Freeze(), nullptr);
+
+  // Probes every vertex's own external id and the next id up, which may
+  // miss; counts answers that differ from the built graph's.
+  std::atomic<int> mismatches{0};
+  auto probe = [&g, &adopted, &mismatches](graph::Side side) {
+    const bool users = side == graph::Side::kUser;
+    for (graph::VertexId v = 0; v < g.num_vertices(side); ++v) {
+      const int64_t own = users ? g.ExternalUserId(v) : g.ExternalItemId(v);
+      for (const int64_t id : {own, own + 1}) {
+        graph::VertexId want = 0;
+        graph::VertexId got = 0;
+        const bool found =
+            users ? g.LookupUser(id, &want) : g.LookupItem(id, &want);
+        const bool adopted_found =
+            users ? adopted.LookupUser(id, &got) : adopted.LookupItem(id, &got);
+        if (adopted_found != found || (found && got != want)) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  };
+
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&probe, &start, t] {
+      const graph::Side first = t % 2 == 0 ? graph::Side::kUser
+                                           : graph::Side::kItem;
+      start.arrive_and_wait();
+      probe(first);
+      probe(graph::Other(first));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // Full detection pipelines race over the same immutable graph. Each Detect

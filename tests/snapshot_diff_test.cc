@@ -1,9 +1,9 @@
 // Differential tests for src/snapshot: the full RICD pipeline must produce
 // bit-identical results on a freshly built graph and on the same graph
-// after a save -> mmap-load round trip through the binary container. Risk
-// scores and I2I scores are compared with exact double equality — the
-// snapshot stores the same CSR arrays the builder produced, so there is no
-// room for drift.
+// after a save -> mmap-load round trip through the binary container
+// (check::DiffPipelineResult). Risk scores and I2I scores are compared
+// with exact double equality — the snapshot stores the same CSR arrays the
+// builder produced, so there is no room for drift.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "check/diff_result.h"
 #include "gen/scenario.h"
 #include "graph/graph_builder.h"
 #include "i2i/i2i_score.h"
@@ -64,7 +65,7 @@ void ExpectIdenticalPipelines(uint64_t seed) {
               std::vector<table::ClickCount>(wb.begin(), wb.end()));
   }
 
-  // External-id lookups behave identically (hash map vs binary search).
+  // External-id lookups behave identically (hash map vs flat id map).
   for (graph::VertexId u = 0; u < fresh->num_users(); u += 17) {
     graph::VertexId dense = 0;
     ASSERT_TRUE(loaded.LookupUser(fresh->ExternalUserId(u), &dense));
@@ -74,7 +75,7 @@ void ExpectIdenticalPipelines(uint64_t seed) {
   EXPECT_FALSE(loaded.LookupUser(-1234567, &missing));
   EXPECT_FALSE(loaded.LookupItem(-7654321, &missing));
 
-  // Full pipeline: detection groups + ranked output, bit-identical.
+  // Full pipeline, bit-identical field for field (risks exact).
   core::FrameworkOptions options;
   options.params = TinyParams();
   core::RicdFramework framework(options);
@@ -82,30 +83,10 @@ void ExpectIdenticalPipelines(uint64_t seed) {
   auto loaded_run = framework.RunOnGraph(loaded);
   ASSERT_TRUE(fresh_run.ok()) << fresh_run.status();
   ASSERT_TRUE(loaded_run.ok()) << loaded_run.status();
-
-  const auto& fg = fresh_run->detection.groups;
-  const auto& lg = loaded_run->detection.groups;
-  ASSERT_EQ(fg.size(), lg.size());
-  EXPECT_GT(fg.size(), 0u) << "scenario produced no groups; diff is vacuous";
-  for (size_t i = 0; i < fg.size(); ++i) {
-    EXPECT_EQ(fg[i].users, lg[i].users);
-    EXPECT_EQ(fg[i].items, lg[i].items);
-  }
-
-  const auto& fr = fresh_run->ranked;
-  const auto& lr = loaded_run->ranked;
-  ASSERT_EQ(fr.users.size(), lr.users.size());
-  ASSERT_EQ(fr.items.size(), lr.items.size());
-  for (size_t i = 0; i < fr.users.size(); ++i) {
-    EXPECT_EQ(fr.users[i].user, lr.users[i].user);
-    EXPECT_EQ(fr.users[i].external_id, lr.users[i].external_id);
-    EXPECT_EQ(fr.users[i].risk, lr.users[i].risk);  // exact
-  }
-  for (size_t i = 0; i < fr.items.size(); ++i) {
-    EXPECT_EQ(fr.items[i].item, lr.items[i].item);
-    EXPECT_EQ(fr.items[i].external_id, lr.items[i].external_id);
-    EXPECT_EQ(fr.items[i].risk, lr.items[i].risk);  // exact
-  }
+  EXPECT_GT(fresh_run->detection.groups.size(), 0u)
+      << "scenario produced no groups; diff is vacuous";
+  const Status diff = check::DiffPipelineResult(*fresh_run, *loaded_run);
+  EXPECT_TRUE(diff.ok()) << diff;
 
   // I2I scores (Eq. 1), exact equality over every item pair sampled.
   i2i::I2iScorer fresh_scorer(*fresh);

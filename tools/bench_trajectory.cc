@@ -1,8 +1,8 @@
 // bench_trajectory — in-tree perf trajectory with regression gates.
 //
 //   bench_trajectory run       --bin-dir=build/bench [--out-dir=.]
-//                              [--suite=serving,medium_pipeline,adversarial,
-//                                       sharded,streaming]
+//                              [--suite=serving,medium_pipeline,
+//                                       adversarial,streaming]
 //   bench_trajectory normalize --in=records.jsonl --scenario=NAME
 //                              --source=BENCH [--out=BENCH_NAME.json]
 //   bench_trajectory compare   --baseline=BENCH_NAME.json
@@ -55,8 +55,7 @@ int Usage() {
       "usage: bench_trajectory <run|normalize|compare> [--flags]\n"
       "  run        execute the trajectory suite and write BENCH_*.json\n"
       "             --bin-dir=<dir with bench binaries> [--out-dir=.]\n"
-      "             [--suite=serving,medium_pipeline,adversarial,sharded,\n"
-      "                      streaming]\n"
+      "             [--suite=serving,medium_pipeline,adversarial,streaming]\n"
       "  normalize  fold one RICD_BENCH_JSON record into a trajectory file\n"
       "             --in=<jsonl> --scenario=<name> --source=<bench name>\n"
       "             [--out=<path>]\n"
@@ -83,9 +82,6 @@ constexpr SuiteScenario kSuite[] = {
     {"serving", "bench_serving", "small", "42"},
     {"medium_pipeline", "bench_scaling", "medium", "42"},
     {"adversarial", "bench_adversarial", "tiny", "42"},
-    // bench_sharded multiplies the preset by 10 internally, so this entry
-    // runs the shard sweep at 10x medium (800k users / 160k items).
-    {"sharded", "bench_sharded", "medium", "42"},
     // Windowed serving: sustained ingest qps, eviction cost and rebuild
     // overlap latency over the regime_shift preset.
     {"streaming", "bench_streaming", "tiny", "42"},
@@ -395,7 +391,7 @@ int RunSuite(const FlagParser& flags) {
   const auto out_dir = flags.GetString("out-dir", ".");
   const auto suite =
       flags.GetString("suite",
-                      "serving,medium_pipeline,adversarial,sharded,streaming");
+                      "serving,medium_pipeline,adversarial,streaming");
   if (!bin_dir.ok() || !out_dir.ok() || !suite.ok()) return 2;
   if (bin_dir->empty()) {
     return Fail(Status::InvalidArgument(
@@ -411,7 +407,7 @@ int RunSuite(const FlagParser& flags) {
     if (s == nullptr) {
       return Fail(Status::InvalidArgument(
           "unknown suite scenario '" + name +
-          "' (serving|medium_pipeline|adversarial|sharded|streaming)"));
+          "' (serving|medium_pipeline|adversarial|streaming)"));
     }
     selected.push_back(s);
   }

@@ -86,18 +86,17 @@ case ",$ONLY," in *,asan,*)
   run_config asan "address,undefined" -j "$JOBS"
 esac
 case ",$ONLY," in *,tsan,*)
-  # Deterministic concurrency workloads (race_test exists for this leg;
+  # Deterministic concurrency workloads (race_test exists for this leg and
+  # also races first lookups on an adopted graph's lazy flat id map;
   # parallel_pruning_test runs the round/frontier pruning differential at
   # 1-8 workers; serve_stress_test sweeps the lock-free verdict-snapshot
   # swap, the bounded ingest queue, and the telemetry-enabled serve path;
   # flight_recorder_test hammers the seqlock-per-slot event ring;
-  # shard_test runs the sharded-vs-monolithic differential, whose parallel
-  # per-shard builds and lazy flat-id-map construction are the data races
-  # this leg would catch; window_test races seal/evict in ClickWindow
-  # against concurrent snapshot readers and runs the windowed online-vs-
-  # offline differential over a live DetectionService), plus the snapshot
-  # corruption suite so it sees all three sanitizers.
-  run_config tsan "thread" -R "race_test|thread_pool_test|metrics_test|trace_test|flight_recorder_test|snapshot_fuzz_test|parallel_pruning_test|serve_test|serve_stress_test|shard_test|window_test"
+  # window_test races seal/evict in ClickWindow against concurrent
+  # snapshot readers and runs the windowed online-vs-offline differential
+  # over a live DetectionService), plus the snapshot corruption suite so
+  # it sees all three sanitizers.
+  run_config tsan "thread" -R "race_test|thread_pool_test|metrics_test|trace_test|flight_recorder_test|snapshot_fuzz_test|parallel_pruning_test|serve_test|serve_stress_test|window_test"
 esac
 case ",$ONLY," in *,annotate,*)
   # Compile-time lock-discipline check: clang's -Wthread-safety over the

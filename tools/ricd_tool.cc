@@ -167,12 +167,12 @@ int RejectUnknown(const FlagParser& flags) {
 }
 
 Result<gen::ScenarioScale> ParseScale(const std::string& name) {
-  if (name == "tiny") return gen::ScenarioScale::kTiny;
-  if (name == "small") return gen::ScenarioScale::kSmall;
-  if (name == "medium") return gen::ScenarioScale::kMedium;
-  if (name == "large") return gen::ScenarioScale::kLarge;
-  return Status::InvalidArgument("unknown --scale '" + name +
-                                 "' (tiny|small|medium|large)");
+  gen::ScenarioScale scale = gen::ScenarioScale::kTiny;
+  if (!gen::ParseScenarioScale(name, &scale)) {
+    return Status::InvalidArgument("unknown --scale '" + name +
+                                   "' (tiny|small|medium|large|xlarge)");
+  }
+  return scale;
 }
 
 /// Resolves the workload spec for generate/selftest: --scenario=<name|file>
