@@ -68,6 +68,26 @@ Status DiffRanking(const char* tag, const char* dense_name, Dense Row::*dense,
   return FieldDiff(tag).Field("rows", want.size(), got.size()).status();
 }
 
+/// Compares (id, risk) rows, sorted by id, against a snapshot's parallel
+/// id/risk vectors.
+template <typename Id>
+Status DiffFlagged(const char* tag, std::vector<std::pair<Id, double>> want,
+                   const std::vector<Id>& got_ids,
+                   const std::vector<double>& got_risks) {
+  std::sort(want.begin(), want.end());
+  RICD_RETURN_IF_ERROR(FieldDiff(tag)
+                           .Field("rows", want.size(), got_ids.size())
+                           .Field("risk rows", got_ids.size(), got_risks.size())
+                           .status());
+  for (size_t r = 0; r < want.size(); ++r) {
+    RICD_RETURN_IF_ERROR(FieldDiff(tag, StringPrintf("row %zu ", r))
+                             .Field("id", want[r].first, got_ids[r])
+                             .Field("risk", want[r].second, got_risks[r])
+                             .status());
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status DiffPipelineResult(const core::FrameworkResult& want,
@@ -131,6 +151,49 @@ Status DiffPipelineResult(const core::FrameworkResult& want,
       .Field("users_removed", ws.users_removed, gs.users_removed)
       .Field("items_removed", ws.items_removed, gs.items_removed)
       .Field("groups_dropped", ws.groups_dropped, gs.groups_dropped)
+      .status();
+}
+
+Status DiffVerdictSnapshot(const core::FrameworkResult& want,
+                           const table::ClickTable& retained,
+                           const serve::VerdictSnapshot& got) {
+  std::vector<std::pair<table::UserId, double>> users;
+  for (const core::RankedUser& u : want.ranked.users) {
+    users.emplace_back(u.external_id, u.risk);
+  }
+  RICD_RETURN_IF_ERROR(DiffFlagged("verdict-users", std::move(users),
+                                   got.flagged_users, got.user_risks));
+  std::vector<std::pair<table::ItemId, double>> items;
+  for (const core::RankedItem& v : want.ranked.items) {
+    items.emplace_back(v.external_id, v.risk);
+  }
+  RICD_RETURN_IF_ERROR(DiffFlagged("verdict-items", std::move(items),
+                                   got.flagged_items, got.item_risks));
+
+  // Flags matched, so got's sorted id vectors double as want's flag sets.
+  std::vector<std::pair<table::UserId, table::ItemId>> pairs;
+  for (size_t i = 0; i < retained.num_rows(); ++i) {
+    const table::UserId u = retained.user(i);
+    const table::ItemId v = retained.item(i);
+    if (std::binary_search(got.flagged_users.begin(), got.flagged_users.end(),
+                           u) &&
+        std::binary_search(got.flagged_items.begin(), got.flagged_items.end(),
+                           v)) {
+      pairs.emplace_back(u, v);
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  for (size_t r = 0; r < std::min(pairs.size(), got.blocked_pairs.size());
+       ++r) {
+    RICD_RETURN_IF_ERROR(
+        FieldDiff("verdict-pairs", StringPrintf("row %zu ", r))
+            .Field("user", pairs[r].first, got.blocked_pairs[r].first)
+            .Field("item", pairs[r].second, got.blocked_pairs[r].second)
+            .status());
+  }
+  return FieldDiff("verdict-pairs")
+      .Field("rows", pairs.size(), got.blocked_pairs.size())
       .status();
 }
 

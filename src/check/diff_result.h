@@ -3,6 +3,8 @@
 
 #include "common/status.h"
 #include "ricd/framework.h"
+#include "serve/verdict_store.h"
+#include "table/click_table.h"
 
 namespace ricd::check {
 
@@ -16,6 +18,17 @@ namespace ricd::check {
 /// extraction, then screening counters.
 Status DiffPipelineResult(const core::FrameworkResult& want,
                           const core::FrameworkResult& got);
+
+/// The online contract's oracle: a published snapshot must equal the
+/// offline run `want` over the consolidated rows `retained` of its cut.
+/// Returns OK when `got` flags exactly want's users, then items, in
+/// ascending id order with bit-identical risks (`verdict-users`,
+/// `verdict-items`), and blocks exactly the retained (user, item) rows
+/// whose endpoints are both flagged (`verdict-pairs`); else Internal naming
+/// the first divergence in the DiffPipelineResult message format.
+Status DiffVerdictSnapshot(const core::FrameworkResult& want,
+                           const table::ClickTable& retained,
+                           const serve::VerdictSnapshot& got);
 
 }  // namespace ricd::check
 

@@ -23,12 +23,6 @@ bool SortedUnique(const std::vector<T>& v) {
          v.end();
 }
 
-/// True when every element of `sub` appears in `super` (both sorted).
-template <typename T>
-bool SubsetOf(const std::vector<T>& sub, const std::vector<T>& super) {
-  return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
-}
-
 }  // namespace
 
 Status ValidateVerdictSnapshot(const serve::VerdictSnapshot& snapshot) {
@@ -95,26 +89,9 @@ Status ValidateVerdictTransition(const serve::VerdictSnapshot& prev,
   if (next.stats.accepted < prev.stats.accepted ||
       next.stats.applied < prev.stats.applied ||
       next.stats.rejected < prev.stats.rejected ||
-      next.stats.batches < prev.stats.batches ||
-      next.stats.rebuilds < prev.stats.rebuilds) {
+      next.stats.batches < prev.stats.batches) {
     return FailServe("stats-regressed",
                      "a monotone serve counter decreased between snapshots");
-  }
-  if (next.stats.rebuilds == prev.stats.rebuilds) {
-    // No rebuild in between: incremental detection only ever *adds*
-    // verdicts, so an epoch must never unflag a node or unblock a pair.
-    if (!SubsetOf(prev.flagged_users, next.flagged_users)) {
-      return FailServe("user-unflagged-without-rebuild",
-                       "a flagged user disappeared without a full rebuild");
-    }
-    if (!SubsetOf(prev.flagged_items, next.flagged_items)) {
-      return FailServe("item-unflagged-without-rebuild",
-                       "a flagged item disappeared without a full rebuild");
-    }
-    if (!SubsetOf(prev.blocked_pairs, next.blocked_pairs)) {
-      return FailServe("pair-unblocked-without-rebuild",
-                       "a blocked pair disappeared without a full rebuild");
-    }
   }
   return Status::Ok();
 }

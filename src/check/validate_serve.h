@@ -15,13 +15,13 @@ namespace ricd::check {
 /// Structural audit of one snapshot: member id vectors sorted and unique,
 /// risk vectors parallel to their id vectors, blocked pairs sorted/unique
 /// with both endpoints flagged, and stats self-consistent
-/// (applied <= accepted, batches/rebuilds populated).
+/// (applied <= accepted).
 Status ValidateVerdictSnapshot(const serve::VerdictSnapshot& snapshot);
 
 /// Publication-order invariant between two consecutive snapshots: the epoch
-/// strictly increases, counters are monotone, and — unless a full rebuild
-/// happened in between (stats.rebuilds grew) — no node is ever unflagged:
-/// `prev`'s flagged users/items and blocked pairs are subsets of `next`'s.
+/// strictly increases and the serve counters are monotone. Verdicts may
+/// change either way — every publish is a fresh offline run over its cut,
+/// so it retracts whatever the retained rows no longer support.
 Status ValidateVerdictTransition(const serve::VerdictSnapshot& prev,
                                  const serve::VerdictSnapshot& next);
 

@@ -2,6 +2,7 @@
 #define RICD_COMMON_TIMER_H_
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 
 namespace ricd {
@@ -13,18 +14,29 @@ class WallTimer {
   WallTimer() { Restart(); }
 
   /// Resets the start point to now.
-  void Restart() { start_ = Clock::now(); }
+  void Restart() { start_ = Now(); }
 
   /// Seconds elapsed since construction or the last Restart().
   double ElapsedSeconds() const {
-    return std::chrono::duration<double>(Clock::now() - start_).count();
+    return std::chrono::duration<double>(Now() - start_).count();
   }
 
   /// Milliseconds elapsed since construction or the last Restart().
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
+  /// Test hook: clock reads taken through any WallTimer on the calling
+  /// thread so far (construction, Restart and each Elapsed* call read once).
+  static uint64_t ThreadClockReads() { return thread_clock_reads_; }
+
  private:
   using Clock = std::chrono::steady_clock;
+
+  static Clock::time_point Now() {
+    ++thread_clock_reads_;
+    return Clock::now();
+  }
+
+  static inline thread_local uint64_t thread_clock_reads_ = 0;
   Clock::time_point start_;
 };
 

@@ -49,10 +49,6 @@ const char* FlightEventKindName(FlightEventKind kind) noexcept {
       return "none";
     case FlightEventKind::kPublish:
       return "publish";
-    case FlightEventKind::kRebuild:
-      return "rebuild";
-    case FlightEventKind::kDriftTrigger:
-      return "drift_trigger";
     case FlightEventKind::kBackpressure:
       return "backpressure";
     case FlightEventKind::kValidatorViolation:
@@ -65,8 +61,6 @@ const char* FlightEventKindName(FlightEventKind kind) noexcept {
       return "seal";
     case FlightEventKind::kSegmentEvict:
       return "evict";
-    case FlightEventKind::kRebuildOverlap:
-      return "rebuild_overlap";
   }
   return "unknown";
 }

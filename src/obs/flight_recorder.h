@@ -14,18 +14,15 @@ namespace ricd::obs {
 enum class FlightEventKind : uint32_t {
   kNone = 0,
   kPublish = 1,             // a = epoch, b = flagged users
-  kRebuild = 2,             // a = epoch, b = table rows
-  kDriftTrigger = 3,        // a = region edges since rebuild, b = threshold x1000
   kBackpressure = 4,        // a = queue capacity, b = rejected total
   kValidatorViolation = 5,  // a = violation count, b = 0
   kRequestTrace = 6,        // a = request id, b = latency micros
   kShutdown = 7,            // a = final epoch, b = applied records
   kSegmentSeal = 8,         // a = segment seq, b = segment rows
   kSegmentEvict = 9,        // a = segment seq, b = segment rows
-  kRebuildOverlap = 10,     // a = epoch, b = delta rows replayed at adoption
 };
 
-/// Human-readable tag for a kind ("publish", "rebuild", ...). Returns a
+/// Human-readable tag for a kind ("publish", "backpressure", ...). Returns a
 /// pointer to a string literal, so it is safe to call from a signal handler.
 const char* FlightEventKindName(FlightEventKind kind) noexcept;
 

@@ -84,9 +84,7 @@ inline constexpr char kServePublishSeconds[] = "serve.publish.seconds";
 inline constexpr char kServeQueries[] = "serve.queries";
 inline constexpr char kServeQueueDepth[] = "serve.queue.depth";
 inline constexpr char kServeQueueWaitSeconds[] = "serve.queue.wait_seconds";
-inline constexpr char kServeRebuildInProgress[] = "serve.rebuild.in_progress";
-inline constexpr char kServeRebuildOverlapSeconds[] =
-    "serve.rebuild.overlap_seconds";
+/// Detection runs, one per publish.
 inline constexpr char kServeRebuilds[] = "serve.rebuilds";
 inline constexpr char kServeRefreshSeconds[] = "serve.refresh.seconds";
 inline constexpr char kServeRequestIngestSeconds[] =

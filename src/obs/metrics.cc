@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace ricd::obs {
 
@@ -12,29 +13,28 @@ double HistogramSnapshot::Quantile(double q) const {
   // target rank in [0, count]; q=0 resolves to the lower edge of the first
   // occupied bucket, q=1 to the upper edge of the last occupied bucket, and
   // anything in between interpolates linearly inside the covering bucket.
+  // Bucket edges are clamped to the observed [min, max], which gives the
+  // first bucket a lower edge and the overflow bucket an upper edge.
   const double target = q * static_cast<double>(count);
+  double estimate = max;  // a racy all-empty fold falls back to the max
   uint64_t cumulative = 0;
   for (size_t i = 0; i < buckets.size(); ++i) {
     const uint64_t in_bucket = buckets[i];
     if (in_bucket == 0) continue;
     cumulative += in_bucket;
     if (static_cast<double>(cumulative) < target) continue;
-    if (i >= bounds.size()) {
-      // Overflow bucket: no finite upper edge, report the last boundary.
-      return bounds.empty() ? 0.0 : bounds.back();
-    }
-    const double lower = i == 0 ? 0.0 : bounds[i - 1];
-    const double upper = bounds[i];
+    const double lower = i == 0 ? min : std::max(min, bounds[i - 1]);
+    const double upper = i == bounds.size() ? max : std::min(max, bounds[i]);
     const double before = static_cast<double>(cumulative - in_bucket);
     double frac = (target - before) / static_cast<double>(in_bucket);
     // Clamp against float drift (count folded from sharded atomics can
     // disagree slightly with the bucket sums observed mid-write).
     frac = std::min(1.0, std::max(0.0, frac));
-    return lower + frac * (upper - lower);
+    estimate = lower + frac * (upper - lower);
+    break;
   }
-  // count > 0 but all visible buckets were empty: a racy snapshot; fall
-  // back to the largest representable value.
-  return bounds.empty() ? 0.0 : bounds.back();
+  // A racy fold can still pair a bucket with a stale range.
+  return std::min(max, std::max(min, estimate));
 }
 
 std::vector<double> DefaultLatencyBounds() {
@@ -62,6 +62,7 @@ Histogram::Histogram(std::vector<double> bounds,
 }
 
 void Histogram::Observe(double value) noexcept {
+  ++thread_observes_;
   if (!enabled_->load(std::memory_order_relaxed)) return;  // order: advisory enable flag; stale reads only delay the toggle
   const size_t bucket = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -
@@ -69,19 +70,35 @@ void Histogram::Observe(double value) noexcept {
   Shard& shard = shards_[internal::ShardIndex()];
   shard.counts[bucket].fetch_add(1, std::memory_order_relaxed);  // order: sharded histogram bucket; snapshot folds tolerate lag
   shard.sum.fetch_add(value, std::memory_order_relaxed);  // order: sharded histogram sum; snapshot folds tolerate lag
+  double lo = shard.min.load(std::memory_order_relaxed);  // order: sharded range bound; snapshot folds tolerate lag
+  while (value < lo &&
+         !shard.min.compare_exchange_weak(lo, value, std::memory_order_relaxed)) {  // order: monotone min; no data published through it
+  }
+  double hi = shard.max.load(std::memory_order_relaxed);  // order: sharded range bound; snapshot folds tolerate lag
+  while (value > hi &&
+         !shard.max.compare_exchange_weak(hi, value, std::memory_order_relaxed)) {  // order: monotone max; no data published through it
+  }
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
   snap.bounds = bounds_;
   snap.buckets.assign(bounds_.size() + 1, 0);
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
   for (const auto& shard : shards_) {
     for (size_t i = 0; i < shard.counts.size(); ++i) {
       snap.buckets[i] += shard.counts[i].load(std::memory_order_relaxed);  // order: sharded stat fold; concurrent observes may or may not land
     }
     snap.sum += shard.sum.load(std::memory_order_relaxed);  // order: sharded stat fold; concurrent observes may or may not land
+    lo = std::min(lo, shard.min.load(std::memory_order_relaxed));  // order: sharded stat fold; concurrent observes may or may not land
+    hi = std::max(hi, shard.max.load(std::memory_order_relaxed));  // order: sharded stat fold; concurrent observes may or may not land
   }
   for (const uint64_t b : snap.buckets) snap.count += b;
+  if (lo <= hi) {
+    snap.min = lo;
+    snap.max = hi;
+  }
   return snap;
 }
 
@@ -89,6 +106,8 @@ void Histogram::Reset() noexcept {
   for (auto& shard : shards_) {
     for (auto& c : shard.counts) c.store(0, std::memory_order_relaxed);  // order: stat reset; callers quiesce writers between runs
     shard.sum.store(0.0, std::memory_order_relaxed);  // order: stat reset; callers quiesce writers between runs
+    shard.min.store(std::numeric_limits<double>::infinity(), std::memory_order_relaxed);  // order: stat reset; callers quiesce writers between runs
+    shard.max.store(-std::numeric_limits<double>::infinity(), std::memory_order_relaxed);  // order: stat reset; callers quiesce writers between runs
   }
 }
 

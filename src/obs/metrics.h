@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,13 +92,16 @@ class Gauge {
 };
 
 /// Read-side view of a histogram; percentiles are estimated by linear
-/// interpolation inside the covering bucket (the first bucket interpolates
-/// from 0, the overflow bucket reports the last boundary).
+/// interpolation inside the covering bucket, then clamped to the observed
+/// [min, max] — so the first bucket never reports below the smallest
+/// observation and the overflow bucket never reports above the largest.
 struct HistogramSnapshot {
   std::vector<double> bounds;    // ascending upper bounds
   std::vector<uint64_t> buckets; // bounds.size() + 1 (last = overflow)
   uint64_t count = 0;
   double sum = 0.0;
+  double min = 0.0;  // smallest observation (0 when count == 0)
+  double max = 0.0;  // largest observation (0 when count == 0)
 
   /// Quantile estimate for q in [0, 1].
   double Quantile(double q) const;
@@ -112,12 +116,17 @@ std::vector<double> DefaultLatencyBounds();
 
 /// Fixed-bucket histogram with sharded relaxed-atomic bucket counts.
 /// Observe() is one binary search over the (immutable) boundary vector plus
-/// two relaxed atomic adds on a thread-private shard.
+/// two relaxed atomic adds on a thread-private shard, and a min/max update
+/// on that shard when the value extends its range.
 class Histogram {
  public:
   Histogram(std::vector<double> bounds, const std::atomic<bool>* enabled);
 
   void Observe(double value) noexcept;
+
+  /// Test hook: Observe() calls made on the calling thread so far, on any
+  /// histogram, enabled or not.
+  static uint64_t ThreadObserves() noexcept { return thread_observes_; }
 
   HistogramSnapshot Snapshot() const;
   void Reset() noexcept;
@@ -128,8 +137,11 @@ class Histogram {
   struct alignas(64) Shard {
     std::vector<std::atomic<uint64_t>> counts;  // bounds + overflow
     std::atomic<double> sum{0.0};
+    std::atomic<double> min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
   };
 
+  static inline thread_local uint64_t thread_observes_ = 0;
   std::vector<double> bounds_;
   std::array<Shard, kMetricShards> shards_;
   const std::atomic<bool>* enabled_;

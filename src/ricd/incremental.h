@@ -2,9 +2,7 @@
 #define RICD_RICD_INCREMENTAL_H_
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -15,60 +13,37 @@ namespace ricd::core {
 
 /// What one Ingest() call did.
 struct IncrementalUpdate {
-  /// Size of the 2-hop affected region the batch induced.
-  uint32_t region_users = 0;
-  uint32_t region_items = 0;
-
-  /// Induced click rows the regional detection ran over.
+  /// Standing edges the detection run covered (the whole standing table).
   uint64_t region_edges = 0;
 
-  /// Suspicious groups found inside the region this batch.
-  uint32_t region_groups = 0;
-
-  /// Nodes flagged for the first time by this batch (ascending ids).
+  /// Nodes flagged by this run that the previous run did not flag
+  /// (ascending ids).
   std::vector<table::UserId> newly_flagged_users;
   std::vector<table::ItemId> newly_flagged_items;
 };
 
-/// Incremental "Ride Item's Coattails" detection over a dynamic click
-/// stream — the paper's Section VIII future-work direction ("add an
-/// incremental data processing module to this framework so that it can be
-/// applied online ... in dynamic graphs", e.g. during the Double 11
-/// festival where earlier detection saves more losses).
-///
-/// Design: click-stream state (per-user and per-item adjacency with click
-/// counts) is maintained incrementally. A new batch can only create or
-/// extend extension bicliques that include a touched node, and every
-/// vertex of such a biclique lies within two hops of a touched node — the
-/// same closure Algorithm 2's seed expansion uses. Ingest() therefore
-/// materializes only the 2-hop region around the batch, runs detection +
-/// screening on it, and merges newly flagged nodes into the standing
-/// suspicious set. Per-batch cost is O(region), not O(graph).
-///
-/// The hot-item threshold is pinned at Bootstrap (derived globally when
-/// options.params.t_hot == 0): a regional 80/20 derivation would be
-/// meaningless on a biased neighborhood.
-///
-/// Soundness note: region re-detection only *adds* suspicious nodes;
-/// previously flagged nodes stay flagged until ResetFlags() (mirroring the
-/// production workflow, where cleanup is an explicit business action). A
-/// node missed earlier is re-examined whenever a later batch touches its
-/// neighborhood.
+/// Batch-at-a-time RICD over a growing click table — the paper's Section
+/// VIII future-work direction (online detection on dynamic graphs) in its
+/// simplest well-defined form: a consolidated standing table plus one
+/// offline RicdFramework::Run per batch. After every Ingest the flags are
+/// exactly what an offline Run over the consolidated stream so far reports,
+/// retractions included.
 class IncrementalRicd {
  public:
-  explicit IncrementalRicd(FrameworkOptions options);
+  explicit IncrementalRicd(FrameworkOptions options)
+      : framework_(std::move(options)) {}
 
-  /// Installs the initial table and runs one full-graph detection pass.
+  /// Installs the initial table and runs one detection pass.
   Status Bootstrap(const table::ClickTable& initial);
 
-  /// Folds `batch` into the stream state and re-detects in the affected
-  /// region. Requires a prior Bootstrap().
+  /// Appends `batch` to the standing table and re-runs detection over it.
+  /// Requires a prior Bootstrap().
   Result<IncrementalUpdate> Ingest(const table::ClickTable& batch);
 
-  /// Materializes the standing consolidated click table (O(edges)).
-  table::ClickTable MaterializeTable() const;
+  /// The standing consolidated click table, sorted by (user, item).
+  const table::ClickTable& table() const { return table_; }
 
-  /// Standing suspicious sets (external ids -> risk score at flag time).
+  /// Flags of the last run (external ids -> risk score).
   const std::unordered_map<table::UserId, double>& flagged_users() const {
     return flagged_users_;
   }
@@ -79,45 +54,16 @@ class IncrementalRicd {
   bool IsFlaggedUser(table::UserId u) const { return flagged_users_.count(u) > 0; }
   bool IsFlaggedItem(table::ItemId v) const { return flagged_items_.count(v) > 0; }
 
-  bool bootstrapped() const { return bootstrapped_; }
-
-  /// Standing (item, clicks) edges of `u`, ascending by item id; empty when
-  /// the user is unknown. Used by the serving layer to derive blocked
-  /// user-item pairs without materializing the whole table.
-  std::vector<std::pair<table::ItemId, uint64_t>> UserEdges(
-      table::UserId u) const;
-
-  /// Clears the standing suspicious set (after a platform cleanup).
-  void ResetFlags();
-
-  uint64_t num_edges() const { return num_edges_; }
-  uint64_t total_clicks() const { return total_clicks_; }
+  uint64_t num_edges() const { return table_.num_rows(); }
 
  private:
-  void FoldBatch(const table::ClickTable& batch,
-                 std::unordered_set<table::UserId>* touched_users,
-                 std::unordered_set<table::ItemId>* touched_items);
+  /// Runs detection over table_ and replaces the flags; records newly
+  /// flagged nodes in `update` when given.
+  Status Detect(IncrementalUpdate* update);
 
-  /// Materializes the induced subtable of the 2-hop region around the
-  /// touched nodes.
-  table::ClickTable RegionTable(
-      const std::unordered_set<table::UserId>& touched_users,
-      const std::unordered_set<table::ItemId>& touched_items,
-      IncrementalUpdate* update) const;
-
-  /// Merges a ranked output into the standing sets; records new nodes.
-  void MergeRanked(const RankedOutput& ranked, IncrementalUpdate* update);
-
-  FrameworkOptions options_;
+  RicdFramework framework_;
   bool bootstrapped_ = false;
-
-  // Consolidated stream state. std::map keeps per-user item lists ordered,
-  // so materialized tables are deterministic.
-  std::unordered_map<table::UserId, std::map<table::ItemId, uint64_t>> user_adj_;
-  std::unordered_map<table::ItemId, std::unordered_set<table::UserId>> item_users_;
-  uint64_t num_edges_ = 0;
-  uint64_t total_clicks_ = 0;
-
+  table::ClickTable table_;
   std::unordered_map<table::UserId, double> flagged_users_;
   std::unordered_map<table::ItemId, double> flagged_items_;
 };

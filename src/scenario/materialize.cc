@@ -124,12 +124,6 @@ Result<gen::Scenario> MaterializeCustom(
                            seed);
 }
 
-Result<gen::InjectionResult> InjectCampaign(const gen::AttackConfig& config,
-                                            const table::ClickTable& background,
-                                            Rng& rng) {
-  return gen::InjectAttacks(config, background, rng);
-}
-
 std::vector<uint32_t> ArrivalOrder(const ScenarioSpec& spec,
                                    const table::ClickTable& table) {
   const size_t n = table.num_rows();

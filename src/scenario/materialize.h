@@ -32,13 +32,6 @@ Result<gen::Scenario> MaterializeCustom(
     const gen::AttackConfig& attack_config,
     const gen::OrganicCommunityConfig& organic_config, uint64_t seed);
 
-/// Sanctioned entry for callers that stream an extra campaign into an
-/// already-materialized table (bench_incremental's dynamic-stream phase).
-/// Forwards to gen::InjectAttacks.
-Result<gen::InjectionResult> InjectCampaign(const gen::AttackConfig& config,
-                                            const table::ClickTable& background,
-                                            Rng& rng);
-
 /// Deterministic replay schedule implementing the spec's arrival pattern:
 /// a permutation of [0, table.num_rows()) giving the order rows should be
 /// streamed/ingested. The table itself is never reordered — graph vertex
@@ -63,7 +56,7 @@ struct ArrivalEvent {
 /// attack_burst_mid_window spaces organic events 8 seconds apart and
 /// freezes the clock across the contiguous attack burst, so the whole
 /// campaign lands inside one event-second mid-trace — the regime-shift
-/// shape that exercises seal/evict and overlapped rebuilds.
+/// shape that exercises seal/evict and verdict retractions.
 std::vector<ArrivalEvent> ArrivalSchedule(const ScenarioSpec& spec,
                                           const table::ClickTable& table);
 

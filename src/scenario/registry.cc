@@ -104,7 +104,7 @@ std::vector<ScenarioSpec> BuildPresets() {
     // 3 groups — see above) but with attack_burst_mid_window arrivals, so
     // the whole campaign compresses into one event-second mid-trace while
     // organic traffic ticks the clock forward. Under RICD_WINDOW_* retention
-    // this drives seal/evict churn and overlapped rebuilds; it is the
+    // this drives seal/evict churn and verdict retractions; it is the
     // workload behind tests/window_test.cc's windowed≡offline differential
     // and bench_streaming.
     ScenarioSpec spec;

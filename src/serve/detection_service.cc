@@ -5,9 +5,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <utility>
 
+#include "check/diff_result.h"
 #include "check/validate.h"
 #include "check/validate_serve.h"
 #include "check/validate_window.h"
@@ -31,13 +31,38 @@ uint64_t EnvUint(const char* name, uint64_t fallback, uint64_t max) {
   return parsed;
 }
 
-double EnvDouble(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  if (end == env || *end != '\0' || parsed < 0.0) return fallback;
-  return parsed;
+/// Copies the flagged ids of `result` with their risks into `out`, sorted
+/// by id, and lists the rows of `retained` whose user and item are both
+/// flagged as blocked pairs. `retained` is consolidated — sorted by (user,
+/// item) — so the pairs come out sorted too.
+void FillVerdicts(const core::FrameworkResult& result,
+                  const table::ClickTable& retained, VerdictSnapshot* out) {
+  std::vector<std::pair<table::UserId, double>> users;
+  users.reserve(result.ranked.users.size());
+  for (const core::RankedUser& u : result.ranked.users) {
+    users.emplace_back(u.external_id, u.risk);
+  }
+  std::sort(users.begin(), users.end());
+  for (const auto& [u, risk] : users) {
+    out->flagged_users.push_back(u);
+    out->user_risks.push_back(risk);
+  }
+  std::vector<std::pair<table::ItemId, double>> items;
+  items.reserve(result.ranked.items.size());
+  for (const core::RankedItem& v : result.ranked.items) {
+    items.emplace_back(v.external_id, v.risk);
+  }
+  std::sort(items.begin(), items.end());
+  for (const auto& [v, risk] : items) {
+    out->flagged_items.push_back(v);
+    out->item_risks.push_back(risk);
+  }
+  for (size_t i = 0; i < retained.num_rows(); ++i) {
+    if (out->FlaggedUser(retained.user(i)) &&
+        out->FlaggedItem(retained.item(i))) {
+      out->blocked_pairs.emplace_back(retained.user(i), retained.item(i));
+    }
+  }
 }
 
 }  // namespace
@@ -46,7 +71,6 @@ ServeOptions ServeOptions::FromEnv() {
   ServeOptions options;
   options.ingest_batch =
       EnvUint("RICD_INGEST_BATCH", options.ingest_batch, 1ull << 24);
-  options.rebuild_drift = EnvDouble("RICD_REBUILD_DRIFT", options.rebuild_drift);
   options.window = window::WindowOptions::FromEnv();
   return options;
 }
@@ -68,8 +92,6 @@ DetectionService::DetectionService(ServeOptions options)
           obs::metric_names::kServeQueueDepth)),
       epoch_gauge_(obs::MetricsRegistry::Global().GetGauge(
           obs::metric_names::kServeEpoch)),
-      rebuild_in_progress_gauge_(obs::MetricsRegistry::Global().GetGauge(
-          obs::metric_names::kServeRebuildInProgress)),
       queue_wait_hist_(obs::MetricsRegistry::Global().GetHistogram(
           obs::metric_names::kServeQueueWaitSeconds)),
       drain_batch_hist_(obs::MetricsRegistry::Global().GetHistogram(
@@ -77,15 +99,13 @@ DetectionService::DetectionService(ServeOptions options)
       refresh_hist_(obs::MetricsRegistry::Global().GetHistogram(
           obs::metric_names::kServeRefreshSeconds)),
       publish_hist_(obs::MetricsRegistry::Global().GetHistogram(
-          obs::metric_names::kServePublishSeconds)),
-      rebuild_overlap_hist_(obs::MetricsRegistry::Global().GetHistogram(
-          obs::metric_names::kServeRebuildOverlapSeconds)) {}
+          obs::metric_names::kServePublishSeconds)) {}
 
 DetectionService::~DetectionService() { (void)Shutdown(); }
 
 Status DetectionService::Start(const table::ClickTable& initial) {
   MutexLock lock(state_mu_);
-  if (detector_ != nullptr) {
+  if (started_) {
     return Status::FailedPrecondition("DetectionService already started");
   }
   RICD_TRACE_SPAN("serve.bootstrap");
@@ -95,18 +115,12 @@ Status DetectionService::Start(const table::ClickTable& initial) {
   for (size_t i = 0; i < initial.num_rows(); ++i) {
     window_.Append(initial.row(i), 0);  // bounded: window retention evicts
   }
-  detector_ = std::make_unique<core::IncrementalRicd>(options_.framework);
-  RICD_RETURN_IF_ERROR(detector_->Bootstrap(initial));
-  ++rebuilds_;  // the bootstrap full pass counts as generation 1
-  window_evicted_at_rebuild_ = window_.stats().evicted_rows;
-  RICD_RETURN_IF_ERROR(PublishLocked(BuildSnapshotLocked()));
+  RICD_RETURN_IF_ERROR(RefreshLocked());
+  started_ = true;
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   refresh_thread_ = std::make_unique<ThreadPool>(1);
   refresh_thread_->Submit([this] { RefreshLoop(); });
-  if (options_.pipelined_rebuilds) {
-    rebuild_pool_ = std::make_unique<ThreadPool>(1);
-  }
   return Status::Ok();
 }
 
@@ -181,10 +195,9 @@ void DetectionService::RefreshLoop() {
     const uint64_t depth = queue_.depth();
     queue_depth_gauge_->Set(static_cast<double>(depth));
     // Edge-triggered backpressure telemetry: one flight event when the
-    // queue crosses half full (e.g. ingest outpacing a long rebuild
-    // overlap), re-armed once it drains below a quarter — so a stall is
-    // visible in the flight recorder well before producers start seeing
-    // ResourceExhausted.
+    // queue crosses half full (e.g. ingest outpacing detection), re-armed
+    // once it drains below a quarter — so a stall is visible in the flight
+    // recorder well before producers start seeing ResourceExhausted.
     if (depth >= queue_.capacity() / 2) {
       if (!backpressure_high_.exchange(
               true, std::memory_order_relaxed)) {  // order: refresh-thread-
@@ -209,23 +222,19 @@ void DetectionService::RefreshLoop() {
       }
     }
     if (!pending.empty()) {
-      table::ClickTable batch;
-      batch.Reserve(pending.size());
-      for (const table::ClickRecord& r : pending) batch.Append(r);
       Status status;
       {
         MutexLock lock(state_mu_);
-        // The window is fed under state_mu_ so a rebuild submission
-        // (which snapshots the window and resets pending_delta_ under the
-        // same lock) sees each record in exactly one of {snapshot, delta}.
+        // The rows, the applied count and the detection run share one
+        // critical section, so every publish reports exactly the cut it ran
+        // over — even when ForceRebuild publishes from another thread.
         for (size_t i = 0; i < pending.size(); ++i) {
           window_.Append(  // bounded: window retention evicts
               pending[i], i < event_ts.size() ? event_ts[i] : 0);
         }
-        if (rebuild_inflight_.load(std::memory_order_acquire)) {
-          pending_delta_.AppendTable(batch);  // bounded: cleared at adoption
-        }
-        status = ApplyBatchLocked(batch);
+        applied_rows_ += pending.size();
+        ++batches_;
+        batches_counter_->Add(1);
         if (check::ValidationEnabled()) {
           const Status window_ok =
               check::ValidateWindowStats(window_.stats(), options_.window);
@@ -234,16 +243,15 @@ void DetectionService::RefreshLoop() {
                             << window_ok.ToString();
           }
         }
+        status = RefreshLocked();
       }
-      if (status.ok()) {
-        applied_.fetch_add(pending.size(), std::memory_order_acq_rel);
-      } else {
-        // A failed batch must not wedge Drain() forever: account the
-        // records as applied (they are consumed from the queue either way)
-        // and surface the failure through the log + violation counter.
-        applied_.fetch_add(pending.size(), std::memory_order_acq_rel);
-        RICD_LOG(ERROR) << "serve refresh batch failed: " << status.ToString();
+      // A failed refresh must not wedge Drain() forever: the records are
+      // consumed from the queue and sit in the window either way, so the
+      // next refresh covers them.
+      if (!status.ok()) {
+        RICD_LOG(ERROR) << "serve refresh failed: " << status.ToString();
       }
+      applied_.fetch_add(pending.size(), std::memory_order_acq_rel);
       applied_cv_.notify_all();
       continue;  // drain eagerly while batches are ready
     }
@@ -252,197 +260,43 @@ void DetectionService::RefreshLoop() {
   }
 }
 
-Status DetectionService::ApplyBatchLocked(const table::ClickTable& batch) {
+Status DetectionService::RefreshLocked() {
   RICD_TRACE_SPAN("serve.refresh");
   ScopedTimer<obs::Histogram> timer(refresh_hist_);
-  RICD_ASSIGN_OR_RETURN(core::IncrementalUpdate update,
-                        detector_->Ingest(batch));
-  ++batches_;
-  batches_counter_->Add(1);
-  region_edges_since_rebuild_ += update.region_edges;
-  const uint64_t standing = detector_->num_edges();
-  const bool drift_trigger =
-      options_.rebuild_drift > 0 && standing > 0 &&
-      static_cast<double>(region_edges_since_rebuild_) >
-          options_.rebuild_drift * static_cast<double>(standing);
-  // Eviction debt: incremental ingest never removes state, so rows the
-  // window evicted stay in the live detector until a rebuild re-bootstraps
-  // from the retained set. Too much debt makes the published verdicts
-  // increasingly stale relative to the window.
-  const window::WindowStats wstats = window_.stats();
-  const uint64_t evicted_since =
-      wstats.evicted_rows - window_evicted_at_rebuild_;
-  const bool evict_trigger =
-      options_.rebuild_evict_fraction > 0 && wstats.retained_rows > 0 &&
-      static_cast<double>(evicted_since) >
-          options_.rebuild_evict_fraction *
-              static_cast<double>(wstats.retained_rows);
-  if ((drift_trigger || evict_trigger) &&
-      !rebuild_inflight_.load(std::memory_order_acquire)) {
-    if (drift_trigger) {
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventKind::kDriftTrigger, region_edges_since_rebuild_,
-          static_cast<uint64_t>(options_.rebuild_drift * 1000.0), "drift");
-    } else {
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventKind::kDriftTrigger, evicted_since,
-          wstats.retained_rows, "evict_debt");
-    }
-    if (options_.pipelined_rebuilds && rebuild_pool_ != nullptr) {
-      // Double-buffered: kick the background bootstrap and publish the
-      // incremental state meanwhile — ingest never waits on the rebuild.
-      RICD_RETURN_IF_ERROR(StartPipelinedRebuildLocked());
-    } else {
-      return RebuildLocked();
-    }
+  const table::ClickTable retained = window_.MaterializeRetained();
+  core::FrameworkResult result;
+  if (!retained.empty()) {
+    RICD_ASSIGN_OR_RETURN(result, framework_.Run(retained));
   }
-  return PublishLocked(BuildSnapshotLocked());
-}
 
-Status DetectionService::RebuildLocked() {
-  RICD_TRACE_SPAN("serve.rebuild");
-  // A rebuild is a fresh offline run over the retained window: new
-  // detector, same original options (so t_hot is re-derived on the full
-  // graph), bootstrap on the window's materialized table. This is the one
-  // operation allowed to retract verdicts, and it makes the service's
-  // standing state bit-identical to an offline RicdFramework::Run over the
-  // rows the window retains (with retention unbounded, that is the whole
-  // consolidated stream — the legacy semantics).
-  auto fresh = std::make_unique<core::IncrementalRicd>(options_.framework);
-  RICD_RETURN_IF_ERROR(fresh->Bootstrap(window_.MaterializeRetained()));
-  detector_ = std::move(fresh);
-  ++rebuilds_;
-  rebuilds_counter_->Add(1);
-  region_edges_since_rebuild_ = 0;
-  window_evicted_at_rebuild_ = window_.stats().evicted_rows;
-  obs::FlightRecorder::Global().Record(obs::FlightEventKind::kRebuild,
-                                       epoch_ + 1, detector_->num_edges(),
-                                       "rebuild");
-  return PublishLocked(BuildSnapshotLocked());
-}
-
-Status DetectionService::StartPipelinedRebuildLocked() {
-  if (rebuild_inflight_.load(std::memory_order_acquire)) {
-    return Status::Ok();  // one overlap at a time; the trigger re-fires
-  }
-  if (rebuild_pool_ == nullptr) return RebuildLocked();
-  // From here every record the refresh thread applies lands in
-  // pending_delta_ too (same state_mu_ critical section as the window
-  // append), so snapshot + delta is exactly the retained stream at
-  // adoption time.
-  pending_delta_ = table::ClickTable();
-  rebuild_inflight_.store(true, std::memory_order_release);
-  rebuild_in_progress_gauge_->Set(1.0);
-  window::WindowSnapshot snap = window_.Snapshot();
-  rebuild_pool_->Submit(
-      [this, snap = std::move(snap)]() mutable { PipelinedRebuild(std::move(snap)); });
-  return Status::Ok();
-}
-
-void DetectionService::PipelinedRebuild(window::WindowSnapshot snap) {
-  RICD_TRACE_SPAN("serve.rebuild_overlap");
-  ScopedTimer<obs::Histogram> overlap_timer(rebuild_overlap_hist_);
-  // Phase 1 — no locks held: bootstrap a fresh detector against the frozen
-  // snapshot. Ingest keeps draining into the live detector the whole time;
-  // the heavy pipeline work inside Bootstrap parallelizes on WorkerEngine.
-  auto fresh = std::make_unique<core::IncrementalRicd>(options_.framework);
-  Status status = fresh->Bootstrap(snap.Materialize());
-  if (options_.rebuild_delay_for_test_ms > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.rebuild_delay_for_test_ms));
-  }
-  // Phase 2 — under state_mu_: replay the overlap delta onto the fresh
-  // detector, adopt it, publish. The swap is atomic from every reader's
-  // point of view (readers only ever see published snapshots).
-  {
-    MutexLock lock(state_mu_);
-    uint64_t delta_rows = pending_delta_.num_rows();
-    if (status.ok() && delta_rows > 0) {
-      Result<core::IncrementalUpdate> replay = fresh->Ingest(pending_delta_);
-      if (!replay.ok()) status = replay.status();
-    }
-    if (status.ok()) {
-      detector_ = std::move(fresh);
-      ++rebuilds_;
-      rebuilds_counter_->Add(1);
-      region_edges_since_rebuild_ = 0;
-      window_evicted_at_rebuild_ = window_.stats().evicted_rows;
-      obs::FlightRecorder::Global().Record(
-          obs::FlightEventKind::kRebuildOverlap, epoch_ + 1, delta_rows,
-          "rebuild_overlap");
-      status = PublishLocked(BuildSnapshotLocked());
-    }
-    if (!status.ok()) {
-      // An overlapped rebuild that fails is abandoned: the live detector
-      // keeps serving, the trigger will re-fire on the next batch.
-      RICD_LOG(ERROR) << "serve pipelined rebuild failed: "
-                      << status.ToString();
-    }
-    pending_delta_ = table::ClickTable();
-    rebuild_inflight_.store(false, std::memory_order_release);
-  }
-  rebuild_in_progress_gauge_->Set(0.0);
-  {
-    // Empty critical section pairs the inflight store with waiter
-    // predicate evaluation (WaitForRebuild/ForceRebuild wait on wake_mu_),
-    // closing the missed-wakeup window.
-    MutexLock lock(wake_mu_);
-  }
-  rebuild_cv_.notify_all();
-}
-
-std::shared_ptr<const VerdictSnapshot> DetectionService::BuildSnapshotLocked() {
   auto snapshot = std::make_shared<VerdictSnapshot>();
   snapshot->epoch = ++epoch_;
-
-  const auto& users = detector_->flagged_users();
-  snapshot->flagged_users.reserve(users.size());
-  for (const auto& [u, risk] : users) snapshot->flagged_users.push_back(u);
-  std::sort(snapshot->flagged_users.begin(), snapshot->flagged_users.end());
-  snapshot->user_risks.reserve(users.size());
-  for (const table::UserId u : snapshot->flagged_users) {
-    snapshot->user_risks.push_back(users.at(u));
-  }
-
-  const auto& items = detector_->flagged_items();
-  snapshot->flagged_items.reserve(items.size());
-  for (const auto& [v, risk] : items) snapshot->flagged_items.push_back(v);
-  std::sort(snapshot->flagged_items.begin(), snapshot->flagged_items.end());
-  snapshot->item_risks.reserve(items.size());
-  for (const table::ItemId v : snapshot->flagged_items) {
-    snapshot->item_risks.push_back(items.at(v));
-  }
-
-  // Blocked pairs: standing fake co-click edges between two flagged
-  // endpoints. Outer loop ascends by user and UserEdges ascends by item, so
-  // the result is sorted lexicographically by construction.
-  for (const table::UserId u : snapshot->flagged_users) {
-    for (const auto& [v, clicks] : detector_->UserEdges(u)) {
-      if (snapshot->FlaggedItem(v)) snapshot->blocked_pairs.emplace_back(u, v);
-    }
-  }
-
+  FillVerdicts(result, retained, snapshot.get());
   const IngestQueueStats queue_stats = queue_.stats();
-  // The queue's own pushed counter is the accepted count: it is sampled
-  // popped-first, so applied (== popped) never overtakes it even while
-  // producers are mid-push.
   snapshot->stats.accepted = queue_stats.pushed;
   snapshot->stats.rejected = queue_stats.rejected;
-  snapshot->stats.applied = queue_stats.popped;
+  snapshot->stats.applied = applied_rows_;
   snapshot->stats.batches = batches_;
-  snapshot->stats.rebuilds = rebuilds_;
-  snapshot->stats.stream_edges = detector_->num_edges();
-  snapshot->stats.stream_clicks = detector_->total_clicks();
-  snapshot->stats.region_edges_since_rebuild = region_edges_since_rebuild_;
+  snapshot->stats.stream_edges = retained.num_rows();
+  snapshot->stats.stream_clicks = retained.TotalClicks();
   const window::WindowStats wstats = window_.stats();
-  snapshot->stats.rebuild_in_progress =
-      rebuild_inflight_.load(std::memory_order_acquire) ? 1 : 0;
   snapshot->stats.window_retained_rows = wstats.retained_rows;
   snapshot->stats.window_segments = wstats.retained_segments;
   snapshot->stats.window_evicted_segments = wstats.evicted_segments;
   snapshot->stats.window_evicted_rows = wstats.evicted_rows;
   snapshot->stats.window_clock_high = wstats.clock_high;
-  return snapshot;
+
+  if (check::ValidationEnabled()) {
+    const Status same = check::DiffVerdictSnapshot(result, retained, *snapshot);
+    if (!same.ok()) {
+      obs::FlightRecorder::Global().Record(
+          obs::FlightEventKind::kValidatorViolation, snapshot->epoch, 0,
+          "verdict_diff");
+      return same;
+    }
+  }
+  rebuilds_counter_->Add(1);
+  return PublishLocked(std::move(snapshot));
 }
 
 Status DetectionService::PublishLocked(
@@ -486,35 +340,11 @@ Status DetectionService::Drain() {
 }
 
 Status DetectionService::ForceRebuild() {
-  // Wait out any in-flight pipelined rebuild *before* taking state_mu_:
-  // adoption needs state_mu_, so waiting while holding it would deadlock.
-  // Re-check under the lock — a refresh batch may start a new overlap in
-  // the gap between the wait and the acquisition.
-  for (;;) {
-    RICD_RETURN_IF_ERROR(WaitForRebuild());
-    MutexLock lock(state_mu_);
-    if (detector_ == nullptr) {
-      return Status::FailedPrecondition("DetectionService not started");
-    }
-    if (rebuild_inflight_.load(std::memory_order_acquire)) continue;
-    return RebuildLocked();
-  }
-}
-
-Status DetectionService::StartPipelinedRebuild() {
   MutexLock lock(state_mu_);
-  if (detector_ == nullptr) {
+  if (!started_) {
     return Status::FailedPrecondition("DetectionService not started");
   }
-  return StartPipelinedRebuildLocked();
-}
-
-Status DetectionService::WaitForRebuild() {
-  MutexLock lock(wake_mu_);
-  rebuild_cv_.wait(lock.native(), [this] {
-    return !rebuild_inflight_.load(std::memory_order_acquire);
-  });
-  return Status::Ok();
+  return RefreshLocked();
 }
 
 Status DetectionService::Shutdown() {
@@ -527,12 +357,6 @@ Status DetectionService::Shutdown() {
   wake_cv_.notify_one();
   refresh_thread_->Wait();
   refresh_thread_.reset();
-  if (rebuild_pool_ != nullptr) {
-    // Let an in-flight overlapped rebuild adopt (or abandon) before
-    // tearing down — its final publish must not race destruction.
-    rebuild_pool_->Wait();
-    rebuild_pool_.reset();
-  }
   queue_depth_gauge_->Set(static_cast<double>(queue_.depth()));
   obs::FlightRecorder::Global().Record(
       obs::FlightEventKind::kShutdown, store_.Acquire()->epoch,

@@ -13,7 +13,6 @@
 #include "i2i/recommender.h"
 #include "obs/metrics.h"
 #include "ricd/framework.h"
-#include "ricd/incremental.h"
 #include "serve/ingest_queue.h"
 #include "serve/verdict_store.h"
 #include "table/click_table.h"
@@ -22,83 +21,51 @@
 namespace ricd::serve {
 
 /// Configuration of the online detection service. Environment knobs (read
-/// by FromEnv): RICD_INGEST_BATCH (records per detection batch) and
-/// RICD_REBUILD_DRIFT (cumulative region growth, as a multiple of the
-/// standing edge count, that escalates to a full pipeline rebuild).
+/// by FromEnv): RICD_INGEST_BATCH (records per refresh) and the
+/// RICD_WINDOW_* retention knobs.
 struct ServeOptions {
   core::FrameworkOptions framework;
 
   /// Click-event queue capacity (rounded up to a power of two).
   size_t queue_capacity = 1 << 16;
 
-  /// Size trigger: the refresh thread runs incremental detection once this
-  /// many records are pending.
+  /// Size trigger: the refresh thread drains the queue and re-detects once
+  /// this many records are pending.
   size_t ingest_batch = 2048;
 
   /// Time trigger: a partial batch is flushed after this many milliseconds
   /// even if the size trigger has not fired (0 = size trigger only).
   uint32_t max_batch_delay_ms = 50;
 
-  /// Drift escalation: when the 2-hop regions re-examined since the last
-  /// full pass have accumulated more than `rebuild_drift` times the
-  /// standing edge count, the incremental state is considered stale and the
-  /// whole pipeline is re-run from the materialized table (regional
-  /// re-detection only ever adds verdicts; a rebuild is the one operation
-  /// allowed to retract them). 0 disables drift-triggered rebuilds.
-  double rebuild_drift = 8.0;
-
   /// Windowed retention (RICD_WINDOW_CLICKS / RICD_WINDOW_SECONDS). The
-  /// defaults keep both bounds at 0 — unbounded, the legacy
-  /// accumulate-forever behavior, bit-identical to pre-window builds.
+  /// defaults keep both bounds at 0 — unbounded, accumulate forever.
   window::WindowOptions window;
 
-  /// Eviction escalation: incremental ingest only ever *adds* state, so
-  /// rows evicted from the window linger in the detector until the next
-  /// full rebuild re-bootstraps from the retained set. When the rows
-  /// evicted since the last rebuild exceed this fraction of the retained
-  /// row count, a rebuild is scheduled. 0 disables the trigger.
-  double rebuild_evict_fraction = 0.25;
-
-  /// Double-buffered pipelined rebuilds: drift/evict-triggered rebuilds
-  /// bootstrap a fresh detector on a background thread against a frozen
-  /// window snapshot while ingest keeps draining into the live detector;
-  /// batches applied during the overlap are replayed onto the fresh
-  /// detector before it is adopted and published. ForceRebuild() stays
-  /// synchronous either way. Off = legacy inline rebuild on the refresh
-  /// thread.
-  bool pipelined_rebuilds = true;
-
-  /// Test hook: artificial delay (ms) inside the background bootstrap, so
-  /// stress tests can hold a rebuild open while asserting that ingest and
-  /// queries keep flowing. 0 in production.
-  uint32_t rebuild_delay_for_test_ms = 0;
-
-  /// Applies RICD_INGEST_BATCH / RICD_REBUILD_DRIFT and the
-  /// RICD_WINDOW_* retention knobs on top of the defaults.
+  /// Applies RICD_INGEST_BATCH and the RICD_WINDOW_* retention knobs on top
+  /// of the defaults.
   static ServeOptions FromEnv();
 };
 
 /// The in-process serving façade: accepts click events without blocking,
 /// answers verdict queries wait-free from the current VerdictSnapshot, and
-/// republishes snapshots from a background refresh thread that drains the
-/// ingest queue through core::IncrementalRicd in size/time-triggered
-/// batches.
+/// republishes snapshots from a background refresh thread.
+///
+/// Every publish — Start, each refresh, ForceRebuild — is the same three
+/// steps under state_mu_: append the drained rows to the ClickWindow, run
+/// the offline core::RicdFramework::Run over the rows the window retains,
+/// and publish a snapshot built from that result and those rows. So every
+/// published snapshot equals an offline Run over the rows in its cut
+/// (stats.applied streamed rows after the bootstrap table), retractions
+/// included.
 ///
 /// Threading model:
 ///  * any number of producer threads call IngestClick() (lock-free queue
 ///    push + one atomic counter);
 ///  * any number of query threads call IsFlaggedUser / IsFlaggedItem /
 ///    IsBlockedPair / Verdicts() (VerdictStore::Acquire — no mutexes);
-///  * exactly one internal refresh thread owns the IncrementalRicd state
-///    and feeds every drained record into the ClickWindow (the standing
-///    source of truth for rebuilds — bounded by RICD_WINDOW_* retention);
-///    Drain()/ForceRebuild()/Shutdown() coordinate with it via a mutex
-///    that producers and queriers never touch;
-///  * at most one background rebuild thread runs a double-buffered rebuild
-///    against a frozen window snapshot (overlap state machine:
-///    idle → inflight at submission → idle at adoption, tracked by
-///    rebuild_inflight_); the refresh thread keeps draining during the
-///    overlap and records its batches into pending_delta_ for replay.
+///  * exactly one internal refresh thread drains the queue into the
+///    window; Drain()/ForceRebuild()/Shutdown() coordinate with it via
+///    mutexes that producers and queriers never touch.
 class DetectionService {
  public:
   explicit DetectionService(ServeOptions options);
@@ -107,9 +74,9 @@ class DetectionService {
   DetectionService(const DetectionService&) = delete;
   DetectionService& operator=(const DetectionService&) = delete;
 
-  /// Bootstraps detection on `initial` (one full-graph pass), publishes the
-  /// first snapshot and starts the refresh thread. Must be called once,
-  /// before any ingest.
+  /// Appends `initial` to the window at event-second 0, publishes the first
+  /// snapshot and starts the refresh thread. Must be called once, before
+  /// any ingest. An empty `initial` publishes an empty snapshot.
   Status Start(const table::ClickTable& initial) RICD_EXCLUDES(state_mu_);
 
   /// Producer API: enqueues one click event. Returns ResourceExhausted when
@@ -153,25 +120,13 @@ class DetectionService {
   /// snapshot published. Only meaningful while no producer keeps pushing.
   Status Drain() RICD_EXCLUDES(wake_mu_);
 
-  /// Escalates immediately: full pipeline re-run over the retained window
-  /// (fresh hot-threshold derivation, verdicts replaced wholesale), then
-  /// publishes. Runs on the caller's thread, synchronously; waits out any
-  /// in-flight pipelined rebuild first so the result is deterministic.
-  Status ForceRebuild() RICD_EXCLUDES(state_mu_, wake_mu_);
+  /// One synchronous refresh on the caller's thread: re-runs detection over
+  /// the rows the window retains now and publishes.
+  Status ForceRebuild() RICD_EXCLUDES(state_mu_);
 
-  /// Kicks off one double-buffered rebuild on the background rebuild
-  /// thread and returns immediately (no-op Ok if one is already in
-  /// flight). Ingest and queries are never blocked by it; the fresh
-  /// detector is adopted and published atomically when it finishes.
-  Status StartPipelinedRebuild() RICD_EXCLUDES(state_mu_);
-
-  /// Blocks until no pipelined rebuild is in flight.
-  Status WaitForRebuild() RICD_EXCLUDES(wake_mu_);
-
-  /// True while a pipelined rebuild is bootstrapping in the background.
-  bool rebuild_in_progress() const {
-    return rebuild_inflight_.load(std::memory_order_acquire);
-  }
+  /// Nothing runs in the background besides the refresh thread, so there
+  /// is never a rebuild to wait for.
+  Status WaitForRebuild() { return Status::Ok(); }
 
   /// Windowed-retention accounting sample (segments, retained/evicted
   /// rows, event-clock high watermark).
@@ -203,81 +158,51 @@ class DetectionService {
 
   void RefreshLoop() RICD_EXCLUDES(state_mu_, wake_mu_);
 
-  /// Runs incremental detection over `batch` and publishes the resulting
-  /// snapshot; escalates to RebuildLocked when drift crosses the threshold.
-  Status ApplyBatchLocked(const table::ClickTable& batch)
-      RICD_REQUIRES(state_mu_);
-
-  /// Synchronous full pipeline re-run over the retained window + publish.
-  Status RebuildLocked() RICD_REQUIRES(state_mu_);
-
-  /// Freezes the window and submits the double-buffered rebuild to
-  /// rebuild_pool_. No-op Ok when one is already in flight; falls back to
-  /// RebuildLocked() when the pool is not running.
-  Status StartPipelinedRebuildLocked() RICD_REQUIRES(state_mu_);
-
-  /// Background half of a pipelined rebuild: bootstrap a fresh detector
-  /// from the frozen `snap` with no locks held, then (under state_mu_)
-  /// replay the batches that landed during the overlap, adopt, publish.
-  void PipelinedRebuild(window::WindowSnapshot snap)
-      RICD_EXCLUDES(state_mu_, wake_mu_);
-
-  /// Builds a snapshot from the current detector state.
-  std::shared_ptr<const VerdictSnapshot> BuildSnapshotLocked()
-      RICD_REQUIRES(state_mu_);
+  /// Runs detection over the rows the window retains and publishes the
+  /// resulting snapshot.
+  Status RefreshLocked() RICD_REQUIRES(state_mu_);
 
   /// Publishes `next`, running the serve validators when enabled.
   Status PublishLocked(std::shared_ptr<const VerdictSnapshot> next)
       RICD_REQUIRES(state_mu_);
 
   const ServeOptions options_;
+  const core::RicdFramework framework_{options_.framework};
   IngestQueue queue_;    // unguarded: internally synchronized (lock-free MPSC)
   VerdictStore store_;   // unguarded: internally synchronized (RCU snapshots)
   VerdictFilter filter_{&store_};  // unguarded: stateless view over store_
   window::ClickWindow window_{options_.window};  // unguarded: internally
                                                  // synchronized (own mutex)
 
-  /// Guards detector_ and all snapshot construction/publication. Never
-  /// touched by IngestClick or the query API.
+  /// Guards window appends and all snapshot construction/publication, so
+  /// each publish sees one cut of the stream. Never touched by IngestClick
+  /// or the query API.
   Mutex state_mu_;
-  std::unique_ptr<core::IncrementalRicd> detector_ RICD_GUARDED_BY(state_mu_);
+  bool started_ RICD_GUARDED_BY(state_mu_) = false;
   uint64_t epoch_ RICD_GUARDED_BY(state_mu_) = 0;
-  uint64_t rebuilds_ RICD_GUARDED_BY(state_mu_) = 0;
   uint64_t batches_ RICD_GUARDED_BY(state_mu_) = 0;
-  uint64_t region_edges_since_rebuild_ RICD_GUARDED_BY(state_mu_) = 0;
-  /// window_.stats().evicted_rows at the last rebuild — the eviction-debt
-  /// baseline for the rebuild_evict_fraction trigger.
-  uint64_t window_evicted_at_rebuild_ RICD_GUARDED_BY(state_mu_) = 0;
-  /// Rows applied to the live detector while a pipelined rebuild is in
-  /// flight; replayed onto the fresh detector before adoption.
-  table::ClickTable pending_delta_ RICD_GUARDED_BY(state_mu_);
+  /// Streamed rows appended to the window (the published stats.applied).
+  uint64_t applied_rows_ RICD_GUARDED_BY(state_mu_) = 0;
   std::shared_ptr<const VerdictSnapshot> last_published_
       RICD_GUARDED_BY(state_mu_);
 
-  /// Refresh-thread coordination. applied_ counts records folded into
-  /// detector_ state; Drain() waits for applied_ == accepted_. wake_mu_
-  /// guards no data — it exists so wake_cv_/applied_cv_ waits have a mutex;
-  /// the predicates read only the atomics below.
+  /// Refresh-thread coordination. applied_ counts records whose refresh
+  /// finished; Drain() waits for applied_ == accepted_. wake_mu_ guards no
+  /// data — it exists so wake_cv_/applied_cv_ waits have a mutex; the
+  /// predicates read only the atomics below.
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> applied_{0};
-  /// True from pipelined-rebuild submission until adoption/abandonment.
-  std::atomic<bool> rebuild_inflight_{false};
   /// Edge-trigger latch for the queue_high backpressure flight event
   /// (refresh thread only; atomic so tests may peek).
   std::atomic<bool> backpressure_high_{false};
   Mutex wake_mu_ RICD_ACQUIRED_AFTER(state_mu_);
   std::condition_variable wake_cv_;     // kicks the refresh thread
   std::condition_variable applied_cv_;  // signals Drain() waiters
-  std::condition_variable rebuild_cv_;  // signals WaitForRebuild() waiters
   std::unique_ptr<ThreadPool> refresh_thread_;  // unguarded: created in
                                                 // Start, reset in Shutdown
                                                 // (already serialized)
-  std::unique_ptr<ThreadPool> rebuild_pool_;  // unguarded: created in Start,
-                                              // reset in Shutdown (already
-                                              // serialized); 1 thread — at
-                                              // most one rebuild in flight
 
   // Instruments, resolved once in the constructor (registry lookups take a
   // mutex) and immutable afterwards.
@@ -288,12 +213,10 @@ class DetectionService {
   obs::Counter* const query_counter_;
   obs::Gauge* const queue_depth_gauge_;
   obs::Gauge* const epoch_gauge_;
-  obs::Gauge* const rebuild_in_progress_gauge_;
   obs::Histogram* const queue_wait_hist_;
   obs::Histogram* const drain_batch_hist_;
   obs::Histogram* const refresh_hist_;
   obs::Histogram* const publish_hist_;
-  obs::Histogram* const rebuild_overlap_hist_;
 };
 
 }  // namespace ricd::serve

@@ -12,6 +12,13 @@ Status ShortPayload(const char* what) {
       StringPrintf("protocol: truncated payload reading %s", what));
 }
 
+Status TrailingBytes(const char* what, const PayloadReader& r) {
+  if (r.remaining() == 0) return Status::Ok();
+  return Status::InvalidArgument(
+      StringPrintf("protocol: %zu trailing bytes after %s", r.remaining(),
+                   what));
+}
+
 Status WrongOp(const char* expected, uint8_t got) {
   return Status::InvalidArgument(
       StringPrintf("protocol: expected %s, got opcode %u", expected,
@@ -155,30 +162,22 @@ std::string EncodeStatsReply(const StatsReply& reply) {
   w.PutU64(reply.stats.rejected);
   w.PutU64(reply.stats.applied);
   w.PutU64(reply.stats.batches);
-  w.PutU64(reply.stats.rebuilds);
   w.PutU64(reply.stats.stream_edges);
   w.PutU64(reply.stats.stream_clicks);
-  w.PutU64(reply.stats.region_edges_since_rebuild);
+  w.PutU64(reply.stats.window_retained_rows);
+  w.PutU64(reply.stats.window_segments);
+  w.PutU64(reply.stats.window_evicted_segments);
+  w.PutU64(reply.stats.window_evicted_rows);
+  w.PutU64(reply.stats.window_clock_high);
   w.PutU64(reply.flagged_users);
   w.PutU64(reply.flagged_items);
   w.PutU64(reply.blocked_pairs);
-  // Versioned tail. v1 decoders stop at blocked_pairs and ignore trailing
-  // bytes, so appending here is wire-compatible in both directions.
-  w.PutU8(StatsReply::kVersion);
   w.PutDouble(reply.ingest_p50);
   w.PutDouble(reply.ingest_p95);
   w.PutDouble(reply.ingest_p99);
   w.PutDouble(reply.query_p50);
   w.PutDouble(reply.query_p95);
   w.PutDouble(reply.query_p99);
-  // v3 window fields — after the v2 quantiles, so a v2 decoder reading six
-  // doubles and ignoring the rest still interops.
-  w.PutU64(reply.stats.rebuild_in_progress);
-  w.PutU64(reply.stats.window_retained_rows);
-  w.PutU64(reply.stats.window_segments);
-  w.PutU64(reply.stats.window_evicted_segments);
-  w.PutU64(reply.stats.window_evicted_rows);
-  w.PutU64(reply.stats.window_clock_high);
   return w.Frame();
 }
 
@@ -207,6 +206,7 @@ Result<VerdictReply> DecodeVerdict(const std::string& payload) {
   reply.flagged = flagged != 0;
   RICD_ASSIGN_OR_RETURN(reply.risk, r.GetDouble());
   RICD_ASSIGN_OR_RETURN(reply.epoch, r.GetU64());
+  RICD_RETURN_IF_ERROR(TrailingBytes("kVerdict", r));
   return reply;
 }
 
@@ -221,6 +221,7 @@ Result<IngestAck> DecodeIngestAck(const std::string& payload) {
   RICD_ASSIGN_OR_RETURN(ack.accepted, r.GetU32());
   RICD_ASSIGN_OR_RETURN(ack.rejected, r.GetU32());
   RICD_ASSIGN_OR_RETURN(ack.epoch, r.GetU64());
+  RICD_RETURN_IF_ERROR(TrailingBytes("kIngestAck", r));
   return ack;
 }
 
@@ -237,42 +238,23 @@ Result<StatsReply> DecodeStatsReply(const std::string& payload) {
   RICD_ASSIGN_OR_RETURN(reply.stats.rejected, r.GetU64());
   RICD_ASSIGN_OR_RETURN(reply.stats.applied, r.GetU64());
   RICD_ASSIGN_OR_RETURN(reply.stats.batches, r.GetU64());
-  RICD_ASSIGN_OR_RETURN(reply.stats.rebuilds, r.GetU64());
   RICD_ASSIGN_OR_RETURN(reply.stats.stream_edges, r.GetU64());
   RICD_ASSIGN_OR_RETURN(reply.stats.stream_clicks, r.GetU64());
-  RICD_ASSIGN_OR_RETURN(reply.stats.region_edges_since_rebuild, r.GetU64());
+  RICD_ASSIGN_OR_RETURN(reply.stats.window_retained_rows, r.GetU64());
+  RICD_ASSIGN_OR_RETURN(reply.stats.window_segments, r.GetU64());
+  RICD_ASSIGN_OR_RETURN(reply.stats.window_evicted_segments, r.GetU64());
+  RICD_ASSIGN_OR_RETURN(reply.stats.window_evicted_rows, r.GetU64());
+  RICD_ASSIGN_OR_RETURN(reply.stats.window_clock_high, r.GetU64());
   RICD_ASSIGN_OR_RETURN(reply.flagged_users, r.GetU64());
   RICD_ASSIGN_OR_RETURN(reply.flagged_items, r.GetU64());
   RICD_ASSIGN_OR_RETURN(reply.blocked_pairs, r.GetU64());
-  if (r.remaining() == 0) {
-    // v1 peer: no quantile tail.
-    reply.version = 1;
-    return reply;
-  }
-  RICD_ASSIGN_OR_RETURN(reply.version, r.GetU8());
-  if (reply.version < 2) {
-    // A v1 body never carries a tail at all, so a present tail stamped
-    // below 2 is malformed, not merely old.
-    return Status::InvalidArgument(
-        StringPrintf("protocol: stats tail version %u below 2 yet present",
-                     static_cast<unsigned>(reply.version)));
-  }
   RICD_ASSIGN_OR_RETURN(reply.ingest_p50, r.GetDouble());
   RICD_ASSIGN_OR_RETURN(reply.ingest_p95, r.GetDouble());
   RICD_ASSIGN_OR_RETURN(reply.ingest_p99, r.GetDouble());
   RICD_ASSIGN_OR_RETURN(reply.query_p50, r.GetDouble());
   RICD_ASSIGN_OR_RETURN(reply.query_p95, r.GetDouble());
   RICD_ASSIGN_OR_RETURN(reply.query_p99, r.GetDouble());
-  if (reply.version >= 3) {
-    RICD_ASSIGN_OR_RETURN(reply.stats.rebuild_in_progress, r.GetU64());
-    RICD_ASSIGN_OR_RETURN(reply.stats.window_retained_rows, r.GetU64());
-    RICD_ASSIGN_OR_RETURN(reply.stats.window_segments, r.GetU64());
-    RICD_ASSIGN_OR_RETURN(reply.stats.window_evicted_segments, r.GetU64());
-    RICD_ASSIGN_OR_RETURN(reply.stats.window_evicted_rows, r.GetU64());
-    RICD_ASSIGN_OR_RETURN(reply.stats.window_clock_high, r.GetU64());
-  }
-  // Trailing bytes beyond the known tail belong to future versions; ignore
-  // them, mirroring the v1 decoder's behavior toward our own tail.
+  RICD_RETURN_IF_ERROR(TrailingBytes("kStatsReply", r));
   return reply;
 }
 

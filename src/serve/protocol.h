@@ -34,10 +34,7 @@ enum class OpCode : uint8_t {
   kPong = 64,
   kVerdict = 65,    ///< + uint8 flagged, double risk, uint64 epoch
   kIngestAck = 66,  ///< + uint32 accepted, uint32 rejected, uint64 epoch
-  kStatsReply = 67, ///< + uint64 epoch + ServeStats v1 fields + uint64 flagged
-                    ///<   users + uint64 flagged items + uint64 blocked pairs
-                    ///<   (+ v2 tail: uint8 version, 6 doubles of serve-path
-                    ///<   quantiles — see StatsReply)
+  kStatsReply = 67, ///< + the fixed StatsReply layout (see EncodeStatsReply)
   kMetricsReply = 68, ///< rest = Prometheus-style exposition text bytes
   kError = 127,     ///< + uint8 status code, rest = message bytes
 };
@@ -101,30 +98,17 @@ struct IngestAck {
   uint64_t epoch = 0;
 };
 
-/// STATS reply. The wire layout is versioned by a trailing tail rather
-/// than a leading byte so that v1 decoders — which read the fixed v1
-/// fields and ignore trailing bytes — keep working against newer servers,
-/// and a newer decoder recognises a v1 server by the absent tail. v3
-/// appends the windowed-retention gauges (rebuild_in_progress,
-/// window_* counters in `stats`) after the v2 quantiles; a v2 peer reads
-/// the quantiles and ignores the extra bytes, and a v3 decoder accepts a
-/// v2 tail with the window fields left at zero.
+/// STATS reply: one fixed layout of uint64 counters and double quantiles.
+/// Both peers are built from the same tree, so there is no version field.
 struct StatsReply {
-  static constexpr uint8_t kVersion = 3;
-
   uint64_t epoch = 0;
   ServeStats stats;
   uint64_t flagged_users = 0;
   uint64_t flagged_items = 0;
   uint64_t blocked_pairs = 0;
 
-  /// Wire version this reply was decoded from (1 when the versioned tail
-  /// was absent — quantiles then zero; 2 when the peer predates the
-  /// window fields — those then zero).
-  uint8_t version = kVersion;
-
-  // v2 tail: serve-path latency quantiles in seconds, taken from the
-  // server's request histograms at reply time.
+  // Serve-path latency quantiles in seconds, taken from the server's
+  // request histograms at reply time.
   double ingest_p50 = 0.0;
   double ingest_p95 = 0.0;
   double ingest_p99 = 0.0;
@@ -149,7 +133,8 @@ std::string EncodeMetricsReply(const std::string& text);
 std::string EncodeError(const Status& status);
 
 /// Payload decoders (payload = frame minus the length prefix). Each checks
-/// the opcode and exact operand layout.
+/// the opcode and exact operand layout: a short payload and trailing bytes
+/// past the last operand are both InvalidArgument.
 Result<VerdictReply> DecodeVerdict(const std::string& payload);
 Result<IngestAck> DecodeIngestAck(const std::string& payload);
 Result<StatsReply> DecodeStatsReply(const std::string& payload);

@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -26,6 +27,13 @@ constexpr int kPollMillis = 100;
 
 Status Errno(const char* what) {
   return Status::IoError(StringPrintf("%s: %s", what, std::strerror(errno)));
+}
+
+/// A running timer for a sampled request, nothing for an unsampled one: the
+/// unsampled majority never reads the clock.
+std::optional<WallTimer> StartIfSampled(const obs::RequestTrace& trace) {
+  if (!trace.sampled()) return std::nullopt;
+  return WallTimer();
 }
 
 void CloseQuietly(int fd) {
@@ -263,71 +271,65 @@ std::string TcpServer::DispatchRequest(const std::string& payload,
     protocol_errors_counter_->Add(1);
     return EncodeError(op.status());
   }
+  // Answers one query from a pinned snapshot; the query is timed only when
+  // the request is sampled.
+  const auto verdict = [this, trace](const char* phase, auto lookup) {
+    const std::optional<WallTimer> timer = StartIfSampled(*trace);
+    const VerdictStore::ReadRef snap = service_->Verdicts();
+    VerdictReply reply = lookup(*snap);
+    reply.epoch = snap->epoch;
+    if (timer) {
+      const double seconds = timer->ElapsedSeconds();
+      query_latency_->Observe(seconds);
+      trace->AddPhase(phase, seconds);
+    }
+    return EncodeVerdict(reply);
+  };
   switch (static_cast<OpCode>(op.value())) {
     case OpCode::kPing:
+      if (reader.remaining() != 0) break;
       return EncodePong();
     case OpCode::kQueryUser: {
       const Result<int64_t> user = reader.GetI64();
-      if (!user.ok()) break;
-      WallTimer query_timer;
-      const VerdictStore::ReadRef snap = service_->Verdicts();
-      VerdictReply reply;
-      reply.flagged = snap->FlaggedUser(user.value());
-      reply.risk = snap->UserRisk(user.value());
-      reply.epoch = snap->epoch;
-      if (trace->sampled()) {
-        const double seconds = query_timer.ElapsedSeconds();
-        query_latency_->Observe(seconds);
-        trace->AddPhase("query_user", seconds);
-      }
-      return EncodeVerdict(reply);
+      if (!user.ok() || reader.remaining() != 0) break;
+      return verdict("query_user", [&](const VerdictSnapshot& snap) {
+        return VerdictReply{snap.FlaggedUser(user.value()),
+                            snap.UserRisk(user.value())};
+      });
     }
     case OpCode::kQueryItem: {
       const Result<int64_t> item = reader.GetI64();
-      if (!item.ok()) break;
-      WallTimer query_timer;
-      const VerdictStore::ReadRef snap = service_->Verdicts();
-      VerdictReply reply;
-      reply.flagged = snap->FlaggedItem(item.value());
-      reply.risk = snap->ItemRisk(item.value());
-      reply.epoch = snap->epoch;
-      if (trace->sampled()) {
-        const double seconds = query_timer.ElapsedSeconds();
-        query_latency_->Observe(seconds);
-        trace->AddPhase("query_item", seconds);
-      }
-      return EncodeVerdict(reply);
+      if (!item.ok() || reader.remaining() != 0) break;
+      return verdict("query_item", [&](const VerdictSnapshot& snap) {
+        return VerdictReply{snap.FlaggedItem(item.value()),
+                            snap.ItemRisk(item.value())};
+      });
     }
     case OpCode::kQueryPair: {
       const Result<int64_t> user = reader.GetI64();
       if (!user.ok()) break;
       const Result<int64_t> item = reader.GetI64();
-      if (!item.ok()) break;
-      WallTimer query_timer;
-      const VerdictStore::ReadRef snap = service_->Verdicts();
-      VerdictReply reply;
-      reply.flagged = snap->BlockedPair(user.value(), item.value());
-      reply.risk = reply.flagged ? snap->UserRisk(user.value()) : 0.0;
-      reply.epoch = snap->epoch;
-      if (trace->sampled()) {
-        const double seconds = query_timer.ElapsedSeconds();
-        query_latency_->Observe(seconds);
-        trace->AddPhase("query_pair", seconds);
-      }
-      return EncodeVerdict(reply);
+      if (!item.ok() || reader.remaining() != 0) break;
+      return verdict("query_pair", [&](const VerdictSnapshot& snap) {
+        const bool blocked = snap.BlockedPair(user.value(), item.value());
+        return VerdictReply{blocked,
+                            blocked ? snap.UserRisk(user.value()) : 0.0};
+      });
     }
     case OpCode::kIngest: {
-      WallTimer decode_timer;
+      // Spans decode + enqueue: the whole ingest handling.
+      const std::optional<WallTimer> ingest_timer = StartIfSampled(*trace);
       const Result<std::vector<table::ClickRecord>> records =
           DecodeIngest(payload);
       if (!records.ok()) {
         protocol_errors_counter_->Add(1);
         return EncodeError(records.status());
       }
-      if (trace->sampled()) {
-        trace->AddPhase("decode", decode_timer.ElapsedSeconds());
+      std::optional<WallTimer> enqueue_timer;
+      if (ingest_timer) {
+        trace->AddPhase("decode", ingest_timer->ElapsedSeconds());
+        enqueue_timer.emplace();
       }
-      WallTimer enqueue_timer;
       IngestAck ack;
       for (const table::ClickRecord& r : records.value()) {
         const Status pushed = service_->IngestClick(r);
@@ -341,14 +343,14 @@ std::string TcpServer::DispatchRequest(const std::string& payload,
         }
       }
       ack.epoch = service_->Verdicts()->epoch;
-      if (trace->sampled()) {
-        trace->AddPhase("enqueue", enqueue_timer.ElapsedSeconds());
-        // decode_timer spans decode + enqueue: the whole ingest handling.
-        ingest_latency_->Observe(decode_timer.ElapsedSeconds());
+      if (ingest_timer) {
+        trace->AddPhase("enqueue", enqueue_timer->ElapsedSeconds());
+        ingest_latency_->Observe(ingest_timer->ElapsedSeconds());
       }
       return EncodeIngestAck(ack);
     }
     case OpCode::kStats: {
+      if (reader.remaining() != 0) break;
       SyncRequestCounter();
       const VerdictStore::ReadRef snap = service_->Verdicts();
       StatsReply reply;
@@ -357,7 +359,6 @@ std::string TcpServer::DispatchRequest(const std::string& payload,
       reply.flagged_users = snap->flagged_users.size();
       reply.flagged_items = snap->flagged_items.size();
       reply.blocked_pairs = snap->blocked_pairs.size();
-      // v2 tail: serve-path latency quantiles from the live histograms.
       const obs::HistogramSnapshot ingest_hist = ingest_latency_->Snapshot();
       const obs::HistogramSnapshot query_hist = query_latency_->Snapshot();
       reply.ingest_p50 = ingest_hist.P50();
@@ -366,14 +367,10 @@ std::string TcpServer::DispatchRequest(const std::string& payload,
       reply.query_p50 = query_hist.P50();
       reply.query_p95 = query_hist.P95();
       reply.query_p99 = query_hist.P99();
-      // v3 window fields come from the pinned snapshot, except the overlap
-      // flag, which is read live — a rebuild that started after the last
-      // publish must still be visible to STATS pollers.
-      reply.stats.rebuild_in_progress =
-          service_->rebuild_in_progress() ? 1 : 0;
       return EncodeStatsReply(reply);
     }
     case OpCode::kMetrics: {
+      if (reader.remaining() != 0) break;
       SyncRequestCounter();
       std::string text = obs::RenderPrometheusText(
           obs::MetricsRegistry::Global().Snapshot());
@@ -388,7 +385,8 @@ std::string TcpServer::DispatchRequest(const std::string& payload,
           StringPrintf("unknown opcode %u", static_cast<unsigned>(op.value()))));
   }
   protocol_errors_counter_->Add(1);
-  return EncodeError(Status::InvalidArgument("truncated request payload"));
+  return EncodeError(Status::InvalidArgument(
+      "request payload does not match its opcode's layout"));
 }
 
 Status TcpClient::Connect(uint16_t port) {

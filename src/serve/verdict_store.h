@@ -20,18 +20,13 @@ namespace ricd::serve {
 struct ServeStats {
   uint64_t accepted = 0;         ///< click records admitted to the queue
   uint64_t rejected = 0;         ///< records refused with ResourceExhausted
-  uint64_t applied = 0;          ///< records folded into detection state
-  uint64_t batches = 0;          ///< incremental Ingest() batches run
-  uint64_t rebuilds = 0;         ///< full pipeline rebuilds
-  uint64_t stream_edges = 0;     ///< distinct (user, item) edges standing
-  uint64_t stream_clicks = 0;    ///< total clicks standing
-  uint64_t region_edges_since_rebuild = 0;  ///< drift accumulator
+  uint64_t applied = 0;          ///< streamed records in this snapshot's cut
+  uint64_t batches = 0;          ///< refresh batches drained from the queue
+  uint64_t stream_edges = 0;     ///< distinct (user, item) edges retained
+  uint64_t stream_clicks = 0;    ///< total clicks retained
 
-  // Windowed-retention state (PR 10; STATS wire v3 trailing tail). All
-  // sampled from the ClickWindow at snapshot-build time, except
-  // rebuild_in_progress which is 1 while a pipelined rebuild is in flight
-  // at build time.
-  uint64_t rebuild_in_progress = 0;
+  // Windowed-retention state, sampled from the ClickWindow in the same
+  // critical section as the detection run.
   uint64_t window_retained_rows = 0;
   uint64_t window_segments = 0;       ///< sealed segments currently retained
   uint64_t window_evicted_segments = 0;
@@ -52,7 +47,7 @@ struct VerdictSnapshot {
   std::vector<double> item_risks;             // parallel to flagged_items
 
   /// Fake co-click edges: (flagged user, flagged item) pairs that exist in
-  /// the standing click stream. Sorted lexicographically.
+  /// the retained click rows. Sorted lexicographically.
   std::vector<std::pair<table::UserId, table::ItemId>> blocked_pairs;
 
   ServeStats stats;
@@ -80,7 +75,7 @@ struct VerdictSnapshot {
 /// load of the current version, one seq_cst fetch_add on a thread-striped
 /// reference shard, and one validating re-load. If a publish races in
 /// between, the reader retries (lock-free; wait-free in the absence of
-/// concurrent publishes, and publishes are rare — one per ingest batch).
+/// concurrent publishes, and publishes are rare — one per refresh).
 ///
 /// Writers (Publish) rotate through a small ring of slots. A slot is only
 /// reused kRingSlots publishes later, and the writer spins until every

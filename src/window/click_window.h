@@ -75,7 +75,7 @@ struct WindowStats {
 
 /// A frozen view of the window: the retained sealed segments plus a copy of
 /// the live buffer. Plain struct (no lock, no back-reference) so validators
-/// and rebuild workers can hold one without touching the window again.
+/// and readers can hold one without touching the window again.
 struct WindowSnapshot {
   std::vector<std::shared_ptr<const WindowSegment>> segments;
   table::ClickTable live;
@@ -96,11 +96,11 @@ struct WindowSnapshot {
 
 /// Ring of sealed click segments with deterministic count/time eviction.
 ///
-/// The window is the service's standing source of truth for rebuilds: ingest
-/// appends rows (with an event timestamp carried out-of-band — ClickRecord
-/// itself has no time column), the live segment seals at
-/// `segment_clicks`/`segment_seconds`, and retention evicts whole sealed
-/// segments, oldest first. Eviction is a pure function of (options, append
+/// The window is the service's standing source of truth: every publish
+/// re-detects over the rows it retains. Ingest appends rows (with an event
+/// timestamp carried out-of-band — ClickRecord itself has no time column),
+/// the live segment seals at `segment_clicks`/`segment_seconds`, and
+/// retention evicts whole sealed segments, oldest first. Eviction is a pure function of (options, append
 /// sequence, timestamps) — no wall clock anywhere — so replaying the same
 /// trace yields the same retained set on every run, which the
 /// windowed≡offline differential test depends on.

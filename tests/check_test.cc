@@ -2,11 +2,12 @@
 // well-formed graph, corrupt it in exactly one way through GraphTestPeer,
 // and assert the validator rejects it with the expected `validate.<area>:
 // <tag>:` Status — each corruption maps to a distinct failure. The result
-// diff oracle gets the same treatment: one changed field of a real
-// pipeline result per divergence kind.
+// and published-snapshot diff oracles get the same treatment: one changed
+// field of a real pipeline result (or its snapshot) per divergence kind.
 
 #include "check/validate.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -15,12 +16,14 @@
 #include <gtest/gtest.h>
 
 #include "check/diff_result.h"
+#include "check/validate_serve.h"
 #include "common/status.h"
 #include "gen/scenario.h"
 #include "graph/graph_builder.h"
 #include "graph_test_peer.h"
 #include "obs/metrics.h"
 #include "ricd/framework.h"
+#include "serve/verdict_store.h"
 #include "table/click_table.h"
 
 namespace ricd {
@@ -401,6 +404,140 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       return std::string(info.param.name);
     });
+
+/// A tiny pipeline run with its input table and the snapshot a publish of
+/// it holds: flags sorted by id with their risks, and the table rows whose
+/// endpoints are both flagged as blocked pairs.
+struct PublishedRun {
+  table::ClickTable table;
+  FrameworkResult result;
+  serve::VerdictSnapshot snapshot;
+};
+
+const PublishedRun& TinyPublishedRun() {
+  static const PublishedRun* run = [] {
+    auto* out = new PublishedRun;
+    auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, 2024);
+    EXPECT_TRUE(scenario.ok()) << scenario.status();
+    out->table = scenario->table;
+    out->table.ConsolidateDuplicates();
+    out->result = TinyPipelineResult();
+    serve::VerdictSnapshot& snap = out->snapshot;
+    std::vector<std::pair<table::UserId, double>> users;
+    for (const auto& u : out->result.ranked.users) {
+      users.emplace_back(u.external_id, u.risk);
+    }
+    std::sort(users.begin(), users.end());
+    for (const auto& [id, risk] : users) {
+      snap.flagged_users.push_back(id);
+      snap.user_risks.push_back(risk);
+    }
+    std::vector<std::pair<table::ItemId, double>> items;
+    for (const auto& v : out->result.ranked.items) {
+      items.emplace_back(v.external_id, v.risk);
+    }
+    std::sort(items.begin(), items.end());
+    for (const auto& [id, risk] : items) {
+      snap.flagged_items.push_back(id);
+      snap.item_risks.push_back(risk);
+    }
+    for (size_t i = 0; i < out->table.num_rows(); ++i) {
+      if (snap.FlaggedUser(out->table.user(i)) &&
+          snap.FlaggedItem(out->table.item(i))) {
+        snap.blocked_pairs.emplace_back(out->table.user(i),
+                                        out->table.item(i));
+      }
+    }
+    return out;
+  }();
+  return *run;
+}
+
+/// One divergence kind of a published snapshot.
+struct VerdictDiffCase {
+  const char* name;
+  void (*mutate)(serve::VerdictSnapshot*);
+  const char* names;
+};
+
+class DiffVerdictSnapshotTest
+    : public ::testing::TestWithParam<VerdictDiffCase> {};
+
+TEST_P(DiffVerdictSnapshotTest, MessageNamesTheDivergentField) {
+  const PublishedRun& run = TinyPublishedRun();
+  ASSERT_TRUE(run.snapshot.flagged_users.size() > 1 &&
+              run.snapshot.flagged_items.size() > 1 &&
+              run.snapshot.blocked_pairs.size() > 1);
+  const Status same =
+      check::DiffVerdictSnapshot(run.result, run.table, run.snapshot);
+  EXPECT_TRUE(same.ok()) << same;
+  serve::VerdictSnapshot got = run.snapshot;
+  GetParam().mutate(&got);
+  ExpectRejected(check::DiffVerdictSnapshot(run.result, run.table, got),
+                 StatusCode::kInternal, GetParam().names);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OneFieldEach, DiffVerdictSnapshotTest,
+    ::testing::Values(
+        VerdictDiffCase{"UserRows",
+                        [](serve::VerdictSnapshot* s) {
+                          s->flagged_users.pop_back();
+                          s->user_risks.pop_back();
+                        },
+                        "verdict-users: rows"},
+        VerdictDiffCase{"UserRisk",
+                        [](serve::VerdictSnapshot* s) {
+                          double& risk = s->user_risks[1];
+                          risk = std::nextafter(risk, HUGE_VAL);
+                        },
+                        "verdict-users: row 1 risk"},
+        VerdictDiffCase{"ItemId",
+                        [](serve::VerdictSnapshot* s) {
+                          s->flagged_items[0]--;
+                        },
+                        "verdict-items: row 0 id"},
+        VerdictDiffCase{"ItemRiskRows",
+                        [](serve::VerdictSnapshot* s) {
+                          s->item_risks.pop_back();
+                        },
+                        "verdict-items: risk rows"},
+        VerdictDiffCase{"PairItem",
+                        [](serve::VerdictSnapshot* s) {
+                          s->blocked_pairs[1].second++;
+                        },
+                        "verdict-pairs: row 1 item"},
+        VerdictDiffCase{"PairRows",
+                        [](serve::VerdictSnapshot* s) {
+                          s->blocked_pairs.pop_back();
+                        },
+                        "verdict-pairs: rows"}),
+    [](const ::testing::TestParamInfo<VerdictDiffCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(ValidateVerdictTransitionTest, AnyPublishMayRetractVerdicts) {
+  serve::VerdictSnapshot prev;
+  prev.epoch = 4;
+  prev.flagged_users = {1, 2};
+  prev.user_risks = {1.0, 2.0};
+  prev.stats.accepted = 10;
+  prev.stats.applied = 8;
+  serve::VerdictSnapshot next;
+  next.epoch = 5;
+  next.flagged_users = {2};
+  next.user_risks = {2.0};
+  next.stats = prev.stats;
+  EXPECT_TRUE(check::ValidateVerdictTransition(prev, next).ok());
+
+  next.epoch = 4;
+  ExpectRejected(check::ValidateVerdictTransition(prev, next),
+                 StatusCode::kInternal, "epoch-not-increasing");
+  next.epoch = 5;
+  next.stats.applied = 7;
+  ExpectRejected(check::ValidateVerdictTransition(prev, next),
+                 StatusCode::kInternal, "stats-regressed");
+}
 
 }  // namespace
 }  // namespace ricd

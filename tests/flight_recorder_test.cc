@@ -22,7 +22,7 @@ namespace {
 TEST(FlightRecorderTest, RecordsAndDumpsOldestFirst) {
   FlightRecorder recorder(8);
   recorder.Record(FlightEventKind::kPublish, 1, 10, "first");
-  recorder.Record(FlightEventKind::kRebuild, 2, 20, "second");
+  recorder.Record(FlightEventKind::kSegmentSeal, 2, 20, "second");
   recorder.Record(FlightEventKind::kBackpressure, 3, 30, nullptr);
 
   const std::vector<FlightEvent> events = recorder.Dump();
@@ -85,17 +85,17 @@ TEST(FlightRecorderTest, LongDetailIsTruncatedNotOverrun) {
 
 TEST(FlightRecorderTest, DumpTextRendersFlightLines) {
   FlightRecorder recorder(8);
-  recorder.Record(FlightEventKind::kDriftTrigger, 128, 8000, "drift");
+  recorder.Record(FlightEventKind::kBackpressure, 128, 8000, "queue_high");
   recorder.Record(FlightEventKind::kShutdown, 5, 42, "shutdown");
   const std::string text = recorder.DumpText();
   EXPECT_NE(text.find("# flight 0 "), std::string::npos);
-  EXPECT_NE(text.find("drift_trigger"), std::string::npos);
-  EXPECT_NE(text.find("a=128 b=8000 drift"), std::string::npos);
+  EXPECT_NE(text.find("backpressure"), std::string::npos);
+  EXPECT_NE(text.find("a=128 b=8000 queue_high"), std::string::npos);
   EXPECT_NE(text.find("shutdown"), std::string::npos);
 
   // max_events keeps only the newest lines.
   const std::string capped = recorder.DumpText(1);
-  EXPECT_EQ(capped.find("drift_trigger"), std::string::npos);
+  EXPECT_EQ(capped.find("backpressure"), std::string::npos);
   EXPECT_NE(capped.find("shutdown"), std::string::npos);
 }
 
@@ -212,7 +212,7 @@ TEST(FlightRecorderTest, LappedWriterCannotTearOrRewindAPreemptedSlot) {
       [](void* arg, uint64_t ticket) {
         auto* l = static_cast<Lap*>(arg);
         if (ticket != 0) return;
-        l->recorder->Record(FlightEventKind::kRebuild, 1, 100, "B");
+        l->recorder->Record(FlightEventKind::kSegmentEvict, 1, 100, "B");
         l->seen_while_preempted = l->recorder->Dump();
       },
       &lap);

@@ -80,15 +80,19 @@ TEST(HistogramTest, PercentilesWithLinearBounds) {
   EXPECT_NEAR(snap.P99(), 99.0, 1.0);
 }
 
-TEST(HistogramTest, OverflowObservationsReportLastBound) {
+TEST(HistogramTest, OverflowBucketInterpolatesUpToMax) {
   MetricsRegistry registry;
   Histogram* hist = registry.GetHistogram("test.overflow", {1.0, 2.0});
   hist->Observe(100.0);
   hist->Observe(200.0);
   const HistogramSnapshot snap = hist->Snapshot();
   EXPECT_EQ(snap.count, 2u);
-  EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(snap.Quantile(0.99), 2.0);
+  EXPECT_DOUBLE_EQ(snap.min, 100.0);
+  EXPECT_DOUBLE_EQ(snap.max, 200.0);
+  // The overflow bucket spans [min, max] here: never the last bound 2.0,
+  // which no observation came near.
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 150.0);
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.99), 199.0);
 }
 
 TEST(HistogramTest, EmptyQuantileIsZero) {
@@ -101,38 +105,52 @@ TEST(HistogramTest, EmptyQuantileIsZero) {
 TEST(HistogramTest, QuantileEdgesOfSingleOccupiedBucket) {
   MetricsRegistry registry;
   Histogram* hist = registry.GetHistogram("test.edges", {1.0, 2.0, 4.0, 8.0});
-  // All mass in the (2, 4] bucket.
+  // All mass in the (2, 4] bucket, and all of it at 3.0.
   for (int i = 0; i < 10; ++i) hist->Observe(3.0);
   const HistogramSnapshot snap = hist->Snapshot();
-  // q=0 is the lower edge of the first occupied bucket, q=1 the upper edge
-  // of the last occupied one; in between interpolates inside the bucket.
-  EXPECT_DOUBLE_EQ(snap.Quantile(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(snap.Quantile(1.0), 4.0);
+  // The bucket's edges clamp to the observed range [3, 3], so every
+  // quantile is the one value observed.
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.0), 3.0);
+  EXPECT_DOUBLE_EQ(snap.Quantile(1.0), 3.0);
   EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 3.0);
   // Out-of-range and NaN q clamp instead of reading out of bounds.
-  EXPECT_DOUBLE_EQ(snap.Quantile(-3.0), 2.0);
-  EXPECT_DOUBLE_EQ(snap.Quantile(7.0), 4.0);
-  EXPECT_DOUBLE_EQ(snap.Quantile(std::nan("")), 2.0);
+  EXPECT_DOUBLE_EQ(snap.Quantile(-3.0), 3.0);
+  EXPECT_DOUBLE_EQ(snap.Quantile(7.0), 3.0);
+  EXPECT_DOUBLE_EQ(snap.Quantile(std::nan("")), 3.0);
 }
 
-TEST(HistogramTest, QuantileFirstBucketInterpolatesFromZero) {
+TEST(HistogramTest, QuantileFirstBucketInterpolatesFromMin) {
   MetricsRegistry registry;
   Histogram* hist = registry.GetHistogram("test.first", {1.0, 2.0});
   hist->Observe(0.5);
   hist->Observe(1.5);
   const HistogramSnapshot snap = hist->Snapshot();
-  EXPECT_DOUBLE_EQ(snap.Quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(snap.Quantile(1.0), 2.0);
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.0), 0.5);
+  EXPECT_DOUBLE_EQ(snap.Quantile(1.0), 1.5);
 }
 
-TEST(HistogramTest, QuantileWithNoBoundsIsZero) {
+TEST(HistogramTest, QuantileWithNoBoundsIsTheObservedValue) {
   MetricsRegistry registry;
   Histogram* hist =
       registry.GetHistogram("test.boundless", std::vector<double>{});
   hist->Observe(5.0);  // the only bucket is the overflow bucket
   const HistogramSnapshot snap = hist->Snapshot();
   EXPECT_EQ(snap.count, 1u);
-  EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(snap.Quantile(0.5), 5.0);
+}
+
+TEST(HistogramTest, ResetClearsTheObservedRange) {
+  MetricsRegistry registry;
+  Histogram* hist = registry.GetHistogram("test.range_reset", {1.0});
+  hist->Observe(0.25);
+  hist->Reset();
+  EXPECT_DOUBLE_EQ(hist->Snapshot().min, 0.0);
+  EXPECT_DOUBLE_EQ(hist->Snapshot().max, 0.0);
+  hist->Observe(0.75);
+  const HistogramSnapshot snap = hist->Snapshot();
+  EXPECT_DOUBLE_EQ(snap.min, 0.75);
+  EXPECT_DOUBLE_EQ(snap.max, 0.75);
+  EXPECT_DOUBLE_EQ(snap.P50(), 0.75);
 }
 
 TEST(HistogramTest, DefaultBoundsCoverMicrosecondsToMinutes) {

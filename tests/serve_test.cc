@@ -1,9 +1,10 @@
 // Tests for the online detection service (src/serve): wire protocol
-// round-trips, bounded-queue backpressure, RCU-style snapshot publication,
-// the DetectionService lifecycle, the TCP front end, and the differential
-// convergence guarantee — a click stream served through ingest batches with
-// concurrent queries must end bit-identical to the offline pipeline run on
-// the consolidated full table after the final drain + rebuild.
+// round-trips and fuzzing, bounded-queue backpressure, RCU-style snapshot
+// publication, the DetectionService lifecycle, the TCP front end and its
+// telemetry cost model, and the differential guarantee — a click stream
+// served through ingest batches with concurrent queries must, once drained,
+// publish exactly the offline pipeline's verdicts over the consolidated
+// full table.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -22,13 +23,15 @@
 
 #include <gtest/gtest.h>
 
+#include "check/diff_result.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "gen/scenario.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/request_trace.h"
 #include "graph/graph_builder.h"
 #include "i2i/recommender.h"
-#include "ricd/incremental.h"
 #include "scenario/materialize.h"
 #include "scenario/registry.h"
 #include "serve/detection_service.h"
@@ -108,110 +111,48 @@ TEST(ProtocolTest, StatsReplyRoundTrip) {
   reply.stats.rejected = 3;
   reply.stats.applied = 4;
   reply.stats.batches = 5;
-  reply.stats.rebuilds = 6;
   reply.stats.stream_edges = 7;
   reply.stats.stream_clicks = 8;
-  reply.stats.region_edges_since_rebuild = 9;
+  reply.stats.window_retained_rows = 1234;
+  reply.stats.window_segments = 5;
+  reply.stats.window_evicted_segments = 6;
+  reply.stats.window_evicted_rows = 789;
+  reply.stats.window_clock_high = 86399;
   reply.flagged_users = 10;
   reply.flagged_items = 11;
   reply.blocked_pairs = 12;
-  const auto decoded = DecodeStatsReply(Payload(EncodeStatsReply(reply)));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->epoch, 1u);
-  EXPECT_EQ(decoded->stats.accepted, 2u);
-  EXPECT_EQ(decoded->stats.rejected, 3u);
-  EXPECT_EQ(decoded->stats.applied, 4u);
-  EXPECT_EQ(decoded->stats.batches, 5u);
-  EXPECT_EQ(decoded->stats.rebuilds, 6u);
-  EXPECT_EQ(decoded->stats.stream_edges, 7u);
-  EXPECT_EQ(decoded->stats.stream_clicks, 8u);
-  EXPECT_EQ(decoded->stats.region_edges_since_rebuild, 9u);
-  EXPECT_EQ(decoded->flagged_users, 10u);
-  EXPECT_EQ(decoded->flagged_items, 11u);
-  EXPECT_EQ(decoded->blocked_pairs, 12u);
-}
-
-TEST(ProtocolTest, StatsReplyV2TailCarriesQuantiles) {
-  StatsReply reply;
-  reply.epoch = 5;
   reply.ingest_p50 = 0.001;
   reply.ingest_p95 = 0.002;
   reply.ingest_p99 = 0.004;
   reply.query_p50 = 0.0005;
   reply.query_p95 = 0.0015;
   reply.query_p99 = 0.0025;
-  const auto decoded = DecodeStatsReply(Payload(EncodeStatsReply(reply)));
+  const std::string payload = Payload(EncodeStatsReply(reply));
+  // One fixed layout: opcode, 15 uint64 counters, 6 double quantiles.
+  EXPECT_EQ(payload.size(), 1u + 15 * 8 + 6 * 8);
+  const auto decoded = DecodeStatsReply(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->version, StatsReply::kVersion);
+  EXPECT_EQ(decoded->epoch, 1u);
+  EXPECT_EQ(decoded->stats.accepted, 2u);
+  EXPECT_EQ(decoded->stats.rejected, 3u);
+  EXPECT_EQ(decoded->stats.applied, 4u);
+  EXPECT_EQ(decoded->stats.batches, 5u);
+  EXPECT_EQ(decoded->stats.stream_edges, 7u);
+  EXPECT_EQ(decoded->stats.stream_clicks, 8u);
+  EXPECT_EQ(decoded->stats.window_retained_rows, 1234u);
+  EXPECT_EQ(decoded->stats.window_segments, 5u);
+  EXPECT_EQ(decoded->stats.window_evicted_segments, 6u);
+  EXPECT_EQ(decoded->stats.window_evicted_rows, 789u);
+  EXPECT_EQ(decoded->stats.window_clock_high, 86399u);
+  EXPECT_EQ(decoded->flagged_users, 10u);
+  EXPECT_EQ(decoded->flagged_items, 11u);
+  EXPECT_EQ(decoded->blocked_pairs, 12u);
   EXPECT_EQ(decoded->ingest_p50, 0.001);
   EXPECT_EQ(decoded->ingest_p95, 0.002);
   EXPECT_EQ(decoded->ingest_p99, 0.004);
   EXPECT_EQ(decoded->query_p50, 0.0005);
   EXPECT_EQ(decoded->query_p95, 0.0015);
   EXPECT_EQ(decoded->query_p99, 0.0025);
-}
-
-TEST(ProtocolTest, StatsReplyV3TailCarriesWindowFields) {
-  StatsReply reply;
-  reply.epoch = 4;
-  reply.stats.rebuild_in_progress = 1;
-  reply.stats.window_retained_rows = 1234;
-  reply.stats.window_segments = 5;
-  reply.stats.window_evicted_segments = 6;
-  reply.stats.window_evicted_rows = 789;
-  reply.stats.window_clock_high = 86399;
-  const auto decoded = DecodeStatsReply(Payload(EncodeStatsReply(reply)));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->version, StatsReply::kVersion);
-  EXPECT_EQ(decoded->stats.rebuild_in_progress, 1u);
-  EXPECT_EQ(decoded->stats.window_retained_rows, 1234u);
-  EXPECT_EQ(decoded->stats.window_segments, 5u);
-  EXPECT_EQ(decoded->stats.window_evicted_segments, 6u);
-  EXPECT_EQ(decoded->stats.window_evicted_rows, 789u);
-  EXPECT_EQ(decoded->stats.window_clock_high, 86399u);
-}
-
-TEST(ProtocolTest, StatsReplyV2PeerDecodesWithoutWindowFields) {
-  StatsReply reply;
-  reply.epoch = 8;
-  reply.ingest_p50 = 0.25;
-  reply.stats.window_retained_rows = 555;  // must NOT survive a v2 frame
-  std::string payload = Payload(EncodeStatsReply(reply));
-  // A v2 server stops after the six quantile doubles; patch the tail
-  // version byte accordingly.
-  payload.resize(1 + 12 * 8 + 1 + 6 * 8);
-  payload[1 + 12 * 8] = 2;
-  const auto decoded = DecodeStatsReply(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->version, 2u);
-  EXPECT_EQ(decoded->epoch, 8u);
-  EXPECT_EQ(decoded->ingest_p50, 0.25);
-  EXPECT_EQ(decoded->stats.window_retained_rows, 0u);
-  EXPECT_EQ(decoded->stats.rebuild_in_progress, 0u);
-}
-
-TEST(ProtocolTest, StatsReplyWithoutTailDecodesAsV1) {
-  StatsReply reply;
-  reply.epoch = 9;
-  reply.flagged_users = 3;
-  std::string payload = Payload(EncodeStatsReply(reply));
-  // A v1 server stops after blocked_pairs: opcode byte + 12 uint64 fields.
-  payload.resize(1 + 12 * 8);
-  const auto decoded = DecodeStatsReply(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->version, 1u);
-  EXPECT_EQ(decoded->epoch, 9u);
-  EXPECT_EQ(decoded->flagged_users, 3u);
-  EXPECT_EQ(decoded->query_p99, 0.0);
-}
-
-TEST(ProtocolTest, StatsReplyStaleTailVersionIsRejected) {
-  std::string payload = Payload(EncodeStatsReply(StatsReply{}));
-  // A tail that claims version 1 contradicts itself (v1 has no tail).
-  payload[1 + 12 * 8] = 1;
-  const auto decoded = DecodeStatsReply(payload);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ProtocolTest, IngestBatchRoundTrip) {
@@ -239,16 +180,6 @@ TEST(ProtocolTest, TruncatedPayloadIsInvalidArgument) {
   std::string payload = Payload(EncodeVerdict(reply));
   payload.pop_back();
   const auto decoded = DecodeVerdict(payload);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ProtocolTest, IngestCountMismatchIsRejected) {
-  std::string payload = Payload(EncodeIngest({{1, 2, 3}, {4, 5, 6}}));
-  // The count field sits right after the opcode byte; claim 3 records while
-  // the payload only carries 2.
-  payload[1] = 3;
-  const auto decoded = DecodeIngest(payload);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -292,6 +223,112 @@ TEST(ProtocolTest, FrameIoRoundTripsOverSocketPair) {
   EXPECT_EQ(read.code(), StatusCode::kIoError);
   const int rc2 = ::close(fds[1]);
   EXPECT_EQ(rc2, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Protocol fuzz: deterministic corruption of every socket-facing decoder
+// ---------------------------------------------------------------------------
+
+/// One decoder under fuzz. `decode` maps a payload to the decoder's Status;
+/// `fixed` marks layouts without a variable-length tail, where every
+/// truncation and every extra byte must be rejected.
+struct FuzzTarget {
+  const char* name;
+  std::string seed;  // a valid payload
+  Status (*decode)(const std::string& payload);
+  bool fixed;
+};
+
+std::vector<FuzzTarget> FuzzTargets() {
+  StatsReply stats;
+  stats.epoch = 77;
+  stats.stats.accepted = 1000;
+  stats.stats.window_retained_rows = 900;
+  stats.query_p99 = 0.25;
+  return {
+      {"DecodeIngest",
+       Payload(EncodeIngest({{1, 10, 3}, {-5, 20, 1}, {7, -2, 12}})),
+       [](const std::string& p) { return DecodeIngest(p).status(); }, true},
+      {"DecodeStatsReply", Payload(EncodeStatsReply(stats)),
+       [](const std::string& p) { return DecodeStatsReply(p).status(); },
+       true},
+      {"DecodeVerdict", Payload(EncodeVerdict({true, 0.375, 7})),
+       [](const std::string& p) { return DecodeVerdict(p).status(); }, true},
+      {"DecodeIngestAck", Payload(EncodeIngestAck({12, 3, 99})),
+       [](const std::string& p) { return DecodeIngestAck(p).status(); },
+       true},
+      {"DecodeMetricsReply", Payload(EncodeMetricsReply("ricd_up 1\n")),
+       [](const std::string& p) { return DecodeMetricsReply(p).status(); },
+       false},
+      {"DecodeError",
+       Payload(EncodeError(Status::ResourceExhausted("queue full"))),
+       [](const std::string& p) {
+         // A well-formed kError payload decodes to the status it carries;
+         // count that as success.
+         const Status carried = DecodeError(p);
+         if (p.size() >= 2 &&
+             static_cast<uint8_t>(carried.code()) ==
+                 static_cast<uint8_t>(p[1])) {
+           return Status::Ok();
+         }
+         return carried;
+       },
+       false},
+  };
+}
+
+void ExpectOkOrInvalidArgument(const Status& got) {
+  EXPECT_TRUE(got.ok() || got.code() == StatusCode::kInvalidArgument) << got;
+}
+
+// snapshot_fuzz_test's mutations applied to the wire: every truncation
+// length, one flip of every bit, and one appended byte. Each decoder must
+// answer Ok or InvalidArgument, never crash or read out of bounds (this
+// binary runs in every sanitizer leg).
+TEST(ProtocolFuzzTest, EveryDecoderRejectsCorruptionCleanly) {
+  for (const FuzzTarget& target : FuzzTargets()) {
+    SCOPED_TRACE(target.name);
+    const std::string& seed = target.seed;
+    ASSERT_TRUE(target.decode(seed).ok()) << target.decode(seed);
+    for (size_t cut = 0; cut < seed.size(); ++cut) {
+      SCOPED_TRACE(testing::Message() << "truncated to " << cut);
+      const Status got = target.decode(seed.substr(0, cut));
+      if (target.fixed || cut == 0) {
+        EXPECT_EQ(got.code(), StatusCode::kInvalidArgument) << got;
+      } else {
+        ExpectOkOrInvalidArgument(got);
+      }
+    }
+    for (size_t bit = 0; bit < seed.size() * 8; ++bit) {
+      SCOPED_TRACE(testing::Message() << "bit " << bit << " flipped");
+      std::string flipped = seed;
+      flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+      ExpectOkOrInvalidArgument(target.decode(flipped));
+    }
+    const Status appended = target.decode(seed + '\x5a');
+    if (target.fixed) {
+      EXPECT_EQ(appended.code(), StatusCode::kInvalidArgument) << appended;
+    } else {
+      EXPECT_TRUE(appended.ok()) << appended;
+    }
+  }
+}
+
+TEST(ProtocolFuzzTest, IngestCountMustMatchThePayload) {
+  const std::string seed = Payload(EncodeIngest({{1, 2, 3}, {4, 5, 6}}));
+  for (const uint32_t count : {0u, 3u, 0xFFFFFFFFu}) {  // 0, n + 1, max
+    SCOPED_TRACE(testing::Message() << "count " << count);
+    std::string patched = seed;
+    for (int i = 0; i < 4; ++i) {
+      patched[1 + i] = static_cast<char>((count >> (8 * i)) & 0xff);
+    }
+    EXPECT_EQ(DecodeIngest(patched).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // An empty batch is well formed when it says so.
+  const auto empty = DecodeIngest(Payload(EncodeIngest({})));
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_TRUE(empty->empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -576,14 +613,11 @@ TEST(DetectionServiceTest, RejectedIngestRecordsBackpressureFlightEvent) {
   recorder.set_enabled(was_enabled);
 }
 
-// STATS exposes the overlap state machine: rebuild_in_progress is 1 while a
-// delayed pipelined rebuild is bootstrapping and 0 after adoption, and the
-// v3 tail carries the window gauges.
-TEST(TcpServerTest, StatsExposesRebuildInProgressAndWindowGauges) {
+// STATS carries the window gauges of the published cut.
+TEST(TcpServerTest, StatsExposesWindowGauges) {
   auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, 42);
   ASSERT_TRUE(scenario.ok()) << scenario.status();
   ServeOptions options = TinyServeOptions();
-  options.rebuild_delay_for_test_ms = 80;
   options.window.segment_clicks = 256;
   DetectionService service(options);
   ASSERT_TRUE(service.Start(scenario->table).ok());
@@ -592,31 +626,30 @@ TEST(TcpServerTest, StatsExposesRebuildInProgressAndWindowGauges) {
   TcpClient client;
   ASSERT_TRUE(client.Connect(server.port()).ok());
 
-  ASSERT_TRUE(service.StartPipelinedRebuild().ok());
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->version, StatsReply::kVersion);
-  EXPECT_EQ(stats->stats.rebuild_in_progress, 1u);
-  // The bootstrap table seeded the window; the v3 gauges reflect it.
+  // The bootstrap table seeded the window; the gauges reflect it.
   EXPECT_EQ(stats->stats.window_retained_rows, scenario->table.num_rows());
   EXPECT_GT(stats->stats.window_segments, 0u);
   EXPECT_EQ(stats->stats.window_evicted_rows, 0u);
+  EXPECT_EQ(stats->stats.applied, 0u);
 
-  ASSERT_TRUE(service.WaitForRebuild().ok());
+  const uint64_t epoch = stats->epoch;
+  ASSERT_TRUE(service.ForceRebuild().ok());
   stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->stats.rebuild_in_progress, 0u);
-  EXPECT_GT(stats->stats.rebuilds, 0u);
+  EXPECT_EQ(stats->epoch, epoch + 1);
+  EXPECT_EQ(stats->stats.window_retained_rows, scenario->table.num_rows());
 
   client.Disconnect();
   server.Stop();
   ASSERT_TRUE(service.Shutdown().ok());
 }
 
-// The tentpole acceptance test: serve a click stream through the service
-// (ingest batches + queries racing the refresh thread), then drain and force
-// the final rebuild — the published verdicts must be bit-identical (ids AND
-// risk scores) to the offline pipeline run once over the consolidated table.
+// The acceptance test: serve a click stream through the service (ingest
+// batches + queries racing the refresh thread), then drain — the published
+// verdicts must be bit-identical (ids AND risk scores AND blocked pairs) to
+// the offline pipeline run once over the consolidated table.
 TEST(DetectionServiceDifferentialTest, StreamConvergesToOfflinePipeline) {
   for (const uint64_t seed : {42u, 7u}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
@@ -678,52 +711,23 @@ TEST(DetectionServiceDifferentialTest, StreamConvergesToOfflinePipeline) {
       ASSERT_TRUE(pushed.ok()) << pushed;
     }
     ASSERT_TRUE(service.Drain().ok());
-    ASSERT_TRUE(service.ForceRebuild().ok());
     stop_readers.store(true, std::memory_order_release);
     readers.Wait();
 
-    // Offline reference: one bootstrap over the whole table.
-    core::IncrementalRicd offline(TinyFrameworkOptions());
-    ASSERT_TRUE(offline.Bootstrap(full).ok());
+    // Offline reference: one Run over the whole consolidated table.
+    table::ClickTable consolidated = full;
+    consolidated.ConsolidateDuplicates();
+    const auto offline =
+        core::RicdFramework(TinyFrameworkOptions()).Run(consolidated);
+    ASSERT_TRUE(offline.ok()) << offline.status();
 
     const VerdictStore::ReadRef served = service.Verdicts();
     EXPECT_EQ(served->stats.applied, full.num_rows() - split);
     EXPECT_EQ(served->stats.rejected, 0u);
-
-    std::vector<std::pair<table::UserId, double>> expected_users(
-        offline.flagged_users().begin(), offline.flagged_users().end());
-    std::sort(expected_users.begin(), expected_users.end());
-    ASSERT_EQ(served->flagged_users.size(), expected_users.size());
-    for (size_t i = 0; i < expected_users.size(); ++i) {
-      EXPECT_EQ(served->flagged_users[i], expected_users[i].first);
-      EXPECT_EQ(served->user_risks[i], expected_users[i].second)
-          << "risk drift for user " << expected_users[i].first;
-    }
-    std::vector<std::pair<table::ItemId, double>> expected_items(
-        offline.flagged_items().begin(), offline.flagged_items().end());
-    std::sort(expected_items.begin(), expected_items.end());
-    ASSERT_EQ(served->flagged_items.size(), expected_items.size());
-    for (size_t i = 0; i < expected_items.size(); ++i) {
-      EXPECT_EQ(served->flagged_items[i], expected_items[i].first);
-      EXPECT_EQ(served->item_risks[i], expected_items[i].second)
-          << "risk drift for item " << expected_items[i].first;
-    }
+    const Status same =
+        check::DiffVerdictSnapshot(*offline, consolidated, *served);
+    EXPECT_TRUE(same.ok()) << same;
     EXPECT_GT(served->flagged_users.size(), 0u);
-
-    // Blocked pairs == standing edges between flagged endpoints.
-    std::vector<std::pair<table::UserId, table::ItemId>> expected_pairs;
-    const table::ClickTable consolidated = offline.MaterializeTable();
-    for (size_t i = 0; i < consolidated.num_rows(); ++i) {
-      const table::ClickRecord rec = consolidated.row(i);
-      if (offline.IsFlaggedUser(rec.user) && offline.IsFlaggedItem(rec.item)) {
-        expected_pairs.emplace_back(rec.user, rec.item);
-      }
-    }
-    std::sort(expected_pairs.begin(), expected_pairs.end());
-    expected_pairs.erase(
-        std::unique(expected_pairs.begin(), expected_pairs.end()),
-        expected_pairs.end());
-    EXPECT_EQ(served->blocked_pairs, expected_pairs);
 
     ASSERT_TRUE(service.Shutdown().ok());
     ASSERT_TRUE(service.Shutdown().ok());  // idempotent
@@ -796,8 +800,8 @@ TEST(TcpServerTest, EndToEndQueryIngestStats) {
 }
 
 // METRICS end to end: with every request sampled, the exposition must show
-// non-zero serve-path histograms, the STATS v2 tail must carry non-zero
-// query quantiles, and sampled traces must land in the flight recorder
+// non-zero serve-path histograms, STATS must carry non-zero query
+// quantiles, and sampled traces must land in the flight recorder
 // section of the exposition text.
 TEST(TcpServerTest, MetricsExpositionShowsServeActivity) {
   const uint64_t saved_sample = obs::TraceSampleEvery();
@@ -841,10 +845,9 @@ TEST(TcpServerTest, MetricsExpositionShowsServeActivity) {
   EXPECT_NE(text.find("# flight"), std::string::npos);
   EXPECT_NE(text.find("request_trace"), std::string::npos);
 
-  // The STATS v2 tail reports the same histograms as quantiles.
+  // STATS reports the same histograms as quantiles.
   const auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->version, StatsReply::kVersion);
   EXPECT_GT(stats->query_p50, 0.0);
   EXPECT_GE(stats->query_p99, stats->query_p50);
 
@@ -892,6 +895,78 @@ TEST(TcpServerTest, UnknownOpcodeAndOversizedFrameAreRejected) {
   const int rc = ::close(fd);
   EXPECT_EQ(rc, 0);
   server.Stop();
+  ASSERT_TRUE(service.Shutdown().ok());
+}
+
+// The server's request decoding is as strict as the client's: an operand
+// layout with a byte too many is a protocol error, not a silent truncation.
+TEST(TcpServerTest, RequestWithTrailingBytesIsRejected) {
+  DetectionService service(TinyServeOptions());
+  ASSERT_TRUE(service.Start(table::ClickTable()).ok());
+  TcpServer server(&service, TcpServer::Options{0, 1});
+  for (const std::string& frame :
+       {EncodePing(), EncodeQueryUser(1), EncodeQueryItem(2),
+        EncodeQueryPair(1, 2), EncodeStats(), EncodeMetricsRequest()}) {
+    SCOPED_TRACE(testing::Message() << "opcode " << int{frame[4]});
+    const std::string exact = server.HandleRequest(frame.substr(4));
+    ASSERT_GT(exact.size(), 4u);
+    EXPECT_NE(static_cast<uint8_t>(exact[4]),
+              static_cast<uint8_t>(OpCode::kError));
+    const std::string padded = server.HandleRequest(frame.substr(4) + '\0');
+    EXPECT_EQ(DecodeError(padded.substr(4)).code(),
+              StatusCode::kInvalidArgument);
+  }
+  ASSERT_TRUE(service.Shutdown().ok());
+}
+
+// The telemetry cost model, checked without a wall clock: unsampled
+// requests take no clock read and observe no histogram (bench_serving still
+// reports the overhead ratio as a gauge).
+TEST(TelemetryGateTest, UnsampledRequestsReadNoClockAndObserveNothing) {
+  const uint64_t saved_sample = obs::TraceSampleEvery();
+  auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, 42);
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  DetectionService service(TinyServeOptions());
+  ASSERT_TRUE(service.Start(scenario->table).ok());
+  // HandleRequest runs in-process on this thread; no socket is needed.
+  TcpServer server(&service, TcpServer::Options{0, 1});
+
+  const table::ClickRecord row = scenario->table.row(0);
+  const std::vector<std::string> requests = {
+      EncodePing(),
+      EncodeQueryUser(row.user),
+      EncodeQueryItem(row.item),
+      EncodeQueryPair(row.user, row.item),
+      EncodeIngest({row}),
+  };
+  const auto serve_each = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const std::string reply =
+          server.HandleRequest(requests[i % requests.size()].substr(4));
+      ASSERT_GT(reply.size(), 4u);
+      ASSERT_NE(static_cast<uint8_t>(reply[4]),
+                static_cast<uint8_t>(OpCode::kError));
+    }
+  };
+
+  obs::SetTraceSampleEvery(0);  // no request is sampled
+  uint64_t reads = WallTimer::ThreadClockReads();
+  uint64_t observes = obs::Histogram::ThreadObserves();
+  serve_each(1000);
+  EXPECT_EQ(WallTimer::ThreadClockReads() - reads, 0u);
+  EXPECT_EQ(obs::Histogram::ThreadObserves() - observes, 0u);
+
+  // Sampled requests do show up in both hooks, so the zeros above are not
+  // vacuous: each one reads the clock at least twice and observes at least
+  // its request latency.
+  obs::SetTraceSampleEvery(1);
+  reads = WallTimer::ThreadClockReads();
+  observes = obs::Histogram::ThreadObserves();
+  serve_each(requests.size());
+  EXPECT_GE(WallTimer::ThreadClockReads() - reads, 2 * requests.size());
+  EXPECT_GE(obs::Histogram::ThreadObserves() - observes, requests.size());
+
+  obs::SetTraceSampleEvery(saved_sample);
   ASSERT_TRUE(service.Shutdown().ok());
 }
 

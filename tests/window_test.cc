@@ -1,10 +1,10 @@
 // Tests for the windowed click retention layer (src/window): segment seal
 // and eviction edge cases, accounting conservation, the invariant
 // validators, a TSan-targeted seal/evict-vs-snapshot race, and the
-// load-bearing windowed differential — a regime-shift click stream served
-// through the windowed DetectionService (pipelined rebuilds racing ingest)
-// must end bit-identical to an offline pipeline bootstrapped over an
-// independent pure-ClickWindow replay of the same timestamped trace.
+// load-bearing windowed differential — every publish of a regime-shift click
+// stream served through the windowed DetectionService must be bit-identical
+// to an offline Run over an independent pure-ClickWindow replay of the same
+// timestamped trace, cut for cut.
 
 #include <algorithm>
 #include <atomic>
@@ -15,9 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include "check/diff_result.h"
 #include "check/validate_window.h"
 #include "common/thread_pool.h"
-#include "ricd/incremental.h"
+#include "ricd/framework.h"
 #include "scenario/materialize.h"
 #include "scenario/registry.h"
 #include "serve/detection_service.h"
@@ -340,12 +341,13 @@ core::FrameworkOptions TinyFrameworkOptions() {
   return options;
 }
 
-// Streams the regime_shift preset through the windowed service (pipelined
-// rebuilds on, retention active), then compares the final published verdicts
-// — flagged ids AND risks AND blocked pairs — against an offline bootstrap
-// over an independent pure-ClickWindow replay of the identical trace. Runs
-// the full matrix of ≥2 seeds × ≥2 retention settings.
-TEST(WindowedDifferentialTest, OnlineWindowedEqualsOfflineOverRetainedRows) {
+// Streams the regime_shift preset through the windowed service in 256-row
+// cuts, draining after each, and compares every drained publish — flagged
+// ids AND risks AND blocked pairs — against an offline Run over an
+// independent pure-ClickWindow replay of the same trace up to the same cut.
+// Runs 2 seeds x 2 retention settings. Each seed must see a publish retract
+// a verdict: retention evicted the rows that supported it.
+TEST(WindowedDifferentialTest, EveryPublishEqualsOfflineRunOverRetainedRows) {
   struct Retention {
     uint64_t max_clicks;
     uint64_t max_seconds;
@@ -355,7 +357,10 @@ TEST(WindowedDifferentialTest, OnlineWindowedEqualsOfflineOverRetainedRows) {
       {2000, 0, 256},   // count-bounded
       {0, 4000, 128},   // time-bounded
   };
+  constexpr size_t kCut = 256;
+  const core::RicdFramework offline(TinyFrameworkOptions());
   for (const uint64_t seed : {42u, 7u}) {
+    uint64_t retractions = 0;
     for (const Retention& retention : retentions) {
       SCOPED_TRACE(testing::Message()
                    << "seed " << seed << " max_clicks " << retention.max_clicks
@@ -373,36 +378,59 @@ TEST(WindowedDifferentialTest, OnlineWindowedEqualsOfflineOverRetainedRows) {
       options.framework = TinyFrameworkOptions();
       options.ingest_batch = 256;
       options.max_batch_delay_ms = 2;
-      options.pipelined_rebuilds = true;
       options.window.max_clicks = retention.max_clicks;
       options.window.max_seconds = retention.max_seconds;
       options.window.segment_clicks = retention.segment_clicks;
 
       serve::DetectionService service(options);
       ASSERT_TRUE(service.Start(table::ClickTable()).ok());
-      for (const ricd::scenario::ArrivalEvent& ev : schedule) {
-        const table::ClickRecord rec = materialized->table.row(ev.row);
-        Status pushed = service.IngestClickAt(rec, ev.ts);
-        while (!pushed.ok() &&
-               pushed.code() == StatusCode::kResourceExhausted) {
-          std::this_thread::yield();
-          pushed = service.IngestClickAt(rec, ev.ts);
-        }
-        ASSERT_TRUE(pushed.ok()) << pushed;
-      }
-      ASSERT_TRUE(service.Drain().ok());
-      ASSERT_TRUE(service.WaitForRebuild().ok());
-      // The final synchronous rebuild re-bootstraps from exactly the
-      // retained window, retracting anything only supported by evicted rows.
-      ASSERT_TRUE(service.ForceRebuild().ok());
-
       // Offline reference: an independent window replay of the same trace.
       // Retention is a pure function of (options, append sequence,
-      // timestamps), so this window retains the same rows the service's did.
+      // timestamps), so this window retains the same rows the service's
+      // does at every cut.
       ClickWindow replay(options.window);
-      for (const ricd::scenario::ArrivalEvent& ev : schedule) {
-        replay.Append(materialized->table.row(ev.row), ev.ts);
+      std::vector<table::UserId> prev_users;
+      std::vector<table::ItemId> prev_items;
+      for (size_t begin = 0; begin < schedule.size(); begin += kCut) {
+        const size_t end = std::min(schedule.size(), begin + kCut);
+        SCOPED_TRACE(testing::Message() << "cut ending at row " << end);
+        for (size_t i = begin; i < end; ++i) {
+          const ricd::scenario::ArrivalEvent& ev = schedule[i];
+          const table::ClickRecord rec = materialized->table.row(ev.row);
+          Status pushed = service.IngestClickAt(rec, ev.ts);
+          while (!pushed.ok() &&
+                 pushed.code() == StatusCode::kResourceExhausted) {
+            std::this_thread::yield();
+            pushed = service.IngestClickAt(rec, ev.ts);
+          }
+          ASSERT_TRUE(pushed.ok()) << pushed;
+          replay.Append(rec, ev.ts);
+        }
+        ASSERT_TRUE(service.Drain().ok());
+
+        const table::ClickTable retained = replay.MaterializeRetained();
+        core::FrameworkResult want;
+        if (!retained.empty()) {
+          auto run = offline.Run(retained);
+          ASSERT_TRUE(run.ok()) << run.status();
+          want = std::move(run).value();
+        }
+        const serve::VerdictStore::ReadRef served = service.Verdicts();
+        EXPECT_EQ(served->stats.applied, end);
+        const Status same = check::DiffVerdictSnapshot(want, retained, *served);
+        ASSERT_TRUE(same.ok()) << same;
+        if (!std::includes(served->flagged_users.begin(),
+                           served->flagged_users.end(), prev_users.begin(),
+                           prev_users.end()) ||
+            !std::includes(served->flagged_items.begin(),
+                           served->flagged_items.end(), prev_items.begin(),
+                           prev_items.end())) {
+          ++retractions;
+        }
+        prev_users = served->flagged_users;
+        prev_items = served->flagged_items;
       }
+
       const window::WindowStats replay_stats = replay.stats();
       const window::WindowStats served_stats = service.window_stats();
       EXPECT_EQ(served_stats.appended_rows, replay_stats.appended_rows);
@@ -412,47 +440,9 @@ TEST(WindowedDifferentialTest, OnlineWindowedEqualsOfflineOverRetainedRows) {
       EXPECT_EQ(served_stats.clock_high, replay_stats.clock_high);
       // Retention did real work in this configuration.
       EXPECT_GT(replay_stats.evicted_rows, 0u);
-
-      core::IncrementalRicd offline(TinyFrameworkOptions());
-      ASSERT_TRUE(offline.Bootstrap(replay.MaterializeRetained()).ok());
-
-      const serve::VerdictStore::ReadRef served = service.Verdicts();
-      std::vector<std::pair<table::UserId, double>> expected_users(
-          offline.flagged_users().begin(), offline.flagged_users().end());
-      std::sort(expected_users.begin(), expected_users.end());
-      ASSERT_EQ(served->flagged_users.size(), expected_users.size());
-      for (size_t i = 0; i < expected_users.size(); ++i) {
-        EXPECT_EQ(served->flagged_users[i], expected_users[i].first);
-        EXPECT_EQ(served->user_risks[i], expected_users[i].second)
-            << "risk drift for user " << expected_users[i].first;
-      }
-      std::vector<std::pair<table::ItemId, double>> expected_items(
-          offline.flagged_items().begin(), offline.flagged_items().end());
-      std::sort(expected_items.begin(), expected_items.end());
-      ASSERT_EQ(served->flagged_items.size(), expected_items.size());
-      for (size_t i = 0; i < expected_items.size(); ++i) {
-        EXPECT_EQ(served->flagged_items[i], expected_items[i].first);
-        EXPECT_EQ(served->item_risks[i], expected_items[i].second)
-            << "risk drift for item " << expected_items[i].first;
-      }
-
-      std::vector<std::pair<table::UserId, table::ItemId>> expected_pairs;
-      const table::ClickTable consolidated = offline.MaterializeTable();
-      for (size_t i = 0; i < consolidated.num_rows(); ++i) {
-        const table::ClickRecord rec = consolidated.row(i);
-        if (offline.IsFlaggedUser(rec.user) &&
-            offline.IsFlaggedItem(rec.item)) {
-          expected_pairs.emplace_back(rec.user, rec.item);
-        }
-      }
-      std::sort(expected_pairs.begin(), expected_pairs.end());
-      expected_pairs.erase(
-          std::unique(expected_pairs.begin(), expected_pairs.end()),
-          expected_pairs.end());
-      EXPECT_EQ(served->blocked_pairs, expected_pairs);
-
       ASSERT_TRUE(service.Shutdown().ok());
     }
+    EXPECT_GT(retractions, 0u) << "seed " << seed;
   }
 }
 

@@ -82,8 +82,8 @@ constexpr SuiteScenario kSuite[] = {
     {"serving", "bench_serving", "small", "42"},
     {"medium_pipeline", "bench_scaling", "medium", "42"},
     {"adversarial", "bench_adversarial", "tiny", "42"},
-    // Windowed serving: sustained ingest qps, eviction cost and rebuild
-    // overlap latency over the regime_shift preset.
+    // Windowed serving: sustained ingest qps, eviction cost and ingest/query
+    // latency beside back-to-back detection runs over regime_shift.
     {"streaming", "bench_streaming", "tiny", "42"},
 };
 

@@ -1,6 +1,6 @@
 // The sanctioned shape: a bench that materializes a named registry preset
-// (or goes through the MaterializeCustom/InjectCampaign wrappers for
-// parameter sweeps). Nothing here may trip ad-hoc-workload.
+// (or goes through the MaterializeCustom wrapper for parameter sweeps).
+// Nothing here may trip ad-hoc-workload.
 
 #include "scenario/materialize.h"
 #include "scenario/registry.h"
@@ -15,9 +15,6 @@ void RunBench() {
   gen::AttackConfig attack;
   gen::OrganicCommunityConfig clubs;
   auto custom = scenario::MaterializeCustom(background, attack, clubs, 42);
-
-  Rng rng(7);
-  auto extra = scenario::InjectCampaign(attack, custom->table, rng);
 }
 
 }  // namespace ricd

@@ -49,8 +49,8 @@
 //                              calls outside src/gen, src/scenario and
 //                              tests/ — benches and tools materialize named
 //                              scenario-registry specs (or the sanctioned
-//                              MaterializeCustom/InjectCampaign wrappers)
-//                              so every workload is reproducible by name
+//                              MaterializeCustom wrapper) so every workload
+//                              is reproducible by name
 //   atomic-order-justify       every memory_order_relaxed / memory_order
 //                              _consume operand and every standalone
 //                              atomic_thread_fence/atomic_signal_fence in
@@ -637,7 +637,7 @@ class Linter {
         Report(file, line_no, "ad-hoc-workload",
                "direct workload-generator call — materialize a named "
                "scenario (scenario::LoadScenario + Materialize, or "
-               "MaterializeCustom/InjectCampaign for parameter sweeps) so "
+               "MaterializeCustom for parameter sweeps) so "
                "every workload stays reproducible by name");
       }
       if (in_library && !append_sanctioned &&

@@ -25,7 +25,7 @@
 //   ricd_tool snapshot load --in=graph.snap [--mmap=true]
 //   ricd_tool snapshot info --in=graph.snap
 //   ricd_tool serve    --in=clicks.csv [--port=0] [--handlers=4]
-//                      [--batch=2048 --drift=8.0 --duration=0]
+//                      [--batch=2048 --duration=0]
 //                      [--k1= --k2= --alpha= --t-hot= --t-click=]
 //   ricd_tool client   --port=N --op=ping|user|item|pair|stats|ingest
 //                      [--user=ID] [--item=ID] [--in=clicks.csv]
@@ -36,7 +36,8 @@
 // protocol of src/serve until --duration seconds elapse (0 = until stdin
 // reaches EOF). --port=0 binds an ephemeral port (printed on stdout).
 // Environment knobs: RICD_SERVE_PORT (default port when --port is absent),
-// RICD_INGEST_BATCH and RICD_REBUILD_DRIFT (defaults for --batch/--drift).
+// RICD_INGEST_BATCH (default for --batch) and RICD_WINDOW_CLICKS /
+// RICD_WINDOW_SECONDS (retention of the rows every refresh re-detects over).
 // `client` speaks one request to a running server and prints the reply.
 // `monitor` pulls the METRICS exposition (Prometheus-style text plus the
 // most recent flight-recorder events) from a running server; --watch
@@ -131,7 +132,7 @@ int Usage() {
       "  detect    run the RICD framework and emit ranked suspects\n"
       "  i2i       top related items of an item (the manipulated ranking)\n"
       "  compare   score RICD and all baselines against a label file\n"
-      "  stream    replay a click file in batches through incremental RICD\n"
+      "  stream    replay a click file in batches, re-detecting after each\n"
       "  scenario  list workload presets or show one as canonical JSON\n"
       "  redteam   sweep attack families x knobs against the detector panel\n"
       "  selftest  generate a small workload and run the full pipeline once\n"
@@ -535,10 +536,9 @@ int RunStream(const FlagParser& flags) {
     cursor += per_batch;
     auto update = incremental.Ingest(batch);
     if (!update.ok()) return Fail(update.status());
-    std::printf("batch %2d: +%zu rows | region %u users / %u items / %llu "
-                "edges | newly flagged %zu users, %zu items\n",
-                ++batch_no, batch.num_rows(), update->region_users,
-                update->region_items,
+    std::printf("batch %2d: +%zu rows | re-detected over %llu edges | newly "
+                "flagged %zu users, %zu items\n",
+                ++batch_no, batch.num_rows(),
                 static_cast<unsigned long long>(update->region_edges),
                 update->newly_flagged_users.size(),
                 update->newly_flagged_items.size());
@@ -890,12 +890,10 @@ int RunServe(const FlagParser& flags) {
   const auto handlers = flags.GetInt("handlers", 4);
   const auto batch =
       flags.GetInt("batch", static_cast<int64_t>(options.ingest_batch));
-  const auto drift = flags.GetDouble("drift", options.rebuild_drift);
   const auto duration = flags.GetInt("duration", 0);
   if (!port.ok()) return Fail(port.status());
   if (!handlers.ok()) return Fail(handlers.status());
   if (!batch.ok()) return Fail(batch.status());
-  if (!drift.ok()) return Fail(drift.status());
   if (!duration.ok()) return Fail(duration.status());
   if (const int rc = RejectUnknown(flags)) return rc;
   if (*port < 0 || *port > 65535) {
@@ -905,10 +903,9 @@ int RunServe(const FlagParser& flags) {
     return Fail(Status::InvalidArgument("--batch and --handlers must be > 0"));
   }
   options.ingest_batch = static_cast<size_t>(*batch);
-  options.rebuild_drift = *drift;
 
   // A crashing server dumps its flight-recorder tail to stderr, so the
-  // last publishes/rebuilds/rejections before the fault are never lost.
+  // last publishes/rejections before the fault are never lost.
   obs::InstallCrashDump();
 
   serve::DetectionService service(options);
@@ -929,8 +926,8 @@ int RunServe(const FlagParser& flags) {
   serve::TcpServer server(&service, server_options);
   const Status listening = server.Start();
   if (!listening.ok()) return Fail(listening);
-  std::printf("serving on 127.0.0.1:%u (batch=%zu drift=%.2f handlers=%lld)\n",
-              server.port(), options.ingest_batch, options.rebuild_drift,
+  std::printf("serving on 127.0.0.1:%u (batch=%zu handlers=%lld)\n",
+              server.port(), options.ingest_batch,
               static_cast<long long>(*handlers));
   std::fflush(stdout);
 
@@ -949,12 +946,11 @@ int RunServe(const FlagParser& flags) {
   if (!drained.ok()) return Fail(drained);
   const auto verdicts = service.Verdicts();
   std::printf("served %llu connections; final epoch %llu: %zu flagged users, "
-              "%zu flagged items, %llu batches, %llu rebuilds\n",
+              "%zu flagged items, %llu batches\n",
               static_cast<unsigned long long>(server.connections_served()),
               static_cast<unsigned long long>(verdicts->epoch),
               verdicts->flagged_users.size(), verdicts->flagged_items.size(),
-              static_cast<unsigned long long>(verdicts->stats.batches),
-              static_cast<unsigned long long>(verdicts->stats.rebuilds));
+              static_cast<unsigned long long>(verdicts->stats.batches));
   return 0;
 }
 
@@ -1030,10 +1026,6 @@ int RunClient(const FlagParser& flags) {
                 static_cast<unsigned long long>(reply->stats.applied));
     std::printf("batches:        %llu\n",
                 static_cast<unsigned long long>(reply->stats.batches));
-    std::printf("rebuilds:       %llu\n",
-                static_cast<unsigned long long>(reply->stats.rebuilds));
-    std::printf("rebuilding:     %s\n",
-                reply->stats.rebuild_in_progress != 0 ? "yes" : "no");
     std::printf("window rows:    %llu retained / %llu evicted\n",
                 static_cast<unsigned long long>(
                     reply->stats.window_retained_rows),
