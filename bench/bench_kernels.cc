@@ -199,25 +199,6 @@ void BM_IntersectionDense(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectionDense)->Arg(1024)->Arg(16384);
 
-void BM_CountAtLeast(benchmark::State& state) {
-  // The SquarePruning qualification scan: count touched ids whose count
-  // clears the threshold.
-  const int64_t n = state.range(0);
-  Rng rng(3);
-  std::vector<uint32_t> counts(4 * n, 0);
-  std::vector<graph::VertexId> ids;
-  for (int64_t i = 0; i < n; ++i) {
-    const auto id = static_cast<graph::VertexId>(rng.Uniform(4 * n));
-    counts[id] = static_cast<uint32_t>(rng.Uniform(16));
-    ids.push_back(id);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::CountAtLeast(counts, ids, 8));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_CountAtLeast)->Arg(1024)->Arg(65536);
-
 void BM_BitsetProbe(benchmark::State& state) {
   // CopyCatch's one-vs-many shape: one base loaded once, many probes
   // counted against it.
@@ -309,15 +290,14 @@ BENCHMARK(BM_SquarePruning)
     ->Arg(static_cast<int>(gen::ScenarioScale::kSmall))
     ->Unit(benchmark::kMillisecond);
 
-/// Round-based parallel pruning at an explicit worker count (arg), with the
-/// sequential fallback disabled so the round machinery itself is measured.
+/// Parallel pruning at an explicit worker count (arg), with the CorePruning
+/// frontier fallback disabled so the atomic frontier path is measured too.
 /// Output is bit-identical across args by construction; this bench tracks
-/// the schedule's cost/scaling, bench_parallel_scaling asserts the ratio.
+/// the schedule's cost/scaling, bench_parallel_scaling records the ratio.
 void BM_SquarePruningParallel(benchmark::State& state) {
   const auto& g = CachedGraph(gen::ScenarioScale::kSmall);
   engine::WorkerEngine engine(static_cast<size_t>(state.range(0)));
   core::PruneSchedule schedule;
-  schedule.sequential_cutoff = 0;
   schedule.frontier_cutoff = 0;
   core::ExtensionBicliqueExtractor extractor(KernelParams(), &engine, schedule);
   graph::MutableView view(g);

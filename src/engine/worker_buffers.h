@@ -12,12 +12,9 @@ namespace ricd::engine {
 /// each worker appends only to its own buffer (no sharing, no locks);
 /// afterwards the calling thread folds the buffers in worker order, so the
 /// committed result depends only on the range partition, never on thread
-/// scheduling. CorePruning merges next-frontier buffers through this,
-/// SquarePruning merges per-round removal candidates.
-///
-/// Buffers keep their heap capacity across Clear(), so a round loop reuses
-/// the allocations instead of paying one per round. Each worker's vector
-/// header lives in its own cache line to keep appends from false-sharing.
+/// scheduling. CorePruning merges its seed and next-frontier buffers
+/// through this. Each worker's vector header lives in its own cache line to
+/// keep appends from false-sharing.
 template <typename T>
 class PerWorkerBuffers {
  public:
@@ -31,18 +28,11 @@ class PerWorkerBuffers {
     return slots_[worker].items;
   }
 
-  /// Empties every buffer, keeping capacity.
-  void Clear() {
-    for (Slot& slot : slots_) slot.items.clear();
-  }
-
   size_t TotalSize() const {
     size_t total = 0;
     for (const Slot& slot : slots_) total += slot.items.size();
     return total;
   }
-
-  bool Empty() const { return TotalSize() == 0; }
 
   /// Appends every buffer to `out` in worker order. When workers own
   /// contiguous ascending ranges and append in range order (the

@@ -164,27 +164,6 @@ uint64_t IntersectionAtLeast(std::span<const VertexId> a,
   return IntersectCapped(a, b, threshold);
 }
 
-uint64_t CountAtLeast(std::span<const uint32_t> counts,
-                      std::span<const VertexId> ids, uint32_t threshold) {
-  uint64_t q = 0;
-  size_t k = 0;
-  const size_t n = ids.size();
-  for (; k + 8 <= n; k += 8) {
-    q += static_cast<uint64_t>(counts[ids[k + 0]] >= threshold) +
-         static_cast<uint64_t>(counts[ids[k + 1]] >= threshold) +
-         static_cast<uint64_t>(counts[ids[k + 2]] >= threshold) +
-         static_cast<uint64_t>(counts[ids[k + 3]] >= threshold) +
-         static_cast<uint64_t>(counts[ids[k + 4]] >= threshold) +
-         static_cast<uint64_t>(counts[ids[k + 5]] >= threshold) +
-         static_cast<uint64_t>(counts[ids[k + 6]] >= threshold) +
-         static_cast<uint64_t>(counts[ids[k + 7]] >= threshold);
-  }
-  for (; k < n; ++k) {
-    q += static_cast<uint64_t>(counts[ids[k]] >= threshold);
-  }
-  return q;
-}
-
 void BitsetIntersector::Load(std::span<const VertexId> base, uint32_t universe) {
   RICD_DCHECK(StrictlyAscending(base));
   // Clear only the words the previous base touched.

@@ -23,14 +23,6 @@ uint64_t IntersectionSize(std::span<const VertexId> a, std::span<const VertexId>
 uint64_t IntersectionAtLeast(std::span<const VertexId> a,
                              std::span<const VertexId> b, uint64_t threshold);
 
-/// Vectorized counting kernel of the SquarePruning qualified test: the
-/// number of ids in `ids` whose counts[id] >= threshold. Branch-free and
-/// 8-wide unrolled (gather + compare + sum), so the pass over a candidate's
-/// touched list costs a predictable ~1 load per element instead of a
-/// mispredicted branch per element.
-uint64_t CountAtLeast(std::span<const uint32_t> counts,
-                      std::span<const VertexId> ids, uint32_t threshold);
-
 /// Reusable one-vs-many intersection counter: Load() a base set once into a
 /// word bitset, then Count() answers |base ∩ probe| with one branch-free
 /// bit test per probe element — cheaper than a per-pair sorted merge when

@@ -41,9 +41,14 @@ inline constexpr char kRicdExtractionItemsPrunedCore[] =
     "ricd.extraction.items_pruned_core";
 inline constexpr char kRicdExtractionItemsPrunedSquare[] =
     "ricd.extraction.items_pruned_square";
+// SquarePruning rechecks: pass-start PASSes re-evaluated in the commit walk
+// because one of their witnesses was removed earlier in it.
 inline constexpr char kRicdExtractionRoundRechecks[] =
     "ricd.extraction.round_rechecks";
+// SquarePruning side passes, one per side per sweep.
 inline constexpr char kRicdExtractionRounds[] = "ricd.extraction.rounds";
+// SquarePruning pass-start Lemma-2 evaluations, one per candidate per side
+// pass (rechecks not included).
 inline constexpr char kRicdExtractionScratchReuses[] =
     "ricd.extraction.scratch_reuses";
 inline constexpr char kRicdExtractionSweeps[] = "ricd.extraction.sweeps";

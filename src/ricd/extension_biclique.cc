@@ -11,7 +11,6 @@
 #include "common/logging.h"
 #include "engine/worker_buffers.h"
 #include "graph/connected_components.h"
-#include "graph/intersection.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -143,10 +142,12 @@ CompactSubgraph CompactActive(const graph::MutableView& view,
 
 /// Reusable per-worker scratch of the Lemma-2 test: a flat counting array
 /// (reset cost proportional to the touched list, not to n) plus the touched
-/// list itself. Pooled per worker and reused across every candidate and
-/// round — the parallel schedule allocates nothing per candidate.
-/// `two_hop_entries` tallies the second-hop entries the test has read.
-struct PruneScratch {
+/// list itself. Pooled per worker and reused across every candidate of a
+/// side pass — the evaluation allocates nothing per candidate. One cache
+/// line per worker, so neighbouring workers' `touched` appends never write
+/// to a shared line. `two_hop_entries` tallies the second-hop entries the
+/// test has read.
+struct alignas(64) PruneScratch {
   std::vector<uint32_t> counts;
   std::vector<VertexId> touched;
   uint64_t two_hop_entries = 0;
@@ -155,18 +156,21 @@ struct PruneScratch {
     if (counts.size() < n) counts.assign(n, 0);
   }
 };
+static_assert(alignof(PruneScratch) == 64 && sizeof(PruneScratch) % 64 == 0,
+              "PruneScratch must fill whole cache lines");
 
 /// The Lemma-2 qualification test for local candidate `x` of `side`: counts,
 /// for every alive same-side vertex y reachable in two hops,
-/// |N(x) ∩ N(y)| over the compact subgraph, then asks whether at least
-/// `neighbors_needed` of them (x itself included) reach `common_needed`.
-/// Every counterpart in `sub` is active for the whole side pass, so only
-/// same-side vertices need the `alive` test. Read-only on `sub` and `alive`,
-/// so any number of workers may run it concurrently between commits.
+/// |N(x) ∩ N(y)| over the compact subgraph, then scans the touched list for
+/// the first `witnesses.size()` vertices (x itself included) that reach
+/// `common_needed`, writing them to `witnesses`. Passes iff it fills
+/// `witnesses`. Every counterpart in `sub` is active for the whole side
+/// pass, so only same-side vertices need the `alive` test. Read-only on
+/// `sub` and `alive`, so any number of workers may run it concurrently.
 bool PassesLemma2(const CompactSubgraph& sub, Side side,
                   const std::vector<uint8_t>& alive, VertexId x,
-                  uint32_t common_needed, uint32_t neighbors_needed,
-                  PruneScratch& scratch) {
+                  uint32_t common_needed, PruneScratch& scratch,
+                  std::span<VertexId> witnesses) {
   const Side other = Other(side);
   scratch.touched.clear();
   uint64_t entries = 0;
@@ -182,11 +186,14 @@ bool PassesLemma2(const CompactSubgraph& sub, Side side,
 
   // counts[x] is x's own active degree, so x is counted as its own
   // (alpha, k)-neighbor exactly when Lemma 1 already holds for it.
-  const uint64_t qualified =
-      graph::CountAtLeast(scratch.counts, scratch.touched, common_needed);
+  size_t found = 0;
+  for (const VertexId y : scratch.touched) {
+    if (found == witnesses.size()) break;
+    if (scratch.counts[y] >= common_needed) witnesses[found++] = y;
+  }
 
   for (const VertexId y : scratch.touched) scratch.counts[y] = 0;
-  return qualified >= neighbors_needed;
+  return found == witnesses.size();
 }
 
 }  // namespace
@@ -306,8 +313,6 @@ void ExtensionBicliqueExtractor::CorePruning(graph::MutableView& view,
 void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
                                                  Side side, bool ordered,
                                                  ExtractionStats* stats) const {
-  const size_t workers = engine_->num_workers();
-
   // A side pass removes only `side` vertices, so the other side is fixed
   // for the whole pass: the compact subgraph taken here stays exact, with
   // same-side removals tracked in `alive` and committed to the view as they
@@ -345,7 +350,44 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
     });
   }
 
-  const auto commit_removal = [&](VertexId x) {
+  // One evaluation per candidate, in parallel over local ids (a split of
+  // `order` would hand the heaviest candidates to the last worker), against
+  // the pass-start state. A pass records its witnesses: the first
+  // `neighbors_needed` qualifying same-side vertices it found.
+  const size_t workers = engine_->num_workers();
+  std::vector<PruneScratch> scratch(workers);
+  std::vector<uint8_t> passed(n, 0);
+  std::vector<VertexId> witnesses(static_cast<size_t>(n) * neighbors_needed);
+  const auto witnesses_of = [&](VertexId x) {
+    return std::span<VertexId>(witnesses)
+        .subspan(static_cast<size_t>(x) * neighbors_needed, neighbors_needed);
+  };
+  engine_->ParallelForChunks(n, [&](size_t worker, engine::VertexRange range) {
+    PruneScratch& sc = scratch[worker];
+    sc.EnsureUniverse(n);
+    for (VertexId x = range.begin; x < range.end; ++x) {
+      passed[x] = PassesLemma2(sub, side, alive, x, common_needed, sc,
+                               witnesses_of(x));
+    }
+  });
+
+  // Commit in candidate order. A side pass removes only `side` vertices,
+  // so every count is fixed for the pass and the qualified set only
+  // shrinks (DESIGN.md §9.2): a pass-start FAIL is a FAIL at its turn, and
+  // a pass-start PASS stands while its witnesses live. Otherwise the
+  // candidate is rechecked against the live state on this thread.
+  uint64_t rechecks = 0;
+  for (const VertexId x : order) {
+    bool keep = passed[x] != 0;
+    if (keep) {
+      const std::span<VertexId> w = witnesses_of(x);
+      if (std::any_of(w.begin(), w.end(),
+                      [&](VertexId y) { return alive[y] == 0; })) {
+        ++rechecks;
+        keep = PassesLemma2(sub, side, alive, x, common_needed, scratch[0], w);
+      }
+    }
+    if (keep) continue;
     alive[x] = 0;
     view.Remove(side, sub.Original(side, x));
     if (stats != nullptr) {
@@ -355,94 +397,13 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
         ++stats->items_removed_square;
       }
     }
-  };
-
-  // Sequential path (single worker or tiny candidate list): the classic
-  // immediate-removal cascade. This is the reference schedule the round
-  // path must match bit for bit.
-  if (workers == 1 || order.size() < schedule_.sequential_cutoff) {
-    PruneScratch scratch;
-    scratch.EnsureUniverse(n);
-    for (const VertexId x : order) {
-      if (!PassesLemma2(sub, side, alive, x, common_needed, neighbors_needed,
-                        scratch)) {
-        commit_removal(x);
-      }
-    }
-    ExtractionCounters::Get().two_hop_entries->Add(scratch.two_hop_entries);
-    return;
   }
 
-  // Round-based parallel schedule. Each round evaluates a slice of the
-  // candidate order against the ROUND-START view in parallel (per-worker
-  // pooled scratch, zero allocation per candidate), then commits decisions
-  // in candidate order. Serial equivalence rests on Lemma-2 monotonicity:
-  // a side pass only removes same-side vertices, removals only shrink the
-  // qualified set, so
-  //   * a snapshot FAIL stays a fail under the (smaller) sequential view at
-  //     that candidate's turn -> removal commits without re-checking;
-  //   * a snapshot PASS is final while no removal precedes the candidate in
-  //     this round (the views coincide), and is re-evaluated against the
-  //     live view otherwise — exactly the sequential state at its turn.
-  std::vector<PruneScratch> scratch(workers);
-  for (PruneScratch& s : scratch) s.EnsureUniverse(n);
-  engine::PerWorkerBuffers<uint32_t> fail_buf(workers);
-  std::vector<uint32_t> fails;
-  RoundScheduler rounds(schedule_);
-  uint64_t rounds_run = 0;
-  uint64_t rechecks = 0;
-  uint64_t pooled_evals = 0;
-  size_t pos = 0;
-  while (pos < order.size()) {
-    const uint32_t round_size = rounds.NextRoundSize(order.size() - pos);
-    RICD_TRACE_SPAN("ricd.extraction.square_round");
-    fail_buf.Clear();
-    engine_->ParallelForChunks(
-        round_size, [&](size_t worker, engine::VertexRange range) {
-          PruneScratch& sc = scratch[worker];
-          auto& out = fail_buf.ForWorker(worker);
-          for (uint32_t i = range.begin; i < range.end; ++i) {
-            if (!PassesLemma2(sub, side, alive, order[pos + i], common_needed,
-                              neighbors_needed, sc)) {
-              out.push_back(i);
-            }
-          }
-        });
-    fails.clear();
-    fail_buf.ConcatTo(&fails);  // contiguous ascending ranges -> sorted
-
-    uint32_t removals = 0;
-    if (!fails.empty()) {
-      // Candidates before the first snapshot failure saw a view identical
-      // to the snapshot — their PASS is final; start committing there.
-      size_t f = 0;
-      for (uint32_t i = fails[0]; i < round_size; ++i) {
-        const VertexId x = order[pos + i];
-        bool remove;
-        if (f < fails.size() && fails[f] == i) {
-          remove = true;
-          ++f;
-        } else {
-          ++rechecks;
-          remove = !PassesLemma2(sub, side, alive, x, common_needed,
-                                 neighbors_needed, scratch[0]);
-        }
-        if (remove) {
-          commit_removal(x);
-          ++removals;
-        }
-      }
-    }
-    rounds.Observe(round_size, removals);
-    ++rounds_run;
-    pooled_evals += round_size;
-    pos += round_size;
-  }
   uint64_t two_hop_entries = 0;
   for (const PruneScratch& s : scratch) two_hop_entries += s.two_hop_entries;
-  ExtractionCounters::Get().rounds->Add(rounds_run);
+  ExtractionCounters::Get().rounds->Add(1);
   ExtractionCounters::Get().round_rechecks->Add(rechecks);
-  ExtractionCounters::Get().scratch_reuses->Add(pooled_evals);
+  ExtractionCounters::Get().scratch_reuses->Add(n);
   ExtractionCounters::Get().two_hop_entries->Add(two_hop_entries);
 }
 

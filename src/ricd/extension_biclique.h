@@ -10,9 +10,17 @@
 #include "graph/group.h"
 #include "graph/mutable_view.h"
 #include "ricd/params.h"
-#include "ricd/round_scheduler.h"
 
 namespace ricd::core {
+
+/// Scheduling knob of the parallel CorePruning phase. It only steers how
+/// work is batched across workers; every value produces bit-identical
+/// output (DESIGN.md §9).
+struct PruneSchedule {
+  /// CorePruning frontiers smaller than this are expanded on the calling
+  /// thread (no atomics) instead of across workers.
+  uint32_t frontier_cutoff = 2048;
+};
 
 /// Counters reported by one extraction run (used by the ablation bench).
 struct ExtractionStats {
@@ -38,22 +46,23 @@ struct ExtractionStats {
 ///
 /// Both pruning phases are parallel AND deterministic: CorePruning runs as
 /// level-synchronous frontiers (the fixpoint is order-independent), and
-/// SquarePruning runs in rounds whose candidates are evaluated against the
-/// round-start view and committed in candidate order — provably equivalent
-/// to the sequential immediate-removal schedule (DESIGN.md §9), so output
-/// is bit-identical for every worker count.
+/// each SquarePruning side pass evaluates every candidate once against the
+/// pass-start view, then commits in candidate order, rechecking a pass only
+/// when one of its witnesses was removed earlier in the walk — provably
+/// equivalent to the sequential immediate-removal schedule (DESIGN.md §9),
+/// so output is bit-identical for every worker count.
 ///
 /// The surviving subgraph's connected components with >= k1 users and
 /// >= k2 items are returned as suspicious groups.
 class ExtensionBicliqueExtractor {
  public:
   /// `engine` runs every data-parallel phase (degree scans, two-hop sizes,
-  /// frontier expansion, round evaluation); `schedule` steers batching only
-  /// and defaults to the env-tunable adaptive schedule (RICD_ROUND_SIZE).
+  /// frontier expansion, Lemma-2 evaluation); `schedule` steers CorePruning
+  /// batching only.
   explicit ExtensionBicliqueExtractor(
       RicdParams params,
       const engine::WorkerEngine* engine = &engine::DefaultEngine(),
-      PruneSchedule schedule = PruneSchedule::FromEnv())
+      PruneSchedule schedule = {})
       : params_(params), engine_(engine), schedule_(schedule) {}
 
   /// Runs pruning + component extraction over `graph`. Fails with
@@ -75,15 +84,15 @@ class ExtensionBicliqueExtractor {
   void SquarePruning(graph::MutableView& view, bool ordered,
                      ExtractionStats* stats) const;
 
-  const PruneSchedule& schedule() const { return schedule_; }
+  /// Exposed for tests: one SquarePruning side pass, which removes only
+  /// `side` vertices.
+  void SquarePruneSide(graph::MutableView& view, graph::Side side, bool ordered,
+                       ExtractionStats* stats) const;
 
  private:
   Result<std::vector<graph::Group>> ExtractImpl(const graph::BipartiteGraph& graph,
                                                 bool square,
                                                 ExtractionStats* stats) const;
-
-  void SquarePruneSide(graph::MutableView& view, graph::Side side, bool ordered,
-                       ExtractionStats* stats) const;
 
   RicdParams params_;
   const engine::WorkerEngine* engine_;

@@ -125,33 +125,6 @@ TEST(IntersectionTest, BlockMergeHandlesUnalignedTails) {
   }
 }
 
-TEST(CountAtLeastTest, MatchesScalarLoop) {
-  Rng rng(99);
-  std::vector<uint32_t> counts(500, 0);
-  for (int trial = 0; trial < 30; ++trial) {
-    std::set<VertexId> touched_set;
-    const int m = 1 + static_cast<int>(rng.Uniform(200));
-    for (int i = 0; i < m; ++i) {
-      const auto id = static_cast<VertexId>(rng.Uniform(500));
-      touched_set.insert(id);
-      counts[id] = static_cast<uint32_t>(rng.Uniform(10));
-    }
-    const std::vector<VertexId> ids(touched_set.begin(), touched_set.end());
-    for (const uint32_t threshold : {0u, 1u, 3u, 9u, 100u}) {
-      uint64_t expected = 0;
-      for (const VertexId id : ids) expected += counts[id] >= threshold;
-      EXPECT_EQ(CountAtLeast(counts, ids, threshold), expected)
-          << "trial=" << trial << " threshold=" << threshold;
-    }
-    for (const VertexId id : ids) counts[id] = 0;
-  }
-}
-
-TEST(CountAtLeastTest, EmptyIds) {
-  const std::vector<uint32_t> counts(10, 5);
-  EXPECT_EQ(CountAtLeast(counts, {}, 1), 0u);
-}
-
 TEST(BitsetIntersectorTest, CountMatchesMergeKernel) {
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {

@@ -1,12 +1,15 @@
-// Differential tests for the deterministic parallel pruning phases: the
-// round-based SquarePruning and frontier CorePruning must produce output
-// bit-identical to the sequential reference schedule for every worker
-// count, seed, and parameter shape. Also unit-tests the two scheduling
-// building blocks (RoundScheduler, PerWorkerBuffers).
+// Differential tests for the deterministic parallel pruning phases. Every
+// witness-certified SquarePruning side pass must leave the view exactly as
+// an independent reference does — the immediate-removal cascade of
+// Algorithm 3, written here over the full adjacency — at every worker
+// count, seed and parameter shape; frontier CorePruning must match the
+// sequential fixpoint; and full extraction must be bit-identical across
+// worker counts. Also unit-tests PerWorkerBuffers.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <cmath>
 #include <tuple>
 #include <vector>
 
@@ -15,10 +18,11 @@
 #include "engine/worker_buffers.h"
 #include "engine/worker_engine.h"
 #include "graph/graph_builder.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "ricd/extension_biclique.h"
 #include "ricd/framework.h"
 #include "ricd/identification.h"
-#include "ricd/round_scheduler.h"
 
 namespace ricd::core {
 namespace {
@@ -26,23 +30,18 @@ namespace {
 using graph::Side;
 using graph::VertexId;
 
-/// A schedule that forces the parallel machinery on even for the small
-/// graphs tests can afford: no sequential fallback, no frontier fallback,
-/// and tiny rounds so one extraction runs many of them (plenty of chances
-/// for a round to straddle a removal cascade).
+/// A schedule that expands CorePruning frontiers across workers even for
+/// the small graphs tests can afford.
 PruneSchedule ForcedParallelSchedule() {
   PruneSchedule s;
-  s.sequential_cutoff = 0;
   s.frontier_cutoff = 0;
-  s.min_round = 4;
-  s.initial_round = 8;
-  s.max_round = 64;
   return s;
 }
 
-/// Messy workload: three overlapping planted bicliques of different sizes
-/// plus background noise, so pruning has real cascades to resolve (square
-/// removals re-triggering core removals across several sweeps).
+/// Messy workload: three overlapping planted bicliques of different sizes,
+/// a dense random block and background noise, so pruning has real cascades
+/// to resolve (square removals re-triggering core removals across several
+/// sweeps).
 table::ClickTable MakeWorkload(uint64_t seed) {
   table::ClickTable t;
   Rng rng(seed);
@@ -59,6 +58,14 @@ table::ClickTable MakeWorkload(uint64_t seed) {
     for (uint32_t i = 0; i < 6; ++i) {
       if (u == i) continue;
       t.Append(300 + u, 2000 + i, 7);
+    }
+  }
+  // Dense block: 100 users clicking 6 random items from a 50-item pool, so
+  // many users sit at the Lemma-2 threshold and rechecks flip verdicts.
+  for (uint32_t u = 0; u < 100; ++u) {
+    for (uint32_t d = 0; d < 6; ++d) {
+      t.Append(20000 + u, 5000 + static_cast<table::ItemId>(rng.Uniform(50)),
+               1);
     }
   }
   // Noise: 400 users clicking 2-5 random items from a 300-item pool.
@@ -93,29 +100,149 @@ FrameworkResult AsResult(const graph::BipartiteGraph& g,
   return result;
 }
 
-/// The core differential: full extraction (groups + stats + business-facing
-/// ranking) is bit-identical between the sequential reference and the
-/// forced-parallel schedule at 1, 2, 4, and 8 workers.
+/// Reference SquarePruning side pass: the reduce2Hop immediate-removal
+/// cascade over the full adjacency, filtered through the view. Each
+/// candidate is tested against the live view at its turn and removed at
+/// once when fewer than k of its same-side vertices (itself included)
+/// share ceil(alpha * k') active counterparts with it.
+void ReferenceSquarePruneSide(graph::MutableView& view, Side side,
+                              const RicdParams& params,
+                              ExtractionStats* stats) {
+  const graph::BipartiteGraph& g = view.graph();
+  const Side other = graph::Other(side);
+  const bool users = side == Side::kUser;
+  const auto common_needed = static_cast<uint32_t>(
+      std::ceil(params.alpha * (users ? params.k2 : params.k1)));
+  const uint32_t neighbors_needed = users ? params.k1 : params.k2;
+
+  std::vector<VertexId> order = view.ActiveVertices(side);
+  std::vector<uint64_t> two_hop(g.num_vertices(side), 0);
+  for (const VertexId x : order) {
+    for (const VertexId w : g.Neighbors(side, x)) {
+      if (view.IsActive(other, w)) two_hop[x] += view.ActiveDegree(other, w);
+    }
+  }
+  std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+    return two_hop[a] < two_hop[b];
+  });
+
+  std::vector<uint32_t> common(g.num_vertices(side));
+  for (const VertexId x : order) {
+    std::fill(common.begin(), common.end(), 0);
+    for (const VertexId w : g.Neighbors(side, x)) {
+      if (!view.IsActive(other, w)) continue;
+      for (const VertexId y : g.Neighbors(other, w)) {
+        if (view.IsActive(side, y)) ++common[y];
+      }
+    }
+    const auto qualified = std::count_if(
+        common.begin(), common.end(),
+        [&](uint32_t c) { return c >= common_needed; });
+    if (static_cast<uint32_t>(qualified) >= neighbors_needed) continue;
+    view.Remove(side, x);
+    ++(users ? stats->users_removed_square : stats->items_removed_square);
+  }
+}
+
+/// Same active sets, and same active degrees of the active vertices.
+/// (Degrees of INACTIVE vertices are unspecified in every schedule —
+/// nothing may read them.)
+::testing::AssertionResult SameViewState(const graph::MutableView& got,
+                                         const graph::MutableView& want) {
+  for (const Side side : {Side::kUser, Side::kItem}) {
+    const char* name = side == Side::kUser ? "user " : "item ";
+    for (VertexId x = 0; x < want.graph().num_vertices(side); ++x) {
+      if (got.IsActive(side, x) != want.IsActive(side, x)) {
+        return ::testing::AssertionFailure()
+               << name << x << " active=" << got.IsActive(side, x)
+               << ", want " << want.IsActive(side, x);
+      }
+      if (want.IsActive(side, x) &&
+          got.ActiveDegree(side, x) != want.ActiveDegree(side, x)) {
+        return ::testing::AssertionFailure()
+               << name << x << " degree=" << got.ActiveDegree(side, x)
+               << ", want " << want.ActiveDegree(side, x);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The removal counters the pruning steps update.
+auto StatsFields(const ExtractionStats& s) {
+  return std::make_tuple(s.users_removed_core, s.items_removed_core,
+                         s.users_removed_square, s.items_removed_square);
+}
+
+/// Runs Extract's pruning steps — CorePruning, then per sweep each
+/// SquarePruning side pass and CorePruning — on the production extractor
+/// at `workers` and with the reference side passes, asserting the views
+/// and stats agree after every step.
+void ExpectEveryStepMatchesReference(const graph::BipartiteGraph& g,
+                                     const RicdParams& params,
+                                     size_t workers) {
+  SCOPED_TRACE(testing::Message() << "workers=" << workers);
+  engine::WorkerEngine engine(workers);
+  const ExtensionBicliqueExtractor extractor(params, &engine,
+                                             ForcedParallelSchedule());
+  graph::MutableView got(g);
+  graph::MutableView want(g);
+  ExtractionStats got_stats;
+  ExtractionStats want_stats;
+  extractor.CorePruning(got, &got_stats);
+  extractor.CorePruning(want, &want_stats);
+  for (uint32_t sweep = 0; sweep < params.square_pruning_sweeps; ++sweep) {
+    for (const Side side : {Side::kUser, Side::kItem}) {
+      SCOPED_TRACE(testing::Message()
+                   << "sweep=" << sweep
+                   << (side == Side::kUser ? " users" : " items"));
+      extractor.SquarePruneSide(got, side, /*ordered=*/true, &got_stats);
+      ReferenceSquarePruneSide(want, side, params, &want_stats);
+      ASSERT_TRUE(SameViewState(got, want));
+      ASSERT_EQ(StatsFields(got_stats), StatsFields(want_stats));
+    }
+    extractor.CorePruning(got, &got_stats);
+    extractor.CorePruning(want, &want_stats);
+    ASSERT_TRUE(SameViewState(got, want));
+    ASSERT_EQ(StatsFields(got_stats), StatsFields(want_stats));
+  }
+}
+
 class ParallelExtractionTest
     : public ::testing::TestWithParam<
-          std::tuple<uint64_t, std::tuple<uint32_t, uint32_t, double>>> {};
+          std::tuple<uint64_t, std::tuple<uint32_t, uint32_t, double>>> {
+ protected:
+  RicdParams Params() const {
+    const auto [k1, k2, alpha] = std::get<1>(GetParam());
+    return MakeParams(k1, k2, alpha);
+  }
+};
 
-TEST_P(ParallelExtractionTest, BitIdenticalToSequential) {
-  const auto [seed, shape] = GetParam();
-  const auto [k1, k2, alpha] = shape;
-  const auto g = graph::GraphBuilder::FromTable(MakeWorkload(seed)).value();
-  const RicdParams params = MakeParams(k1, k2, alpha);
+TEST_P(ParallelExtractionTest, EverySidePassMatchesReferenceCascade) {
+  const auto g =
+      graph::GraphBuilder::FromTable(MakeWorkload(std::get<0>(GetParam())))
+          .value();
+  for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    ExpectEveryStepMatchesReference(g, Params(), workers);
+  }
+}
 
-  // Reference: single worker takes the classic immediate-removal cascade
-  // regardless of schedule (workers == 1 short-circuits the round path).
-  engine::WorkerEngine reference_engine(1);
+/// Full extraction (groups + stats + business-facing ranking) is
+/// bit-identical at 1, 2, 4 and 8 workers.
+TEST_P(ParallelExtractionTest, BitIdenticalAcrossWorkers) {
+  const auto g =
+      graph::GraphBuilder::FromTable(MakeWorkload(std::get<0>(GetParam())))
+          .value();
+  const RicdParams params = Params();
+
+  engine::WorkerEngine one_worker(1);
   ExtractionStats ref_stats;
   auto ref =
-      ExtensionBicliqueExtractor(params, &reference_engine).Extract(g, &ref_stats);
+      ExtensionBicliqueExtractor(params, &one_worker).Extract(g, &ref_stats);
   ASSERT_TRUE(ref.ok());
   const FrameworkResult want = AsResult(g, std::move(ref).value(), ref_stats);
 
-  for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+  for (const size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
     SCOPED_TRACE(testing::Message() << "workers=" << workers);
     engine::WorkerEngine engine(workers);
     ExtractionStats stats;
@@ -137,10 +264,8 @@ INSTANTIATE_TEST_SUITE_P(
                           std::tuple<uint32_t, uint32_t, double>{5, 5, 0.8},
                           std::tuple<uint32_t, uint32_t, double>{3, 4, 0.6})));
 
-/// Frontier CorePruning leaves the view in exactly the state the sequential
-/// deque cascade did: same active sets, same active degrees of the active
-/// vertices. (Degrees of INACTIVE vertices are unspecified in both
-/// schedules — nothing may read them.)
+/// Frontier CorePruning leaves the view in exactly the state the
+/// one-worker cascade does.
 TEST(FrontierCorePruningTest, ViewStateMatchesSequential) {
   for (const uint64_t seed : {3u, 11u, 29u}) {
     SCOPED_TRACE(testing::Message() << "seed=" << seed);
@@ -158,109 +283,68 @@ TEST(FrontierCorePruningTest, ViewStateMatchesSequential) {
       ExtensionBicliqueExtractor par(params, &engine, ForcedParallelSchedule());
       graph::MutableView view(g);
       par.CorePruning(view, nullptr);
-
-      ASSERT_EQ(view.NumActive(Side::kUser), seq_view.NumActive(Side::kUser));
-      ASSERT_EQ(view.NumActive(Side::kItem), seq_view.NumActive(Side::kItem));
-      for (VertexId u = 0; u < g.num_users(); ++u) {
-        ASSERT_EQ(view.IsActive(Side::kUser, u),
-                  seq_view.IsActive(Side::kUser, u));
-        if (view.IsActive(Side::kUser, u)) {
-          ASSERT_EQ(view.ActiveDegree(Side::kUser, u),
-                    seq_view.ActiveDegree(Side::kUser, u));
-        }
-      }
-      for (VertexId v = 0; v < g.num_items(); ++v) {
-        ASSERT_EQ(view.IsActive(Side::kItem, v),
-                  seq_view.IsActive(Side::kItem, v));
-        if (view.IsActive(Side::kItem, v)) {
-          ASSERT_EQ(view.ActiveDegree(Side::kItem, v),
-                    seq_view.ActiveDegree(Side::kItem, v));
-        }
-      }
+      EXPECT_TRUE(SameViewState(view, seq_view));
     }
   }
 }
 
-/// Pinning the round size (what RICD_ROUND_SIZE does) must not change
-/// output either — the equivalence argument is per-round-size-agnostic.
-TEST(ParallelExtractionTest, AnyPinnedRoundSizeMatches) {
-  const auto g = graph::GraphBuilder::FromTable(MakeWorkload(42)).value();
-  const RicdParams params = MakeParams(5, 5, 0.8);
-  engine::WorkerEngine seq_engine(1);
-  ExtractionStats ref_stats;
-  auto ref =
-      ExtensionBicliqueExtractor(params, &seq_engine).Extract(g, &ref_stats);
-  ASSERT_TRUE(ref.ok());
-  const FrameworkResult want = AsResult(g, std::move(ref).value(), ref_stats);
-
-  engine::WorkerEngine engine(4);
-  for (const uint32_t pinned : {1u, 3u, 17u, 1000u}) {
-    SCOPED_TRACE(testing::Message() << "round=" << pinned);
-    PruneSchedule s = ForcedParallelSchedule();
-    s.min_round = pinned;
-    s.initial_round = pinned;
-    s.max_round = pinned;
-    ExtractionStats stats;
-    auto got =
-        ExtensionBicliqueExtractor(params, &engine, s).Extract(g, &stats);
-    ASSERT_TRUE(got.ok());
-    const Status diff = check::DiffPipelineResult(
-        want, AsResult(g, std::move(got).value(), stats));
-    EXPECT_TRUE(diff.ok()) << diff;
+/// A user pass in which witnesses die mid-pass. With alpha 0.5 and
+/// k1 = k2 = 4, a user needs 4 users, itself included, sharing >= 2 items
+/// with it (core pruning removes nothing here):
+///
+///   D {1,2,3,4}    qualifiers D, A, B          FAIL
+///   A {1,2,5,6}    qualifiers A, D, E, F, G    PASS, witnesses include D
+///   B {3,4,7,8}    qualifiers B, D, H, I       PASS, witnesses include D
+///   E, F, G {5,6}  qualifiers A, E, F, G       PASS
+///   H, I {7,8}     qualifiers B, H, I          FAIL
+///
+/// The reduce2Hop order is H, I (two-hop size 6), D, E, F, G (8), B (10),
+/// A (12). By B's turn D, H and I are gone, so its recheck finds only B and
+/// removes it; by A's turn D is gone, and its recheck still finds A, E, F
+/// and G and keeps it.
+TEST(WitnessRecheckTest, DeadWitnessesTriggerRechecksThatKeepAndRemove) {
+  enum : table::UserId { kD = 1, kA, kB, kE, kF, kG, kH, kI };
+  const std::vector<std::pair<table::UserId, std::vector<table::ItemId>>>
+      clicks = {{kD, {1, 2, 3, 4}}, {kA, {1, 2, 5, 6}}, {kB, {3, 4, 7, 8}},
+                {kE, {5, 6}},       {kF, {5, 6}},       {kG, {5, 6}},
+                {kH, {7, 8}},       {kI, {7, 8}}};
+  table::ClickTable t;
+  for (const auto& [user, items] : clicks) {
+    for (const table::ItemId item : items) t.Append(user, item, 1);
   }
-}
+  t.ConsolidateDuplicates();
+  const auto g = graph::GraphBuilder::FromTable(t).value();
+  const RicdParams params = MakeParams(4, 4, 0.5);
+  const auto local = [&](table::UserId user) {
+    VertexId v = 0;
+    EXPECT_TRUE(g.LookupUser(user, &v));
+    return v;
+  };
+  obs::Counter* rechecks = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kRicdExtractionRoundRechecks);
 
-TEST(RoundSchedulerTest, GrowsWhenCleanShrinksWhenDense) {
-  PruneSchedule s;
-  s.min_round = 16;
-  s.initial_round = 64;
-  s.max_round = 256;
-  RoundScheduler rounds(s);
-  EXPECT_EQ(rounds.current_round_size(), 64u);
+  for (const size_t workers : {size_t{1}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    engine::WorkerEngine engine(workers);
+    const ExtensionBicliqueExtractor extractor(params, &engine);
+    graph::MutableView got(g);
+    graph::MutableView want(g);
+    extractor.CorePruning(got, nullptr);
+    ASSERT_EQ(got.NumActive(Side::kUser), clicks.size());
 
-  rounds.Observe(64, 0);  // clean round -> double
-  EXPECT_EQ(rounds.current_round_size(), 128u);
-  rounds.Observe(128, 0);
-  rounds.Observe(256, 0);  // capped at max
-  EXPECT_EQ(rounds.current_round_size(), 256u);
+    const uint64_t before = rechecks->Value();
+    ExtractionStats got_stats;
+    ExtractionStats want_stats;
+    extractor.SquarePruneSide(got, Side::kUser, /*ordered=*/true, &got_stats);
+    ReferenceSquarePruneSide(want, Side::kUser, params, &want_stats);
+    EXPECT_GE(rechecks->Value() - before, 2u);
+    EXPECT_TRUE(got.IsActive(Side::kUser, local(kA)));  // recheck keeps
+    EXPECT_FALSE(got.IsActive(Side::kUser, local(kB)));  // recheck removes
+    EXPECT_TRUE(SameViewState(got, want));
+    EXPECT_EQ(StatsFields(got_stats), StatsFields(want_stats));
 
-  rounds.Observe(256, 32);  // density 1/8 -> halve
-  EXPECT_EQ(rounds.current_round_size(), 128u);
-  rounds.Observe(128, 127);
-  rounds.Observe(64, 64);
-  rounds.Observe(32, 32);  // floored at min
-  EXPECT_EQ(rounds.current_round_size(), 16u);
-
-  rounds.Observe(16, 1);  // sparse removals: size holds
-  EXPECT_EQ(rounds.current_round_size(), 16u);
-}
-
-TEST(RoundSchedulerTest, NextRoundSizeClampedByRemaining) {
-  PruneSchedule s;
-  s.min_round = 16;
-  s.initial_round = 64;
-  s.max_round = 256;
-  const RoundScheduler rounds(s);
-  EXPECT_EQ(rounds.NextRoundSize(1000), 64u);
-  EXPECT_EQ(rounds.NextRoundSize(10), 10u);
-  EXPECT_EQ(rounds.NextRoundSize(0), 0u);
-}
-
-TEST(PruneScheduleTest, EnvPinsRoundSize) {
-  ASSERT_EQ(setenv("RICD_ROUND_SIZE", "96", 1), 0);
-  const PruneSchedule pinned = PruneSchedule::FromEnv();
-  EXPECT_EQ(pinned.min_round, 96u);
-  EXPECT_EQ(pinned.initial_round, 96u);
-  EXPECT_EQ(pinned.max_round, 96u);
-
-  ASSERT_EQ(setenv("RICD_ROUND_SIZE", "not-a-number", 1), 0);
-  const PruneSchedule fallback = PruneSchedule::FromEnv();
-  EXPECT_EQ(fallback.initial_round, PruneSchedule().initial_round);
-
-  ASSERT_EQ(unsetenv("RICD_ROUND_SIZE"), 0);
-  const PruneSchedule defaults = PruneSchedule::FromEnv();
-  EXPECT_EQ(defaults.min_round, PruneSchedule().min_round);
-  EXPECT_EQ(defaults.max_round, PruneSchedule().max_round);
+    ExpectEveryStepMatchesReference(g, params, workers);
+  }
 }
 
 TEST(PerWorkerBuffersTest, ConcatPreservesWorkerOrder) {
@@ -270,7 +354,6 @@ TEST(PerWorkerBuffersTest, ConcatPreservesWorkerOrder) {
   buffers.ForWorker(0).push_back(11);
   buffers.ForWorker(1).push_back(20);
   EXPECT_EQ(buffers.TotalSize(), 4u);
-  EXPECT_FALSE(buffers.Empty());
 
   std::vector<uint32_t> out{99};
   buffers.ConcatTo(&out);
@@ -286,18 +369,6 @@ TEST(PerWorkerBuffersTest, SortedToSortsOnlyAppendedSuffix) {
   std::vector<uint32_t> out{100};  // existing prefix stays put
   buffers.SortedTo(&out);
   EXPECT_EQ(out, (std::vector<uint32_t>{100, 2, 5, 7}));
-}
-
-TEST(PerWorkerBuffersTest, ClearEmptiesEveryBuffer) {
-  engine::PerWorkerBuffers<uint32_t> buffers(2);
-  buffers.ForWorker(0).push_back(1);
-  buffers.ForWorker(1).push_back(2);
-  buffers.Clear();
-  EXPECT_TRUE(buffers.Empty());
-  EXPECT_EQ(buffers.TotalSize(), 0u);
-  std::vector<uint32_t> out;
-  buffers.ConcatTo(&out);
-  EXPECT_TRUE(out.empty());
 }
 
 TEST(PerWorkerBuffersTest, ZeroWorkersClampedToOne) {

@@ -88,8 +88,8 @@ esac
 case ",$ONLY," in *,tsan,*)
   # Deterministic concurrency workloads (race_test exists for this leg and
   # also races first lookups on an adopted graph's lazy flat id map;
-  # parallel_pruning_test runs the round/frontier pruning differential at
-  # 1-8 workers; serve_stress_test sweeps the lock-free verdict-snapshot
+  # parallel_pruning_test runs the witness/frontier pruning differential and
+  # the witness-recheck fixture at 1-8 workers; serve_stress_test sweeps the lock-free verdict-snapshot
   # swap, the bounded ingest queue, and the telemetry-enabled serve path;
   # flight_recorder_test hammers the seqlock-per-slot event ring;
   # window_test races seal/evict in ClickWindow against concurrent
