@@ -88,15 +88,13 @@ std::vector<table::UserId> LookupQueries(const graph::BipartiteGraph& g,
   return queries;
 }
 
-/// The production adopted-graph path: FlatIdMap (open addressing, SplitMix64
-/// mix, one probe run per query) over the storage shape a mmap'd snapshot
-/// presents.
+/// Point lookups through the graph's FlatIdMap (open addressing, SplitMix64
+/// mix, one probe run per query). The untimed warm-up lookup builds the map.
 void BM_IdLookupFlat(benchmark::State& state) {
-  const graph::BipartiteGraph g = graph::BipartiteGraph::AdoptExternal(
-      CachedGraph(ScaleArg(state.range(0))).Freeze(), nullptr);
+  const graph::BipartiteGraph& g = CachedGraph(ScaleArg(state.range(0)));
   const auto queries = LookupQueries(g, 4096);
   graph::VertexId warm = 0;
-  benchmark::DoNotOptimize(g.LookupUser(queries[0], &warm));  // builds the map
+  benchmark::DoNotOptimize(g.LookupUser(queries[0], &warm));
   size_t i = 0;
   for (auto _ : state) {
     graph::VertexId out = 0;
@@ -107,36 +105,6 @@ void BM_IdLookupFlat(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_IdLookupFlat)
-    ->Arg(static_cast<int>(gen::ScenarioScale::kSmall))
-    ->Arg(static_cast<int>(gen::ScenarioScale::kMedium));
-
-/// The comparison arm: lower_bound over the snapshot's external-id argsort,
-/// the binary search adopted graphs used before FlatIdMap — ~log2(U)
-/// dependent cache-missing rounds per query.
-void BM_IdLookupBsearch(benchmark::State& state) {
-  const auto& g = CachedGraph(ScaleArg(state.range(0)));
-  const graph::GraphSections s = g.Freeze();
-  const std::vector<graph::VertexId> sorted =
-      graph::GraphBuilder::ArgsortByExternalId(s.user_ids);
-  const auto queries = LookupQueries(g, 4096);
-  size_t i = 0;
-  for (auto _ : state) {
-    const table::UserId q = queries[i];
-    const auto it = std::lower_bound(
-        sorted.begin(), sorted.end(), q,
-        [&](graph::VertexId dense, table::UserId value) {
-          return s.user_ids[dense] < value;
-        });
-    graph::VertexId out = 0;
-    bool found = it != sorted.end() && s.user_ids[*it] == q;
-    if (found) out = *it;
-    benchmark::DoNotOptimize(found);
-    benchmark::DoNotOptimize(out);
-    if (++i == queries.size()) i = 0;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_IdLookupBsearch)
     ->Arg(static_cast<int>(gen::ScenarioScale::kSmall))
     ->Arg(static_cast<int>(gen::ScenarioScale::kMedium));
 
@@ -183,7 +151,7 @@ void BM_IntersectionGallop(benchmark::State& state) {
 BENCHMARK(BM_IntersectionGallop)->Arg(4096)->Arg(65536);
 
 void BM_IntersectionDense(benchmark::State& state) {
-  // Every other id over a tight range: IntersectCapped routes this to the
+  // Every other id over a tight range: IntersectionSize routes this to the
   // word-parallel bitset-pair path (range <= 8 * total size).
   const int64_t n = state.range(0);
   std::vector<graph::VertexId> a;

@@ -2,7 +2,7 @@
 //
 // Times the full cold workload path — scenario generation, CSV write +
 // re-parse (the on-disk log format), CSR graph construction — against the
-// snapshot warm paths: binary save, owning read, and mmap zero-copy load.
+// snapshot warm paths: binary save and mmap zero-copy load.
 // The acceptance bar for the snapshot subsystem is mmap load >= 10x faster
 // than generate + parse + build at the default medium scale.
 //
@@ -60,27 +60,12 @@ int Run() {
     graph = std::move(built).value();
   });
 
-  // --- warm paths: save once, then owning read and mmap load -----------
+  // --- warm paths: save once, then mmap load --------------------------
   const double save_s = TimedStage("bench.snapshot.save", [&] {
     const Status saved =
         snapshot::SaveSnapshot(graph, snap_path, &scenario.labels);
     RICD_CHECK(saved.ok()) << saved;
   });
-
-  double read_s = 0.0;
-  {
-    snapshot::GraphView view = [&] {
-      auto loaded = snapshot::GraphView::Read(snap_path);
-      RICD_CHECK(loaded.ok()) << loaded.status();
-      return std::move(loaded).value();
-    }();
-    read_s = TimedStage("bench.snapshot.read", [&] {
-      auto loaded = snapshot::GraphView::Read(snap_path);
-      RICD_CHECK(loaded.ok()) << loaded.status();
-      view = std::move(loaded).value();
-    });
-    RICD_CHECK(view.graph().num_edges() == graph.num_edges());
-  }
 
   // Best of several mmap iterations: after the first touch the page cache
   // is warm, which is exactly the steady state the cache targets.
@@ -112,8 +97,6 @@ int Run() {
   std::printf("  graph build          %10.4f s\n", build_s);
   std::printf("  cold total           %10.4f s\n", cold_s);
   std::printf("  snapshot save        %10.4f s\n", save_s);
-  std::printf("  snapshot read        %10.4f s   (%6.1fx vs cold)\n", read_s,
-              read_s > 0 ? cold_s / read_s : 0.0);
   std::printf("  snapshot mmap load   %10.4f s   (%6.1fx vs cold)\n", mmap_s,
               mmap_s > 0 ? cold_s / mmap_s : 0.0);
   // The >= 10x acceptance bar is defined at medium scale and above; tiny

@@ -84,7 +84,7 @@ Result<DetectionResult> Lpa::Detect(const graph::BipartiteGraph& g) {
     const auto& engine = engine::DefaultEngine();
     std::vector<uint8_t> worker_changed(engine.num_workers(), 0);
     const auto superstep = [&](Side side, uint32_t count) {
-      engine.ParallelForRanges(count, [&](size_t worker,
+      engine.ParallelForChunks(count, [&](size_t worker,
                                           engine::VertexRange range) {
         std::unordered_map<uint32_t, uint64_t> votes;
         for (VertexId v = range.begin; v < range.end; ++v) {

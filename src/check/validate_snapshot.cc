@@ -46,10 +46,6 @@ uint64_t ExpectedSectionBytes(SectionKind kind, const SnapshotHeader& h) {
       return h.num_users * sizeof(int64_t);
     case SectionKind::kItemIds:
       return h.num_items * sizeof(int64_t);
-    case SectionKind::kUserLookup:
-      return h.num_users * sizeof(uint32_t);
-    case SectionKind::kItemLookup:
-      return h.num_items * sizeof(uint32_t);
     case SectionKind::kLabelUsers:
     case SectionKind::kLabelItems:
       return UINT64_MAX;
@@ -59,7 +55,7 @@ uint64_t ExpectedSectionBytes(SectionKind kind, const SnapshotHeader& h) {
 
 bool IsRequiredKind(uint32_t kind) {
   return kind >= static_cast<uint32_t>(SectionKind::kUserOffsets) &&
-         kind <= static_cast<uint32_t>(SectionKind::kItemLookup);
+         kind <= static_cast<uint32_t>(SectionKind::kItemIds);
 }
 
 }  // namespace
@@ -243,12 +239,13 @@ Status CheckOffsets(const char* side, std::span<const uint64_t> offsets,
 }
 
 Status CheckVertexIds(const char* what, std::span<const graph::VertexId> ids,
-                      uint64_t limit, const char* tag) {
+                      uint64_t limit) {
   for (size_t i = 0; i < ids.size(); ++i) {
     if (ids[i] >= limit) {
       return FailSnapshot(
-          tag, StringPrintf("%s[%zu] = %u, side has %llu vertices", what, i,
-                            ids[i], static_cast<unsigned long long>(limit)));
+          "adjacency_out_of_range",
+          StringPrintf("%s[%zu] = %u, side has %llu vertices", what, i, ids[i],
+                       static_cast<unsigned long long>(limit)));
     }
   }
   return Status::Ok();
@@ -266,9 +263,7 @@ Status ValidateAdoptedSections(const graph::GraphSections& s) {
       s.item_adj.size() != num_edges || s.user_clicks.size() != num_edges ||
       s.item_clicks.size() != num_edges ||
       s.user_total_clicks.size() != num_users ||
-      s.item_total_clicks.size() != num_items ||
-      s.user_lookup_sorted.size() != num_users ||
-      s.item_lookup_sorted.size() != num_items) {
+      s.item_total_clicks.size() != num_items) {
     return FailSnapshot("sections_inconsistent",
                         StringPrintf("span sizes disagree (users=%llu "
                                      "items=%llu edges=%llu)",
@@ -279,14 +274,8 @@ Status ValidateAdoptedSections(const graph::GraphSections& s) {
   }
   RICD_RETURN_IF_ERROR(CheckOffsets("user", s.user_offsets, num_edges));
   RICD_RETURN_IF_ERROR(CheckOffsets("item", s.item_offsets, num_edges));
-  RICD_RETURN_IF_ERROR(CheckVertexIds("user_adj", s.user_adj, num_items,
-                                      "adjacency_out_of_range"));
-  RICD_RETURN_IF_ERROR(CheckVertexIds("item_adj", s.item_adj, num_users,
-                                      "adjacency_out_of_range"));
-  RICD_RETURN_IF_ERROR(CheckVertexIds("user_lookup", s.user_lookup_sorted,
-                                      num_users, "lookup_out_of_range"));
-  RICD_RETURN_IF_ERROR(CheckVertexIds("item_lookup", s.item_lookup_sorted,
-                                      num_items, "lookup_out_of_range"));
+  RICD_RETURN_IF_ERROR(CheckVertexIds("user_adj", s.user_adj, num_items));
+  RICD_RETURN_IF_ERROR(CheckVertexIds("item_adj", s.item_adj, num_users));
   return Status::Ok();
 }
 

@@ -33,13 +33,13 @@ Status VerifySnapshotChecksum(const void* data, size_t bytes);
 
 /// Bounds audit of decoded section spans, run before the graph is adopted:
 /// span sizes mutually consistent, offset arrays start at 0, are monotone
-/// and terminate at the edge count, every adjacency id addresses a vertex
-/// on the opposite side, and every lookup-permutation entry is in range.
-/// O(U + V + E) with sequential scans. This is what makes every accessor
-/// of the adopted graph memory-safe even for a file that is internally
-/// consistent with its checksum but semantically hostile; the deeper
-/// semantic audit (sortedness, transpose agreement, click totals) remains
-/// check::ValidateBipartiteGraph behind ValidationEnabled().
+/// and terminate at the edge count, and every adjacency id addresses a
+/// vertex on the opposite side. O(U + V + E) with sequential scans. This is
+/// what makes every accessor of the adopted graph memory-safe even for a
+/// file that is internally consistent with its checksum but semantically
+/// hostile; the deeper semantic audit (sortedness, transpose agreement,
+/// click totals) remains check::ValidateBipartiteGraph behind
+/// ValidationEnabled().
 Status ValidateAdoptedSections(const graph::GraphSections& s);
 
 }  // namespace ricd::check

@@ -91,18 +91,6 @@ void WorkerEngine::RecordInlineTask(
   UpdateUtilization();
 }
 
-void WorkerEngine::ParallelForRanges(
-    uint32_t n, const std::function<void(size_t, VertexRange)>& fn) const {
-  RunPartitioned(PartitionRange(n, num_workers()), fn);
-}
-
-void WorkerEngine::ParallelFor(uint32_t n,
-                               const std::function<void(uint32_t)>& fn) const {
-  ParallelForChunks(n, [&fn](size_t, VertexRange range) {
-    for (uint32_t i = range.begin; i < range.end; ++i) fn(i);
-  });
-}
-
 const WorkerEngine& DefaultEngine() {
   // Intentionally leaked: avoids shutdown-order issues with static dtors
   // (per style guide, static objects must be trivially destructible).

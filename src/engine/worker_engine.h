@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -37,32 +36,21 @@ class WorkerEngine {
 
   size_t num_workers() const { return pool_->num_threads(); }
 
-  /// Runs `fn(worker_id, range)` once per worker over a balanced range
-  /// partition of [0, n). Blocks until all workers finish. `fn` must only
-  /// write to worker-private or per-vertex-disjoint state.
-  void ParallelForRanges(
-      uint32_t n, const std::function<void(size_t, VertexRange)>& fn) const;
-
-  /// Convenience element-wise parallel loop over [0, n). Pays one
-  /// type-erased std::function dispatch per element — fine for cold loops;
-  /// hot loops use ParallelForChunks (ricd_lint's std-function-hot-loop
-  /// rule flags per-element dispatch in src/).
-  void ParallelFor(uint32_t n, const std::function<void(uint32_t)>& fn) const;
-
-  /// Chunked parallel loop: `fn(worker, range)` is a compile-time functor
-  /// invoked once per worker range, so the element loop inside it is
-  /// inlined into the caller's body — type erasure happens once per worker
-  /// task, never per element. This is the hot-path replacement for
-  /// ParallelFor.
+  /// Parallel loop over a balanced range partition of [0, n):
+  /// `fn(worker, range)` is a compile-time functor invoked once per worker
+  /// range, so the element loop inside it is inlined into the caller's body
+  /// — type erasure happens once per worker task, never per element. Blocks
+  /// until all workers finish. `fn` must only write to worker-private or
+  /// per-vertex-disjoint state.
   template <typename Fn>
   void ParallelForChunks(uint32_t n, Fn&& fn) const {
     if (n == 0) return;
     RunPartitioned(PartitionRange(n, num_workers()), std::forward<Fn>(fn));
   }
 
-  /// Runs `fn(worker, ranges[worker])` across the pool over a pre-computed
-  /// partition. Exposed so callers that already hold a partition (MapReduce,
-  /// custom schedulers) never pay PartitionRange twice.
+ private:
+  /// Runs `fn(worker, ranges[worker])` across the pool; a single worker or
+  /// a single range runs inline on the calling thread.
   template <typename Fn>
   void RunPartitioned(const std::vector<VertexRange>& ranges, Fn&& fn) const {
     if (ranges.empty()) return;
@@ -79,25 +67,6 @@ class WorkerEngine {
     UpdateUtilization();
   }
 
-  /// Parallel map-reduce: each worker folds its range with `map` starting
-  /// from `init`, then partial results are combined with `reduce` in worker
-  /// order (deterministic). The partition is computed once and shared with
-  /// the execution path.
-  template <typename T>
-  T MapReduce(uint32_t n, T init,
-              const std::function<T(VertexRange, T)>& map,
-              const std::function<T(T, T)>& reduce) const {
-    const auto ranges = PartitionRange(n, num_workers());
-    std::vector<T> partials(ranges.size(), init);
-    RunPartitioned(ranges, [&](size_t worker, VertexRange range) {
-      partials[worker] = map(range, partials[worker]);
-    });
-    T acc = init;
-    for (const T& p : partials) acc = reduce(acc, p);
-    return acc;
-  }
-
- private:
   /// Books a task that ran inline on the calling thread (single-worker or
   /// single-range fast path) into the pool metrics.
   void RecordInlineTask(std::chrono::steady_clock::time_point started_at) const;

@@ -5,6 +5,29 @@
 
 namespace ricd::graph {
 
+GraphSections GraphArrays::Sections() const {
+  GraphSections s;
+  s.user_offsets = user_offsets;
+  s.item_offsets = item_offsets;
+  s.user_adj = user_adj;
+  s.item_adj = item_adj;
+  s.user_clicks = user_clicks;
+  s.item_clicks = item_clicks;
+  s.user_total_clicks = user_total_clicks;
+  s.item_total_clicks = item_total_clicks;
+  s.user_ids = user_ids;
+  s.item_ids = item_ids;
+  s.total_clicks = total_clicks;
+  return s;
+}
+
+BipartiteGraph::BipartiteGraph()
+    : flat_lookup_(std::make_shared<IdLookupState>()) {
+  static constexpr uint64_t kNoEdges[] = {0};
+  sections_.user_offsets = kNoEdges;
+  sections_.item_offsets = kNoEdges;
+}
+
 table::ClickCount BipartiteGraph::EdgeWeight(VertexId u, VertexId v) const {
   const auto neighbors = UserNeighbors(u);
   const auto it = std::lower_bound(neighbors.begin(), neighbors.end(), v);
@@ -16,57 +39,31 @@ table::ClickCount BipartiteGraph::EdgeWeight(VertexId u, VertexId v) const {
 const BipartiteGraph::IdLookupState& BipartiteGraph::FlatLookup() const {
   IdLookupState& state = *flat_lookup_;
   std::call_once(state.once, [&] {
-    state.users = FlatIdMap(ext_.user_ids);
-    state.items = FlatIdMap(ext_.item_ids);
+    state.users = FlatIdMap(sections_.user_ids);
+    state.items = FlatIdMap(sections_.item_ids);
   });
   return state;
 }
 
 bool BipartiteGraph::LookupUser(table::UserId external, VertexId* out) const {
-  if (external_) return FlatLookup().users.Lookup(external, out);
-  const auto it = user_lookup_.find(external);
-  if (it == user_lookup_.end()) return false;
-  *out = it->second;
-  return true;
+  return FlatLookup().users.Lookup(external, out);
 }
 
 bool BipartiteGraph::LookupItem(table::ItemId external, VertexId* out) const {
-  if (external_) return FlatLookup().items.Lookup(external, out);
-  const auto it = item_lookup_.find(external);
-  if (it == item_lookup_.end()) return false;
-  *out = it->second;
-  return true;
+  return FlatLookup().items.Lookup(external, out);
 }
 
-GraphSections BipartiteGraph::Freeze() const {
-  if (external_) return ext_;
-  GraphSections s;
-  s.user_offsets = user_offsets_;
-  s.item_offsets = item_offsets_;
-  s.user_adj = user_adj_;
-  s.item_adj = item_adj_;
-  s.user_clicks = user_clicks_;
-  s.item_clicks = item_clicks_;
-  s.user_total_clicks = user_total_clicks_;
-  s.item_total_clicks = item_total_clicks_;
-  s.user_ids = user_ids_;
-  s.item_ids = item_ids_;
-  // lookup_sorted stays empty: built graphs answer lookups via the hash
-  // maps; writers materialize the permutations with ArgsortByExternalId.
-  s.total_clicks = total_clicks_;
-  return s;
+BipartiteGraph BipartiteGraph::FromArrays(GraphArrays arrays) {
+  auto store = std::make_shared<const GraphArrays>(std::move(arrays));
+  const GraphSections sections = store->Sections();
+  return AdoptExternal(sections, std::move(store));
 }
 
 BipartiteGraph BipartiteGraph::AdoptExternal(
     const GraphSections& sections, std::shared_ptr<const void> retention) {
   BipartiteGraph g;
-  g.user_offsets_.clear();  // drop the default {0} so owned storage is empty
-  g.item_offsets_.clear();
-  g.external_ = true;
-  g.ext_ = sections;
+  g.sections_ = sections;
   g.retention_ = std::move(retention);
-  g.total_clicks_ = sections.total_clicks;
-  g.flat_lookup_ = std::make_shared<IdLookupState>();
   return g;
 }
 

@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/id_lookup.h"
@@ -23,15 +22,10 @@ enum class Side { kUser, kItem };
 /// Returns the opposite side.
 inline Side Other(Side s) { return s == Side::kUser ? Side::kItem : Side::kUser; }
 
-/// All storage of a BipartiteGraph as read-only spans — the unit of
-/// exchange with external storage (the src/snapshot binary container).
-/// Freeze() produces one over a live graph; AdoptExternal() builds a graph
-/// whose accessors alias these spans (e.g. an mmap'd snapshot file).
-///
-/// The lookup spans hold dense ids ordered by ascending external id; the
-/// snapshot format stores and validates them. Freeze() leaves them empty on
-/// hash-backed graphs (GraphBuilder::ArgsortByExternalId materializes them
-/// for writers); adopted graphs look ids up through a lazy FlatIdMap.
+/// All storage of a BipartiteGraph as read-only spans — what every accessor
+/// reads, and the unit of exchange with external storage (the src/snapshot
+/// binary container). Freeze() returns a graph's sections; AdoptExternal()
+/// builds a graph over sections owned elsewhere (e.g. an mmap'd snapshot).
 struct GraphSections {
   std::span<const uint64_t> user_offsets;  // num_users + 1
   std::span<const uint64_t> item_offsets;  // num_items + 1
@@ -43,9 +37,27 @@ struct GraphSections {
   std::span<const uint64_t> item_total_clicks;     // num_items
   std::span<const table::UserId> user_ids;         // num_users
   std::span<const table::ItemId> item_ids;         // num_items
-  std::span<const VertexId> user_lookup_sorted;    // num_users (may be empty)
-  std::span<const VertexId> item_lookup_sorted;    // num_items (may be empty)
   uint64_t total_clicks = 0;
+};
+
+/// Heap backing store for a graph: one vector per section. GraphBuilder
+/// fills one and hands it to BipartiteGraph::FromArrays. The offsets start
+/// as {0}, so a default store describes the empty graph.
+struct GraphArrays {
+  std::vector<uint64_t> user_offsets{0};
+  std::vector<uint64_t> item_offsets{0};
+  std::vector<VertexId> user_adj;
+  std::vector<VertexId> item_adj;
+  std::vector<table::ClickCount> user_clicks;
+  std::vector<table::ClickCount> item_clicks;
+  std::vector<uint64_t> user_total_clicks;
+  std::vector<uint64_t> item_total_clicks;
+  std::vector<table::UserId> user_ids;
+  std::vector<table::ItemId> item_ids;
+  uint64_t total_clicks = 0;
+
+  /// Read-only spans over every vector, valid while this store is alive.
+  GraphSections Sections() const;
 };
 
 /// Immutable weighted bipartite click graph in dual-CSR form: adjacency is
@@ -53,44 +65,52 @@ struct GraphSections {
 /// sorted by neighbor id so set intersections run in linear time. Edge
 /// weights are click counts.
 ///
-/// Construction goes through GraphBuilder, which compacts arbitrary external
-/// 64-bit user/item ids into dense ids — or through AdoptExternal, which
-/// aliases storage owned elsewhere (a heap buffer or an mmap'd snapshot)
-/// without copying it.
+/// A graph is a read-only view: one GraphSections plus a shared handle on
+/// the store behind them — a GraphArrays built by GraphBuilder (which
+/// compacts arbitrary external 64-bit user/item ids into dense ids) or a
+/// snapshot image adopted through AdoptExternal. Copies share the store, so
+/// copying a graph is O(1).
 class BipartiteGraph {
  public:
-  BipartiteGraph() = default;
+  /// The empty graph: no users, items or edges, and every lookup misses.
+  BipartiteGraph();
 
-  uint32_t num_users() const { return static_cast<uint32_t>(uoffs().size()) - 1; }
-  uint32_t num_items() const { return static_cast<uint32_t>(ioffs().size()) - 1; }
+  uint32_t num_users() const {
+    return static_cast<uint32_t>(sections_.user_offsets.size()) - 1;
+  }
+  uint32_t num_items() const {
+    return static_cast<uint32_t>(sections_.item_offsets.size()) - 1;
+  }
   uint32_t num_vertices(Side side) const {
     return side == Side::kUser ? num_users() : num_items();
   }
-  uint64_t num_edges() const { return uadj().size(); }
-  uint64_t total_clicks() const { return total_clicks_; }
+  uint64_t num_edges() const { return sections_.user_adj.size(); }
+  uint64_t total_clicks() const { return sections_.total_clicks; }
 
   /// Sorted neighbor ids of user `u` (item ids).
   std::span<const VertexId> UserNeighbors(VertexId u) const {
-    const auto offsets = uoffs();
-    return uadj().subspan(offsets[u], offsets[u + 1] - offsets[u]);
+    const auto offsets = sections_.user_offsets;
+    return sections_.user_adj.subspan(offsets[u], offsets[u + 1] - offsets[u]);
   }
 
   /// Click weights aligned with UserNeighbors(u).
   std::span<const table::ClickCount> UserEdgeClicks(VertexId u) const {
-    const auto offsets = uoffs();
-    return uclk().subspan(offsets[u], offsets[u + 1] - offsets[u]);
+    const auto offsets = sections_.user_offsets;
+    return sections_.user_clicks.subspan(offsets[u],
+                                         offsets[u + 1] - offsets[u]);
   }
 
   /// Sorted neighbor ids of item `v` (user ids).
   std::span<const VertexId> ItemNeighbors(VertexId v) const {
-    const auto offsets = ioffs();
-    return iadj().subspan(offsets[v], offsets[v + 1] - offsets[v]);
+    const auto offsets = sections_.item_offsets;
+    return sections_.item_adj.subspan(offsets[v], offsets[v + 1] - offsets[v]);
   }
 
   /// Click weights aligned with ItemNeighbors(v).
   std::span<const table::ClickCount> ItemEdgeClicks(VertexId v) const {
-    const auto offsets = ioffs();
-    return iclk().subspan(offsets[v], offsets[v + 1] - offsets[v]);
+    const auto offsets = sections_.item_offsets;
+    return sections_.item_clicks.subspan(offsets[v],
+                                         offsets[v + 1] - offsets[v]);
   }
 
   /// Side-generic sorted neighbors of vertex `v` on `side`.
@@ -109,10 +129,14 @@ class BipartiteGraph {
   }
 
   /// Total clicks incident to user `u` (weighted degree).
-  uint64_t UserTotalClicks(VertexId u) const { return utot()[u]; }
+  uint64_t UserTotalClicks(VertexId u) const {
+    return sections_.user_total_clicks[u];
+  }
 
   /// Total clicks incident to item `v` (the paper's per-item Total_click).
-  uint64_t ItemTotalClicks(VertexId v) const { return itot()[v]; }
+  uint64_t ItemTotalClicks(VertexId v) const {
+    return sections_.item_total_clicks[v];
+  }
 
   /// Click count on edge (u, v); 0 if absent. O(log degree(u)).
   table::ClickCount EdgeWeight(VertexId u, VertexId v) const;
@@ -121,14 +145,18 @@ class BipartiteGraph {
   bool HasEdge(VertexId u, VertexId v) const { return EdgeWeight(u, v) > 0; }
 
   /// External (table-level) id of user `u`.
-  table::UserId ExternalUserId(VertexId u) const { return uids()[u]; }
+  table::UserId ExternalUserId(VertexId u) const {
+    return sections_.user_ids[u];
+  }
 
   /// External (table-level) id of item `v`.
-  table::ItemId ExternalItemId(VertexId v) const { return iids()[v]; }
+  table::ItemId ExternalItemId(VertexId v) const {
+    return sections_.item_ids[v];
+  }
 
-  /// Dense id of an external user id; returns false if unknown. O(1) on
-  /// built graphs (hash map) and on adopted graphs (a flat open-addressing
-  /// map built lazily on first lookup).
+  /// Dense id of an external user id; returns false if unknown. O(1): a
+  /// flat open-addressing map over the id section, built lazily on the
+  /// first lookup and shared by every copy of the graph.
   bool LookupUser(table::UserId external, VertexId* out) const;
 
   /// Dense id of an external item id; returns false if unknown.
@@ -136,100 +164,39 @@ class BipartiteGraph {
 
   /// Raw CSR offset arrays (size num_users()+1 / num_items()+1). Exposed so
   /// the check library can verify offset monotonicity and terminal edge
-  /// counts without friend access; offsets are the source of truth the span
-  /// accessors above are derived from.
-  std::span<const uint64_t> UserOffsets() const { return uoffs(); }
-  std::span<const uint64_t> ItemOffsets() const { return ioffs(); }
+  /// counts; offsets are the source of truth the span accessors above are
+  /// derived from.
+  std::span<const uint64_t> UserOffsets() const {
+    return sections_.user_offsets;
+  }
+  std::span<const uint64_t> ItemOffsets() const {
+    return sections_.item_offsets;
+  }
 
-  /// Freezes the graph for external storage: read-only spans over every
-  /// array, valid while this graph (and, for adopted graphs, its retained
-  /// backing store) is alive. The snapshot writer serializes exactly these.
-  GraphSections Freeze() const;
+  /// The graph's sections: read-only spans over every array, valid while
+  /// this graph (or any copy of it) is alive. The snapshot writer
+  /// serializes exactly these.
+  GraphSections Freeze() const { return sections_; }
+
+  /// Builds a graph that owns `arrays`: they move into a shared store and
+  /// the graph adopts their spans.
+  static BipartiteGraph FromArrays(GraphArrays arrays);
 
   /// Builds a graph whose storage aliases `sections` without copying.
   /// `retention` keeps the backing memory (heap buffer, mmap handle) alive
   /// for the graph's lifetime, including through copies and moves. The
   /// caller is responsible for having validated the sections (the snapshot
-  /// loader runs check::ValidateSnapshotHeader + checksum first). Lookups
-  /// and all accessors behave identically to a built graph.
+  /// loader runs check::ValidateSnapshotHeader + checksum first).
   static BipartiteGraph AdoptExternal(const GraphSections& sections,
                                       std::shared_ptr<const void> retention);
 
-  /// True when storage is adopted external memory rather than owned vectors.
-  bool is_external() const { return external_; }
-
  private:
-  friend class GraphBuilder;
-  /// Test-only backdoor (tests/graph_test_peer.h) used to corrupt a
-  /// well-formed graph and prove each validator rejects it.
-  friend struct GraphTestPeer;
-
-  // Accessor plumbing: every read goes through one of these, which pick
-  // the owned vectors or the adopted external spans. The `external_` branch
-  // is invariant per graph, so it predicts perfectly in pruning loops.
-  std::span<const uint64_t> uoffs() const {
-    return external_ ? ext_.user_offsets
-                     : std::span<const uint64_t>(user_offsets_);
-  }
-  std::span<const uint64_t> ioffs() const {
-    return external_ ? ext_.item_offsets
-                     : std::span<const uint64_t>(item_offsets_);
-  }
-  std::span<const VertexId> uadj() const {
-    return external_ ? ext_.user_adj : std::span<const VertexId>(user_adj_);
-  }
-  std::span<const VertexId> iadj() const {
-    return external_ ? ext_.item_adj : std::span<const VertexId>(item_adj_);
-  }
-  std::span<const table::ClickCount> uclk() const {
-    return external_ ? ext_.user_clicks
-                     : std::span<const table::ClickCount>(user_clicks_);
-  }
-  std::span<const table::ClickCount> iclk() const {
-    return external_ ? ext_.item_clicks
-                     : std::span<const table::ClickCount>(item_clicks_);
-  }
-  std::span<const uint64_t> utot() const {
-    return external_ ? ext_.user_total_clicks
-                     : std::span<const uint64_t>(user_total_clicks_);
-  }
-  std::span<const uint64_t> itot() const {
-    return external_ ? ext_.item_total_clicks
-                     : std::span<const uint64_t>(item_total_clicks_);
-  }
-  std::span<const table::UserId> uids() const {
-    return external_ ? ext_.user_ids
-                     : std::span<const table::UserId>(user_ids_);
-  }
-  std::span<const table::ItemId> iids() const {
-    return external_ ? ext_.item_ids
-                     : std::span<const table::ItemId>(item_ids_);
-  }
-
-  // Owned storage (built graphs). Empty when external_.
-  std::vector<uint64_t> user_offsets_{0};
-  std::vector<VertexId> user_adj_;
-  std::vector<table::ClickCount> user_clicks_;
-  std::vector<uint64_t> item_offsets_{0};
-  std::vector<VertexId> item_adj_;
-  std::vector<table::ClickCount> item_clicks_;
-  std::vector<uint64_t> user_total_clicks_;
-  std::vector<uint64_t> item_total_clicks_;
-  std::vector<table::UserId> user_ids_;
-  std::vector<table::ItemId> item_ids_;
-  std::unordered_map<table::UserId, VertexId> user_lookup_;
-  std::unordered_map<table::ItemId, VertexId> item_lookup_;
-  uint64_t total_clicks_ = 0;
-
-  // Adopted storage. `retention_` keeps the backing memory alive; copies of
-  // the graph share it, so adopted graphs copy in O(1).
-  bool external_ = false;
-  GraphSections ext_;
+  GraphSections sections_;
+  // Keeps the memory behind `sections_` alive; copies of the graph share it.
   std::shared_ptr<const void> retention_;
 
-  // Lazily built flat id maps for adopted graphs (built graphs keep their
-  // hash maps). Shared across copies like the retention handle; call_once
-  // makes the first concurrent lookups race-free. Null on built graphs.
+  // Lazily built flat id maps. Shared across copies like the retention
+  // handle; call_once makes the first concurrent lookups race-free.
   struct IdLookupState {
     std::once_flag once;
     FlatIdMap users;
@@ -237,7 +204,7 @@ class BipartiteGraph {
   };
   std::shared_ptr<IdLookupState> flat_lookup_;
 
-  /// The adopted graph's flat maps, built on first use.
+  /// The flat id maps, built on first use.
   const IdLookupState& FlatLookup() const;
 };
 

@@ -1,9 +1,6 @@
 #ifndef RICD_GRAPH_GRAPH_BUILDER_H_
 #define RICD_GRAPH_GRAPH_BUILDER_H_
 
-#include <span>
-#include <vector>
-
 #include "common/result.h"
 #include "graph/bipartite_graph.h"
 #include "table/click_table.h"
@@ -19,13 +16,6 @@ class GraphBuilder {
   /// rejected (InvalidArgument): a zero-weight edge is meaningless in a
   /// click graph and would distort degree-based pruning.
   static Result<BipartiteGraph> FromTable(const table::ClickTable& table);
-
-  /// Freeze-side companion to BipartiteGraph::AdoptExternal: the dense ids
-  /// [0, ids.size()) permuted into ascending external-id order: the sorted
-  /// id table a snapshot stores next to the id arrays. External ids
-  /// produced by FromTable are unique, so the order is total.
-  static std::vector<VertexId> ArgsortByExternalId(
-      std::span<const int64_t> ids);
 };
 
 }  // namespace ricd::graph

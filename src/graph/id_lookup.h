@@ -10,9 +10,8 @@ namespace ricd::graph {
 /// Open-addressing hash map from external 64-bit ids to dense vertex ids,
 /// sized once at build time (external-id sets are immutable after graph
 /// construction). Power-of-two capacity >= 2x the key count keeps the load
-/// factor <= 0.5, linear probing keeps a miss to a short contiguous scan —
-/// the point-lookup replacement for the adopted-graph binary search, which
-/// costs ~log2(U) cache-missing rounds per call (see bench_kernels).
+/// factor <= 0.5, linear probing keeps a miss to a short contiguous scan.
+/// Every BipartiteGraph answers LookupUser/LookupItem through one per side.
 ///
 /// Dense ids are bounded above by 0xFFFFFFFE (the 32-bit id ceiling the
 /// builder enforces), so 0xFFFFFFFF marks an empty slot and no separate

@@ -21,14 +21,14 @@ bool StrictlyAscending(std::span<const VertexId> s) {
 // Galloping variant for strongly skewed sizes: binary-search each element of
 // the small span in the large one.
 uint64_t GallopIntersection(std::span<const VertexId> small,
-                            std::span<const VertexId> large, uint64_t cap) {
+                            std::span<const VertexId> large) {
   uint64_t count = 0;
   auto lo = large.begin();
   for (const VertexId x : small) {
     lo = std::lower_bound(lo, large.end(), x);
     if (lo == large.end()) break;
     if (*lo == x) {
-      if (++count >= cap) return cap;
+      ++count;
       ++lo;
     }
   }
@@ -76,27 +76,6 @@ uint64_t BlockMergeIntersection(std::span<const VertexId> a,
   return count;
 }
 
-/// Early-exit merge for small caps: the branchy classic, which can stop as
-/// soon as `cap` matches are found.
-uint64_t CappedMergeIntersection(std::span<const VertexId> a,
-                                 std::span<const VertexId> b, uint64_t cap) {
-  uint64_t count = 0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      if (++count >= cap) return cap;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
 /// Dense-pair path: when both spans pack tightly into a shared value range,
 /// materialize each as a word bitset over [lo, hi] (thread-local scratch,
 /// grown once) and count via word AND + popcount — ~range/64 word ops
@@ -127,13 +106,15 @@ uint64_t DensePairIntersection(std::span<const VertexId> a,
   return count;
 }
 
-uint64_t IntersectCapped(std::span<const VertexId> a, std::span<const VertexId> b,
-                         uint64_t cap) {
+}  // namespace
+
+uint64_t IntersectionSize(std::span<const VertexId> a,
+                          std::span<const VertexId> b) {
   RICD_DCHECK(StrictlyAscending(a));
   RICD_DCHECK(StrictlyAscending(b));
-  if (a.empty() || b.empty() || cap == 0) return 0;
+  if (a.empty() || b.empty()) return 0;
   if (a.size() > b.size()) std::swap(a, b);
-  if (b.size() / a.size() >= 16) return GallopIntersection(a, b, cap);
+  if (b.size() / a.size() >= 16) return GallopIntersection(a, b);
 
   // Density heuristic: both spans live in [lo, hi]; the popcount path costs
   // ~(hi - lo) / 64 word ops after O(|a| + |b|) bit sets, so it wins when
@@ -143,25 +124,9 @@ uint64_t IntersectCapped(std::span<const VertexId> a, std::span<const VertexId> 
   const uint64_t range = static_cast<uint64_t>(hi) - lo + 1;
   if (range <= 8 * (static_cast<uint64_t>(a.size()) + b.size())) {
     const size_t words = static_cast<size_t>((range + 63) / 64);
-    return std::min<uint64_t>(DensePairIntersection(a, b, lo, words), cap);
+    return DensePairIntersection(a, b, lo, words);
   }
-
-  // Small caps want the early exit; uncapped (and effectively uncapped)
-  // counting wants the branch-free block merge.
-  if (cap <= 8) return CappedMergeIntersection(a, b, cap);
-  return std::min<uint64_t>(BlockMergeIntersection(a, b), cap);
-}
-
-}  // namespace
-
-uint64_t IntersectionSize(std::span<const VertexId> a,
-                          std::span<const VertexId> b) {
-  return IntersectCapped(a, b, UINT64_MAX);
-}
-
-uint64_t IntersectionAtLeast(std::span<const VertexId> a,
-                             std::span<const VertexId> b, uint64_t threshold) {
-  return IntersectCapped(a, b, threshold);
+  return BlockMergeIntersection(a, b);
 }
 
 void BitsetIntersector::Load(std::span<const VertexId> base, uint32_t universe) {
@@ -199,22 +164,6 @@ uint64_t BitsetIntersector::Count(std::span<const VertexId> probe) const {
   }
   for (; k < n; ++k) {
     count += (words[probe[k] >> 6] >> (probe[k] & 63)) & 1;
-  }
-  return count;
-}
-
-uint64_t BitsetIntersector::CountAnd(const BitsetIntersector& other) const {
-  // Only words set on both sides can contribute; scan the shorter touched
-  // list and AND against the other bitset.
-  const BitsetIntersector& sparse =
-      touched_words_.size() <= other.touched_words_.size() ? *this : other;
-  const BitsetIntersector& dense =
-      touched_words_.size() <= other.touched_words_.size() ? other : *this;
-  uint64_t count = 0;
-  for (const uint32_t w : sparse.touched_words_) {
-    if (w >= dense.words_.size()) continue;
-    count += static_cast<uint64_t>(
-        std::popcount(sparse.words_[w] & dense.words_[w]));
   }
   return count;
 }

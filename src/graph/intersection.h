@@ -17,18 +17,11 @@ namespace ricd::graph {
 /// keep it in registers / vectorize instead of predicting element order).
 uint64_t IntersectionSize(std::span<const VertexId> a, std::span<const VertexId> b);
 
-/// Like IntersectionSize but stops counting as soon as `threshold` common
-/// elements are found, returning `threshold`. This is the early-exit form
-/// of the (α, k)-neighbor test, where only "|a ∩ b| >= t" matters.
-uint64_t IntersectionAtLeast(std::span<const VertexId> a,
-                             std::span<const VertexId> b, uint64_t threshold);
-
 /// Reusable one-vs-many intersection counter: Load() a base set once into a
 /// word bitset, then Count() answers |base ∩ probe| with one branch-free
 /// bit test per probe element — cheaper than a per-pair sorted merge when
 /// the same base is probed against many sets (CopyCatch's maximality and
-/// absorption loops). CountAnd() intersects two loaded bitsets directly via
-/// word AND + std::popcount, the dense-vs-dense path.
+/// absorption loops).
 ///
 /// Load() remembers which words it touched and clears only those on the
 /// next Load(), so reusing one intersector across candidates costs
@@ -41,10 +34,6 @@ class BitsetIntersector {
 
   /// |base ∩ probe| for a sorted-unique probe span. Valid after Load().
   uint64_t Count(std::span<const VertexId> probe) const;
-
-  /// |base ∩ other.base| via word AND + popcount. Both intersectors must be
-  /// loaded over the same universe.
-  uint64_t CountAnd(const BitsetIntersector& other) const;
 
   size_t base_size() const { return base_size_; }
 

@@ -107,15 +107,12 @@ inline constexpr char kServeTraceSampled[] = "serve.trace.sampled";
 inline constexpr char kWindowEvictRowsTotal[] = "window.evict.rows_total";
 inline constexpr char kWindowEvictSegmentsTotal[] =
     "window.evict.segments_total";
-inline constexpr char kWindowRetainedDecayedMass[] =
-    "window.retained.decayed_mass";
 inline constexpr char kWindowRetainedRows[] = "window.retained.rows";
 inline constexpr char kWindowRetainedSegments[] = "window.retained.segments";
 inline constexpr char kWindowSealSegmentsTotal[] = "window.seal.segments_total";
 
 // --- snapshot: binary graph container ---
 inline constexpr char kSnapshotBytesMapped[] = "snapshot.bytes_mapped";
-inline constexpr char kSnapshotBytesRead[] = "snapshot.bytes_read";
 inline constexpr char kSnapshotBytesWritten[] = "snapshot.bytes_written";
 inline constexpr char kSnapshotLoads[] = "snapshot.loads";
 inline constexpr char kSnapshotSaves[] = "snapshot.saves";

@@ -7,7 +7,7 @@
 
 namespace ricd::snapshot {
 
-/// On-disk layout of a binary graph snapshot (version 1). All integers are
+/// On-disk layout of a binary graph snapshot (version 2). All integers are
 /// little-endian (the only byte order we build for; the loader rejects
 /// big-endian hosts rather than byte-swapping). The file is:
 ///
@@ -27,11 +27,12 @@ namespace ricd::snapshot {
 /// Adding a new optional section kind is backward compatible: readers must
 /// skip entries whose kind they do not recognize (the section table is
 /// self-describing), so old files load in new readers and vice versa as
-/// long as the required sections are present.
+/// long as the required sections are present. Version 2 dropped version
+/// 1's two lookup sections (kinds 11 and 12); those kinds stay retired.
 
 inline constexpr char kSnapshotMagic[8] = {'R', 'I', 'C', 'D',
                                            'G', 'S', 'N', '1'};
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 inline constexpr uint64_t kSectionAlign = 64;
 
 /// Header flag bits.
@@ -44,10 +45,9 @@ inline constexpr uint64_t kMaxSnapshotVertices = (1ull << 32) - 1;
 inline constexpr uint64_t kMaxSnapshotEdges = 1ull << 40;
 inline constexpr uint32_t kMaxSnapshotSections = 64;
 
-/// Section kinds. Required sections materialize BipartiteGraph's arrays;
-/// the lookup sections hold dense vertex ids ordered by ascending external
-/// id (adopted graphs answer LookupUser/LookupItem from a flat id map built
-/// over the id sections instead). Label sections are optional.
+/// Section kinds. The required sections, kinds 1 to 10, materialize
+/// BipartiteGraph's arrays; label sections are optional. Kinds 11 and 12
+/// are retired (version 1 lookup sections) and never reused.
 enum class SectionKind : uint32_t {
   kUserOffsets = 1,   // uint64[num_users + 1]
   kItemOffsets = 2,   // uint64[num_items + 1]
@@ -59,13 +59,11 @@ enum class SectionKind : uint32_t {
   kItemTotals = 8,    // uint64[num_items]
   kUserIds = 9,       // int64[num_users]
   kItemIds = 10,      // int64[num_items]
-  kUserLookup = 11,   // uint32[num_users]
-  kItemLookup = 12,   // uint32[num_items]
   kLabelUsers = 13,   // int64[*] (optional; sorted external user ids)
   kLabelItems = 14,   // int64[*] (optional; sorted external item ids)
 };
 
-inline constexpr uint32_t kRequiredSectionCount = 12;
+inline constexpr uint32_t kRequiredSectionCount = 10;
 
 struct SnapshotHeader {
   char magic[8];           // kSnapshotMagic

@@ -15,7 +15,6 @@
 #include "check/validate_snapshot.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "graph/graph_builder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "snapshot/format.h"
@@ -27,7 +26,6 @@ struct SnapshotCounters {
   obs::Counter* saves;
   obs::Counter* loads;
   obs::Counter* bytes_written;
-  obs::Counter* bytes_read;
   obs::Counter* bytes_mapped;
 
   static const SnapshotCounters& Get() {
@@ -36,7 +34,6 @@ struct SnapshotCounters {
       return SnapshotCounters{registry.GetCounter(obs::metric_names::kSnapshotSaves),
                               registry.GetCounter(obs::metric_names::kSnapshotLoads),
                               registry.GetCounter(obs::metric_names::kSnapshotBytesWritten),
-                              registry.GetCounter(obs::metric_names::kSnapshotBytesRead),
                               registry.GetCounter(obs::metric_names::kSnapshotBytesMapped)};
     }();
     return counters;
@@ -110,21 +107,6 @@ std::vector<uint8_t> SerializeSnapshot(const graph::BipartiteGraph& graph,
                                        const gen::LabelSet* labels) {
   const graph::GraphSections s = graph.Freeze();
 
-  // Lookup tables: reuse the graph's own (adopted graphs) or argsort the
-  // external-id arrays (built graphs, whose lookups live in hash maps).
-  std::vector<graph::VertexId> user_lookup_storage;
-  std::vector<graph::VertexId> item_lookup_storage;
-  std::span<const graph::VertexId> user_lookup = s.user_lookup_sorted;
-  std::span<const graph::VertexId> item_lookup = s.item_lookup_sorted;
-  if (user_lookup.size() != s.user_ids.size()) {
-    user_lookup_storage = graph::GraphBuilder::ArgsortByExternalId(s.user_ids);
-    user_lookup = user_lookup_storage;
-  }
-  if (item_lookup.size() != s.item_ids.size()) {
-    item_lookup_storage = graph::GraphBuilder::ArgsortByExternalId(s.item_ids);
-    item_lookup = item_lookup_storage;
-  }
-
   std::vector<int64_t> label_users;
   std::vector<int64_t> label_items;
   if (labels != nullptr) {
@@ -143,8 +125,6 @@ std::vector<uint8_t> SerializeSnapshot(const graph::BipartiteGraph& graph,
       Pending(SectionKind::kItemTotals, s.item_total_clicks),
       Pending(SectionKind::kUserIds, s.user_ids),
       Pending(SectionKind::kItemIds, s.item_ids),
-      Pending(SectionKind::kUserLookup, user_lookup),
-      Pending(SectionKind::kItemLookup, item_lookup),
   };
   if (labels != nullptr) {
     sections.push_back(Pending(SectionKind::kLabelUsers,
@@ -315,12 +295,6 @@ Result<GraphView> GraphView::FromImage(std::span<const uint8_t> data,
       case SectionKind::kItemIds:
         s.item_ids = SectionSpan<table::ItemId>(base, e);
         break;
-      case SectionKind::kUserLookup:
-        s.user_lookup_sorted = SectionSpan<graph::VertexId>(base, e);
-        break;
-      case SectionKind::kItemLookup:
-        s.item_lookup_sorted = SectionSpan<graph::VertexId>(base, e);
-        break;
       case SectionKind::kLabelUsers:
         label_users = SectionSpan<int64_t>(base, e);
         break;
@@ -362,21 +336,6 @@ Result<GraphView> GraphView::FromImage(std::span<const uint8_t> data,
   return view;
 }
 
-Result<GraphView> GraphView::Read(const std::string& path) {
-  RICD_TRACE_SPAN("snapshot.load");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  in.seekg(0, std::ios::end);
-  const auto size = static_cast<uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  auto buffer = std::make_shared<std::vector<uint8_t>>(size);
-  in.read(reinterpret_cast<char*>(buffer->data()),
-          static_cast<std::streamsize>(buffer->size()));
-  if (!in) return Status::IoError("read failed: " + path);
-  SnapshotCounters::Get().bytes_read->Add(size);
-  return FromImage(std::span<const uint8_t>(*buffer), buffer);
-}
-
 Result<GraphView> GraphView::Map(const std::string& path) {
   RICD_TRACE_SPAN("snapshot.load");
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -400,7 +359,9 @@ Result<GraphView> GraphView::Map(const std::string& path) {
   }
   void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   const int close_rc = ::close(fd);  // The mapping survives the fd.
-  if (close_rc != 0) RICD_LOG(WARNING) << "close failed: " << path;
+  if (close_rc != 0) {
+    RICD_LOG(WARNING) << "close failed: " << path;
+  }
   if (addr == MAP_FAILED) {
     return Status::IoError("mmap failed: " + path);
   }

@@ -19,17 +19,14 @@ namespace ricd::snapshot {
 /// format.h) that (re)materializes a built BipartiteGraph in milliseconds
 /// instead of re-parsing click logs and rebuilding CSR — the artifact-reuse
 /// layer under `ricd_tool snapshot`, the `--snapshot` pipeline flags and
-/// the benches' RICD_SNAPSHOT cache. Two load paths:
+/// the benches' RICD_SNAPSHOT cache. One load path: GraphView::Map(path)
+/// mmaps the file read-only and the graph's section pointers alias the
+/// mapping (pages fault in on demand); FromImage adopts an image already in
+/// memory.
 ///
-///   GraphView::Read(path)  owning read — one heap buffer holds the file;
-///                          the graph's spans alias that buffer.
-///   GraphView::Map(path)   zero-copy — the file is mmap'd read-only and
-///                          the graph's section pointers alias the mapping
-///                          (pages fault in on demand).
-///
-/// Both paths run check::ValidateSnapshotHeader and re-verify the
-/// whole-file checksum before any section pointer is formed, so corrupt or
-/// truncated files yield a clean error Status, never UB. Saves and loads
+/// Both run check::ValidateSnapshotHeader and re-verify the whole-file
+/// checksum before any section pointer is formed, so corrupt or truncated
+/// files yield a clean error Status, never UB. Saves and loads
 /// record `snapshot.save` / `snapshot.load` spans plus byte counters in
 /// the global metrics registry.
 
@@ -62,20 +59,17 @@ Status SaveSnapshot(const graph::BipartiteGraph& graph,
 Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path);
 
 /// A loaded snapshot: a BipartiteGraph whose storage aliases the snapshot
-/// image (heap buffer or mmap), plus the optional label sections. The graph
+/// image, plus the optional label sections. The graph
 /// itself retains the backing store, so TakeGraph() — and any copy of the
 /// graph — outlives the view.
 class GraphView {
  public:
-  /// Owning read: loads the whole file into one heap buffer.
-  static Result<GraphView> Read(const std::string& path);
-
   /// Zero-copy load: mmaps the file read-only; section pointers alias the
-  /// mapping. Fastest path — no payload bytes are copied.
+  /// mapping, so no payload bytes are copied.
   static Result<GraphView> Map(const std::string& path);
 
   /// Validates and adopts an in-memory snapshot image. `retention` must
-  /// keep `data` alive; Read/Map are wrappers over this.
+  /// keep `data` alive; Map is a wrapper over this.
   static Result<GraphView> FromImage(std::span<const uint8_t> data,
                                      std::shared_ptr<const void> retention);
 

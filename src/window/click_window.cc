@@ -1,7 +1,6 @@
 #include "window/click_window.h"
 
 #include <cctype>
-#include <cmath>
 #include <cstdlib>
 #include <utility>
 
@@ -53,9 +52,7 @@ ClickWindow::ClickWindow(WindowOptions options)
       segments_gauge_(obs::MetricsRegistry::Global().GetGauge(
           obs::metric_names::kWindowRetainedSegments)),
       retained_rows_gauge_(obs::MetricsRegistry::Global().GetGauge(
-          obs::metric_names::kWindowRetainedRows)),
-      decayed_mass_gauge_(obs::MetricsRegistry::Global().GetGauge(
-          obs::metric_names::kWindowRetainedDecayedMass)) {}
+          obs::metric_names::kWindowRetainedRows)) {}
 
 void ClickWindow::Append(const table::ClickRecord& record, uint64_t ts) {
   MutexLock lock(mu_);
@@ -141,7 +138,6 @@ void ClickWindow::UpdateGaugesLocked() {
   segments_gauge_->Set(static_cast<double>(segments_.size()));
   retained_rows_gauge_->Set(
       static_cast<double>(sealed_rows_retained_ + live_.num_rows()));
-  decayed_mass_gauge_->Set(DecayedMassLocked());
 }
 
 WindowSnapshot ClickWindow::Snapshot() const {
@@ -169,24 +165,6 @@ WindowStats ClickWindow::stats() const {
   s.evicted_rows = evicted_rows_;
   s.clock_high = clock_high_;
   return s;
-}
-
-double ClickWindow::DecayedMassLocked() const {
-  double mass = static_cast<double>(live_.num_rows());
-  if (options_.decay_half_life_seconds <= 0) {
-    return mass + static_cast<double>(sealed_rows_retained_);
-  }
-  for (const auto& seg : segments_) {
-    const double age = static_cast<double>(clock_high_ - seg->max_ts);
-    mass += static_cast<double>(seg->rows.num_rows()) *
-            std::pow(0.5, age / options_.decay_half_life_seconds);
-  }
-  return mass;
-}
-
-double ClickWindow::DecayedMass() const {
-  MutexLock lock(mu_);
-  return DecayedMassLocked();
 }
 
 }  // namespace ricd::window

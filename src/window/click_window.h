@@ -39,12 +39,6 @@ struct WindowOptions {
   /// eviction granular under slow ingest.
   uint64_t segment_seconds = 0;
 
-  /// Advisory exponential-decay half life for DecayedMass(). Purely
-  /// observational — decay weights never enter the detection path, which is
-  /// what keeps windowed-online output bit-identical to an offline run over
-  /// the retained rows. 0 = no decay (mass == retained rows).
-  double decay_half_life_seconds = 0;
-
   /// Applies RICD_WINDOW_CLICKS / RICD_WINDOW_SECONDS on top of defaults.
   static WindowOptions FromEnv();
 };
@@ -130,19 +124,12 @@ class ClickWindow {
 
   WindowStats stats() const RICD_EXCLUDES(mu_);
 
-  /// Advisory decayed mass: Σ over retained segments of
-  /// rows · 2^-(age / half_life) where age = clock_high - segment.max_ts
-  /// (live counts at full weight). With decay disabled this is exactly the
-  /// retained row count. Exported as a gauge; never used for detection.
-  double DecayedMass() const RICD_EXCLUDES(mu_);
-
   const WindowOptions& options() const { return options_; }
 
  private:
   void SealLiveLocked() RICD_REQUIRES(mu_);
   void EvictLocked() RICD_REQUIRES(mu_);
   void UpdateGaugesLocked() RICD_REQUIRES(mu_);
-  double DecayedMassLocked() const RICD_REQUIRES(mu_);
 
   const WindowOptions options_;
 
@@ -166,7 +153,6 @@ class ClickWindow {
   obs::Counter* const evict_rows_counter_;
   obs::Gauge* const segments_gauge_;
   obs::Gauge* const retained_rows_gauge_;
-  obs::Gauge* const decayed_mass_gauge_;
 };
 
 }  // namespace ricd::window

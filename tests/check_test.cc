@@ -31,6 +31,7 @@ namespace {
 
 using core::FrameworkResult;
 using graph::BipartiteGraph;
+using graph::GraphArrays;
 using graph::GraphTestPeer;
 using graph::Group;
 using graph::MutableView;
@@ -83,82 +84,93 @@ TEST(ValidateGraphTest, ViolationsAreCounted) {
   obs::Counter* violations =
       obs::MetricsRegistry::Global().GetCounter("check.violations");
   const uint64_t before = violations->Value();
-  BipartiteGraph g = MakeGraph();
-  GraphTestPeer::TotalClicks(g) += 3;
+  const BipartiteGraph g = GraphTestPeer::Corrupted(
+      MakeGraph(), [](GraphArrays& a) { a.total_clicks += 3; });
   ASSERT_FALSE(check::ValidateBipartiteGraph(g).ok());
   EXPECT_EQ(violations->Value(), before + 1);
 }
 
 TEST(ValidateGraphTest, RejectsNonMonotoneOffsets) {
-  BipartiteGraph g = MakeGraph();
-  GraphTestPeer::UserOffsets(g)[1] = GraphTestPeer::UserOffsets(g).back();
+  const BipartiteGraph g =
+      GraphTestPeer::Corrupted(MakeGraph(), [](GraphArrays& a) {
+        a.user_offsets[1] = a.user_offsets.back();
+      });
   ExpectRejected(check::ValidateBipartiteGraph(g), StatusCode::kCorruption,
                  "offsets-not-monotone");
 }
 
 TEST(ValidateGraphTest, RejectsTerminalOffsetMismatch) {
-  BipartiteGraph g = MakeGraph();
-  GraphTestPeer::UserOffsets(g).back() -= 1;
+  const BipartiteGraph g = GraphTestPeer::Corrupted(
+      MakeGraph(), [](GraphArrays& a) { a.user_offsets.back() -= 1; });
   ExpectRejected(check::ValidateBipartiteGraph(g), StatusCode::kCorruption,
                  "offsets-terminal-mismatch");
 }
 
 TEST(ValidateGraphTest, RejectsDanglingNeighbor) {
-  BipartiteGraph g = MakeGraph();
-  GraphTestPeer::UserAdj(g)[0] = g.num_items() + 7;
+  const BipartiteGraph g =
+      GraphTestPeer::Corrupted(MakeGraph(), [](GraphArrays& a) {
+        a.user_adj[0] = static_cast<VertexId>(a.item_ids.size()) + 7;
+      });
   ExpectRejected(check::ValidateBipartiteGraph(g), StatusCode::kCorruption,
                  "neighbor-out-of-range");
 }
 
 TEST(ValidateGraphTest, RejectsDuplicateAdjacency) {
-  BipartiteGraph g = MakeGraph();
   // User 0 has three item neighbors; make the second repeat the first.
-  GraphTestPeer::UserAdj(g)[1] = GraphTestPeer::UserAdj(g)[0];
+  const BipartiteGraph g = GraphTestPeer::Corrupted(
+      MakeGraph(), [](GraphArrays& a) { a.user_adj[1] = a.user_adj[0]; });
   ExpectRejected(check::ValidateBipartiteGraph(g), StatusCode::kCorruption,
                  "adjacency-duplicate");
 }
 
 TEST(ValidateGraphTest, RejectsUnsortedAdjacency) {
-  BipartiteGraph g = MakeGraph();
-  std::swap(GraphTestPeer::UserAdj(g)[0], GraphTestPeer::UserAdj(g)[1]);
+  const BipartiteGraph g =
+      GraphTestPeer::Corrupted(MakeGraph(), [](GraphArrays& a) {
+        std::swap(a.user_adj[0], a.user_adj[1]);
+      });
   ExpectRejected(check::ValidateBipartiteGraph(g), StatusCode::kCorruption,
                  "adjacency-unsorted");
 }
 
 TEST(ValidateGraphTest, RejectsZeroMultiplicityEdge) {
-  BipartiteGraph g = MakeGraph();
-  GraphTestPeer::UserClicks(g)[0] = 0;
+  const BipartiteGraph g = GraphTestPeer::Corrupted(
+      MakeGraph(), [](GraphArrays& a) { a.user_clicks[0] = 0; });
   ExpectRejected(check::ValidateBipartiteGraph(g), StatusCode::kCorruption,
                  "zero-multiplicity");
 }
 
 TEST(ValidateGraphTest, RejectsPerVertexTotalMismatch) {
-  BipartiteGraph g = MakeGraph();
-  GraphTestPeer::UserTotalClicks(g)[0] += 5;
+  const BipartiteGraph g = GraphTestPeer::Corrupted(
+      MakeGraph(), [](GraphArrays& a) { a.user_total_clicks[0] += 5; });
   ExpectRejected(check::ValidateBipartiteGraph(g), StatusCode::kCorruption,
                  "total-clicks-mismatch");
 }
 
 TEST(ValidateGraphTest, RejectsTransposeWeightDisagreement) {
-  BipartiteGraph g = MakeGraph();
   // User 0's first two edges carry different weights (2 and 5); swapping
   // them keeps the user-side CSR self-consistent (same sum) but the
   // item-side copies of those edges now disagree.
-  std::swap(GraphTestPeer::UserClicks(g)[0], GraphTestPeer::UserClicks(g)[1]);
+  const BipartiteGraph g =
+      GraphTestPeer::Corrupted(MakeGraph(), [](GraphArrays& a) {
+        std::swap(a.user_clicks[0], a.user_clicks[1]);
+      });
   ExpectRejected(check::ValidateBipartiteGraph(g), StatusCode::kCorruption,
                  "transpose-mismatch");
 }
 
 TEST(ValidateGraphTest, RejectsGlobalClickMismatch) {
-  BipartiteGraph g = MakeGraph();
-  GraphTestPeer::TotalClicks(g) += 3;
+  const BipartiteGraph g = GraphTestPeer::Corrupted(
+      MakeGraph(), [](GraphArrays& a) { a.total_clicks += 3; });
   ExpectRejected(check::ValidateBipartiteGraph(g), StatusCode::kCorruption,
                  "global-clicks-mismatch");
 }
 
 TEST(ValidateGraphTest, RejectsBrokenExternalIdLookup) {
-  BipartiteGraph g = MakeGraph();
-  GraphTestPeer::UserIds(g)[0] = kUserBase + 999;  // Not in the lookup map.
+  // The id map is derived from the id section, so give user 1 user 0's
+  // external id: the map resolves it to user 0, and user 1 no longer
+  // round-trips.
+  const BipartiteGraph g = GraphTestPeer::Corrupted(
+      MakeGraph(), [](GraphArrays& a) { a.user_ids[1] = a.user_ids[0]; });
   ExpectRejected(check::ValidateBipartiteGraph(g), StatusCode::kCorruption,
                  "lookup-mismatch");
 }

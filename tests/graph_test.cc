@@ -196,11 +196,9 @@ TEST(FlatIdMapTest, MapsEveryIdAndRejectsAbsentOnes) {
   EXPECT_FALSE(empty.Lookup(0, &dense));
 }
 
-TEST(GraphTest, AdoptedFlatLookupMatchesBuiltGraphHashLookup) {
-  // Differential oracle for the adopted-graph flat id map: every external id
-  // the built graph's hash maps resolve must resolve to the same dense id
-  // through the adopted graph's FlatIdMap, and near-miss ids must miss on
-  // both.
+TEST(GraphTest, LookupResolvesEveryIdAndMissesNearMisses) {
+  // Every external id resolves to its own dense id through the graph's flat
+  // id map, and near-miss ids (between the strided ids) miss.
   Rng rng(2024);
   table::ClickTable t;
   for (int i = 0; i < 4000; ++i) {
@@ -208,32 +206,48 @@ TEST(GraphTest, AdoptedFlatLookupMatchesBuiltGraphHashLookup) {
              static_cast<table::ItemId>(9'000'000 + rng.Uniform(300) * 7),
              static_cast<table::ClickCount>(1 + rng.Uniform(5)));
   }
-  auto built = GraphBuilder::FromTable(t);
-  ASSERT_TRUE(built.ok());
+  auto g = GraphBuilder::FromTable(t);
+  ASSERT_TRUE(g.ok());
 
-  // Backing storage is `built` on this frame; no retention handle needed
-  // for the scope of this test.
-  const BipartiteGraph adopted =
-      BipartiteGraph::AdoptExternal(built->Freeze(), nullptr);
-  ASSERT_TRUE(adopted.is_external());
-
-  for (VertexId u = 0; u < built->num_users(); ++u) {
-    const table::UserId external = built->ExternalUserId(u);
+  for (VertexId u = 0; u < g->num_users(); ++u) {
+    const table::UserId external = g->ExternalUserId(u);
     VertexId got = 0xFFFFFFFFu;
-    ASSERT_TRUE(adopted.LookupUser(external, &got)) << external;
+    ASSERT_TRUE(g->LookupUser(external, &got)) << external;
     EXPECT_EQ(got, u);
-    EXPECT_FALSE(adopted.LookupUser(external + 1, &got));  // ids stride 3
+    EXPECT_FALSE(g->LookupUser(external + 1, &got));  // ids stride 3
   }
-  for (VertexId v = 0; v < built->num_items(); ++v) {
-    const table::ItemId external = built->ExternalItemId(v);
+  for (VertexId v = 0; v < g->num_items(); ++v) {
+    const table::ItemId external = g->ExternalItemId(v);
     VertexId got = 0xFFFFFFFFu;
-    ASSERT_TRUE(adopted.LookupItem(external, &got)) << external;
+    ASSERT_TRUE(g->LookupItem(external, &got)) << external;
     EXPECT_EQ(got, v);
-    EXPECT_FALSE(adopted.LookupItem(external + 1, &got));  // ids stride 7
+    EXPECT_FALSE(g->LookupItem(external + 1, &got));  // ids stride 7
   }
   VertexId got = 0;
-  EXPECT_FALSE(adopted.LookupUser(-1, &got));
-  EXPECT_FALSE(adopted.LookupItem(0, &got));
+  EXPECT_FALSE(g->LookupUser(-1, &got));
+  EXPECT_FALSE(g->LookupItem(0, &got));
+}
+
+TEST(GraphTest, CopiesShareStorage) {
+  auto g = GraphBuilder::FromTable(Sample());
+  ASSERT_TRUE(g.ok());
+  const BipartiteGraph copy = *g;
+  EXPECT_EQ(copy.Freeze().user_adj.data(), g->Freeze().user_adj.data());
+  EXPECT_EQ(copy.Freeze().item_ids.data(), g->Freeze().item_ids.data());
+}
+
+TEST(GraphTest, DefaultGraphIsEmpty) {
+  const BipartiteGraph g;
+  EXPECT_EQ(g.num_users(), 0u);
+  EXPECT_EQ(g.num_items(), 0u);
+  EXPECT_EQ(g.num_edges(), 0u);
+  EXPECT_EQ(g.total_clicks(), 0u);
+  EXPECT_EQ(g.UserOffsets().size(), 1u);
+  EXPECT_EQ(g.ItemOffsets().size(), 1u);
+  VertexId got = 0;
+  EXPECT_FALSE(g.LookupUser(0, &got));
+  EXPECT_FALSE(g.LookupItem(0, &got));
+  EXPECT_FALSE(g.LookupUser(100, &got));
 }
 
 TEST(GraphTest, SideGenericAccessorsMatchSpecific) {

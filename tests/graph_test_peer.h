@@ -2,7 +2,7 @@
 #define RICD_TESTS_GRAPH_TEST_PEER_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -10,43 +10,36 @@
 
 namespace ricd::graph {
 
-/// Test-only backdoor into BipartiteGraph and MutableView internals (both
-/// classes befriend it). check_test.cc and property_test.cc use it to
-/// corrupt a well-formed structure in one precise way and prove the
-/// corresponding validator rejects it with the expected Status — there is
-/// no public API for constructing an invalid graph, by design.
+/// Test-only tools for building broken structures. check_test.cc and
+/// property_test.cc use them to corrupt a well-formed structure in one
+/// precise way and prove the corresponding validator rejects it with the
+/// expected Status — there is no public API for constructing an invalid
+/// graph or view, by design. MutableView befriends this struct; graphs are
+/// corrupted through a private copy of their arrays, so the original and
+/// every copy sharing its storage stay intact.
 struct GraphTestPeer {
-  static std::vector<uint64_t>& UserOffsets(BipartiteGraph& g) {
-    return g.user_offsets_;
+  /// A graph over a private copy of `g`'s arrays after `fn(arrays)` edits
+  /// them.
+  template <typename Fn>
+  static BipartiteGraph Corrupted(const BipartiteGraph& g, Fn&& fn) {
+    const GraphSections s = g.Freeze();
+    GraphArrays arrays;
+    arrays.user_offsets.assign(s.user_offsets.begin(), s.user_offsets.end());
+    arrays.item_offsets.assign(s.item_offsets.begin(), s.item_offsets.end());
+    arrays.user_adj.assign(s.user_adj.begin(), s.user_adj.end());
+    arrays.item_adj.assign(s.item_adj.begin(), s.item_adj.end());
+    arrays.user_clicks.assign(s.user_clicks.begin(), s.user_clicks.end());
+    arrays.item_clicks.assign(s.item_clicks.begin(), s.item_clicks.end());
+    arrays.user_total_clicks.assign(s.user_total_clicks.begin(),
+                                    s.user_total_clicks.end());
+    arrays.item_total_clicks.assign(s.item_total_clicks.begin(),
+                                    s.item_total_clicks.end());
+    arrays.user_ids.assign(s.user_ids.begin(), s.user_ids.end());
+    arrays.item_ids.assign(s.item_ids.begin(), s.item_ids.end());
+    arrays.total_clicks = s.total_clicks;
+    std::forward<Fn>(fn)(arrays);
+    return BipartiteGraph::FromArrays(std::move(arrays));
   }
-  static std::vector<VertexId>& UserAdj(BipartiteGraph& g) {
-    return g.user_adj_;
-  }
-  static std::vector<table::ClickCount>& UserClicks(BipartiteGraph& g) {
-    return g.user_clicks_;
-  }
-  static std::vector<uint64_t>& ItemOffsets(BipartiteGraph& g) {
-    return g.item_offsets_;
-  }
-  static std::vector<VertexId>& ItemAdj(BipartiteGraph& g) {
-    return g.item_adj_;
-  }
-  static std::vector<table::ClickCount>& ItemClicks(BipartiteGraph& g) {
-    return g.item_clicks_;
-  }
-  static std::vector<uint64_t>& UserTotalClicks(BipartiteGraph& g) {
-    return g.user_total_clicks_;
-  }
-  static std::vector<uint64_t>& ItemTotalClicks(BipartiteGraph& g) {
-    return g.item_total_clicks_;
-  }
-  static std::vector<table::UserId>& UserIds(BipartiteGraph& g) {
-    return g.user_ids_;
-  }
-  static std::vector<table::ItemId>& ItemIds(BipartiteGraph& g) {
-    return g.item_ids_;
-  }
-  static uint64_t& TotalClicks(BipartiteGraph& g) { return g.total_clicks_; }
 
   static std::vector<uint32_t>& UserDegrees(MutableView& view) {
     return view.user_degree_;

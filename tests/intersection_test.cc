@@ -39,23 +39,15 @@ TEST(IntersectionTest, Disjoint) {
   EXPECT_EQ(IntersectionSize(V({1, 2, 3}), V({4, 5, 6})), 0u);
 }
 
-TEST(IntersectionTest, AtLeastStopsAtThreshold) {
-  const auto a = V({1, 2, 3, 4, 5});
-  EXPECT_EQ(IntersectionAtLeast(a, a, 3), 3u);
-  EXPECT_EQ(IntersectionAtLeast(a, a, 10), 5u);
-  EXPECT_EQ(IntersectionAtLeast(a, a, 0), 0u);
-}
-
 TEST(IntersectionTest, GallopPathTriggeredBySkew) {
   // Small span of 3 vs large span of 200 -> gallop path (ratio >= 16).
   std::vector<VertexId> large;
   for (VertexId i = 0; i < 200; ++i) large.push_back(i * 2);
   const auto small = V({0, 101, 398});
   EXPECT_EQ(IntersectionSize(small, large), 2u);  // 0 and 398 are even
-  EXPECT_EQ(IntersectionAtLeast(small, large, 1), 1u);
 }
 
-/// Property: both kernels agree with a std::set-based oracle on random
+/// Property: the kernel agrees with a std::set-based oracle on random
 /// inputs with varying size skew.
 class IntersectionPropertyTest
     : public ::testing::TestWithParam<std::pair<int, int>> {};
@@ -78,10 +70,6 @@ TEST_P(IntersectionPropertyTest, MatchesSetOracle) {
     std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                           std::back_inserter(expected));
     EXPECT_EQ(IntersectionSize(a, b), expected.size());
-    // Capped variant agrees up to the cap.
-    const uint64_t cap = 1 + rng.Uniform(10);
-    EXPECT_EQ(IntersectionAtLeast(a, b, cap),
-              std::min<uint64_t>(cap, expected.size()));
   }
 }
 
@@ -105,7 +93,6 @@ TEST(IntersectionTest, DensePathTriggeredByTightRange) {
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(expected));
   EXPECT_EQ(IntersectionSize(a, b), expected.size());  // multiples of 6
-  EXPECT_EQ(IntersectionAtLeast(a, b, 1000), expected.size());
 }
 
 TEST(IntersectionTest, BlockMergeHandlesUnalignedTails) {
@@ -161,24 +148,6 @@ TEST(BitsetIntersectorTest, ReloadClearsPreviousBase) {
   EXPECT_EQ(bitset.Count(V({50, 60})), 2u);
   bitset.Load({}, 100);
   EXPECT_EQ(bitset.Count(V({50, 60})), 0u);
-}
-
-TEST(BitsetIntersectorTest, CountAndMatchesThreeWayOracle) {
-  Rng rng(31);
-  std::set<VertexId> sa;
-  std::set<VertexId> sb;
-  for (int i = 0; i < 200; ++i) {
-    sa.insert(static_cast<VertexId>(rng.Uniform(1000)));
-    sb.insert(static_cast<VertexId>(rng.Uniform(1000)));
-  }
-  const std::vector<VertexId> a(sa.begin(), sa.end());
-  const std::vector<VertexId> b(sb.begin(), sb.end());
-  BitsetIntersector ba;
-  BitsetIntersector bb;
-  ba.Load(a, 1000);
-  bb.Load(b, 1000);
-  EXPECT_EQ(ba.CountAnd(bb), IntersectionSize(a, b));
-  EXPECT_EQ(bb.CountAnd(ba), IntersectionSize(a, b));
 }
 
 TEST(BitsetIntersectorTest, ShouldUseHeuristic) {

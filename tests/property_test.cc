@@ -144,23 +144,31 @@ TEST_P(ScenarioPropertyTest, GeneratedGraphSatisfiesAllInvariants) {
 // above this pins both directions of ValidateBipartiteGraph on every seed.
 TEST_P(ScenarioPropertyTest, MutatedGraphFailsValidation) {
   Rng rng(GetParam());
+  ASSERT_GT(graph_.num_edges(), 0u);
+  using graph::GraphArrays;
+  using graph::GraphTestPeer;
 
-  graph::BipartiteGraph corrupted = graph_;
-  auto& adj = graph::GraphTestPeer::UserAdj(corrupted);
-  ASSERT_FALSE(adj.empty());
-  adj[rng.Uniform(static_cast<uint32_t>(adj.size()))] =
-      corrupted.num_items() + 1 + rng.Uniform(100);
+  graph::BipartiteGraph corrupted =
+      GraphTestPeer::Corrupted(graph_, [&rng](GraphArrays& a) {
+        a.user_adj[rng.Uniform(static_cast<uint32_t>(a.user_adj.size()))] =
+            static_cast<graph::VertexId>(a.item_ids.size()) + 1 +
+            rng.Uniform(100);
+      });
   EXPECT_FALSE(check::ValidateBipartiteGraph(corrupted).ok());
 
-  corrupted = graph_;
-  auto& clicks = graph::GraphTestPeer::UserClicks(corrupted);
-  ASSERT_FALSE(clicks.empty());
-  clicks[rng.Uniform(static_cast<uint32_t>(clicks.size()))] = 0;
+  corrupted = GraphTestPeer::Corrupted(graph_, [&rng](GraphArrays& a) {
+    a.user_clicks[rng.Uniform(static_cast<uint32_t>(a.user_clicks.size()))] =
+        0;
+  });
   EXPECT_FALSE(check::ValidateBipartiteGraph(corrupted).ok());
 
-  corrupted = graph_;
-  graph::GraphTestPeer::TotalClicks(corrupted) += 1 + rng.Uniform(1000);
+  corrupted = GraphTestPeer::Corrupted(graph_, [&rng](GraphArrays& a) {
+    a.total_clicks += 1 + rng.Uniform(1000);
+  });
   EXPECT_FALSE(check::ValidateBipartiteGraph(corrupted).ok());
+
+  // The corruptions edited private copies: the shared graph is intact.
+  EXPECT_TRUE(check::ValidateBipartiteGraph(graph_).ok());
 }
 
 TEST_P(ScenarioPropertyTest, DeterministicDetection) {

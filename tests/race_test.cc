@@ -1,7 +1,7 @@
 // Deterministic concurrency stress tests, written for the TSan leg of
 // tools/check.sh: every test drives a fixed amount of work through the
 // shared-state surfaces (ThreadPool, WorkerEngine, the metrics registry,
-// an adopted graph's lazy id maps, and whole detection pipelines) and
+// a graph's lazy id maps, and whole detection pipelines) and
 // asserts the deterministic parts of the outcome. Under
 // -DRICD_SANITIZE=thread the interleavings themselves are the assertion;
 // without a sanitizer they still pass as fast checks.
@@ -53,9 +53,9 @@ TEST(RaceTest, ThreadPoolSubmitWaitHammer) {
   EXPECT_EQ(executed.load(), uint64_t{kSubmitters} * kTasksPerSubmitter);
 }
 
-// Two raw threads share one engine, each issuing ParallelFor rounds whose
-// writes land in thread-private buffers — exercises the pool's queue and
-// completion signalling under concurrent driver threads.
+// Two raw threads share one engine, each issuing ParallelForChunks rounds
+// whose writes land in thread-private buffers — exercises the pool's queue
+// and completion signalling under concurrent calling threads.
 TEST(RaceTest, WorkerEngineConcurrentParallelFor) {
   constexpr uint32_t kN = 4096;
   constexpr int kRounds = 20;
@@ -64,7 +64,9 @@ TEST(RaceTest, WorkerEngineConcurrentParallelFor) {
   auto drive = [&eng] {
     std::vector<uint32_t> out(kN, 0);
     for (int round = 0; round < kRounds; ++round) {
-      eng.ParallelFor(kN, [&out](uint32_t i) { out[i] = i; });
+      eng.ParallelForChunks(kN, [&out](size_t, engine::VertexRange range) {
+        for (uint32_t i = range.begin; i < range.end; ++i) out[i] = i;
+      });
       uint64_t sum = 0;
       for (const uint32_t v : out) sum += v;
       ASSERT_EQ(sum, uint64_t{kN} * (kN - 1) / 2);
@@ -76,19 +78,22 @@ TEST(RaceTest, WorkerEngineConcurrentParallelFor) {
   b.join();
 }
 
-// MapReduce determinism while another thread runs its own reductions.
-TEST(RaceTest, WorkerEngineConcurrentMapReduce) {
+// Per-worker partial sums, combined in worker order, while another thread
+// runs its own reductions on the same engine.
+TEST(RaceTest, WorkerEngineConcurrentReductions) {
   constexpr uint32_t kN = 10000;
   engine::WorkerEngine eng(/*num_workers=*/4);
   auto drive = [&eng] {
     for (int round = 0; round < 10; ++round) {
-      const uint64_t total = eng.MapReduce<uint64_t>(
-          kN, 0,
-          [](engine::VertexRange range, uint64_t acc) {
-            for (uint32_t i = range.begin; i < range.end; ++i) acc += i;
-            return acc;
-          },
-          [](uint64_t a, uint64_t b) { return a + b; });
+      std::vector<uint64_t> partials(eng.num_workers(), 0);
+      eng.ParallelForChunks(kN, [&partials](size_t worker,
+                                            engine::VertexRange range) {
+        for (uint32_t i = range.begin; i < range.end; ++i) {
+          partials[worker] += i;
+        }
+      });
+      uint64_t total = 0;
+      for (const uint64_t p : partials) total += p;
       ASSERT_EQ(total, uint64_t{kN} * (kN - 1) / 2);
     }
   };
@@ -139,37 +144,34 @@ TEST(RaceTest, MetricsRegistryConcurrentReadersWriters) {
   EXPECT_EQ(counter->Value(), 7u);
 }
 
-// The first lookups on an adopted graph race to build its lazily built
-// flat id maps (one std::call_once for both sides): half the threads enter
-// through LookupUser, half through LookupItem, all released at once. Every
-// answer, hit or miss, must equal the built graph's hash-map lookup.
-TEST(RaceTest, AdoptedGraphFirstLookups) {
+// The first lookups on a graph race to build its lazily built flat id
+// maps (one std::call_once for both sides): half the threads enter through
+// LookupUser, half through LookupItem, all released at once. The oracle is
+// the round trip: every vertex's own external id resolves to that vertex,
+// and any hit maps back to the queried id.
+TEST(RaceTest, GraphFirstLookups) {
   auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, /*seed=*/42);
   ASSERT_TRUE(scenario.ok()) << scenario.status();
   auto built = graph::GraphBuilder::FromTable(scenario.value().table);
   ASSERT_TRUE(built.ok()) << built.status();
   const graph::BipartiteGraph& g = built.value();
-  // No retention handle: the sections alias `g`, which outlives `adopted`.
-  const graph::BipartiteGraph adopted =
-      graph::BipartiteGraph::AdoptExternal(g.Freeze(), nullptr);
 
   // Probes every vertex's own external id and the next id up, which may
-  // miss; counts answers that differ from the built graph's.
+  // miss; counts answers that break the round trip.
   std::atomic<int> mismatches{0};
-  auto probe = [&g, &adopted, &mismatches](graph::Side side) {
+  auto probe = [&g, &mismatches](graph::Side side) {
     const bool users = side == graph::Side::kUser;
     for (graph::VertexId v = 0; v < g.num_vertices(side); ++v) {
       const int64_t own = users ? g.ExternalUserId(v) : g.ExternalItemId(v);
       for (const int64_t id : {own, own + 1}) {
-        graph::VertexId want = 0;
         graph::VertexId got = 0;
         const bool found =
-            users ? g.LookupUser(id, &want) : g.LookupItem(id, &want);
-        const bool adopted_found =
-            users ? adopted.LookupUser(id, &got) : adopted.LookupItem(id, &got);
-        if (adopted_found != found || (found && got != want)) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
+            users ? g.LookupUser(id, &got) : g.LookupItem(id, &got);
+        const bool ok =
+            id == own ? found && got == v
+                      : !found || (users ? g.ExternalUserId(got)
+                                         : g.ExternalItemId(got)) == id;
+        if (!ok) mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     }
   };

@@ -65,7 +65,7 @@ void ExpectIdenticalPipelines(uint64_t seed) {
               std::vector<table::ClickCount>(wb.begin(), wb.end()));
   }
 
-  // External-id lookups behave identically (hash map vs flat id map).
+  // External-id lookups resolve through the loaded graph's own id map.
   for (graph::VertexId u = 0; u < fresh->num_users(); u += 17) {
     graph::VertexId dense = 0;
     ASSERT_TRUE(loaded.LookupUser(fresh->ExternalUserId(u), &dense));
@@ -116,28 +116,6 @@ TEST(SnapshotDiffTest, PipelineBitIdenticalSeed7) {
   ExpectIdenticalPipelines(7);
 }
 
-TEST(SnapshotDiffTest, OwningReadMatchesMmap) {
-  auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, 99);
-  ASSERT_TRUE(scenario.ok()) << scenario.status();
-  auto fresh = graph::GraphBuilder::FromTable(scenario->table);
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  const std::string path = TempPath("diff_read_vs_map.snap");
-  ASSERT_TRUE(snapshot::SaveSnapshot(*fresh, path).ok());
-
-  auto mapped = snapshot::GraphView::Map(path);
-  auto read = snapshot::GraphView::Read(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  ASSERT_TRUE(read.ok()) << read.status();
-  ASSERT_EQ(mapped->graph().num_edges(), read->graph().num_edges());
-  for (graph::VertexId u = 0; u < mapped->graph().num_users(); ++u) {
-    const auto a = mapped->graph().UserNeighbors(u);
-    const auto b = read->graph().UserNeighbors(u);
-    ASSERT_EQ(std::vector<graph::VertexId>(a.begin(), a.end()),
-              std::vector<graph::VertexId>(b.begin(), b.end()));
-  }
-  EXPECT_FALSE(mapped->has_labels());
-}
-
 TEST(SnapshotDiffTest, TakenGraphOutlivesView) {
   auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, 3);
   ASSERT_TRUE(scenario.ok()) << scenario.status();
@@ -151,7 +129,6 @@ TEST(SnapshotDiffTest, TakenGraphOutlivesView) {
     EXPECT_TRUE(view.ok()) << view.status();
     return std::move(*view).TakeGraph();
   }();  // view destroyed here; the graph must retain the mapping
-  EXPECT_TRUE(taken.is_external());
   EXPECT_EQ(taken.num_edges(), fresh->num_edges());
   uint64_t sum = 0;
   for (graph::VertexId u = 0; u < taken.num_users(); ++u) {

@@ -130,31 +130,33 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<uint32_t, size_t>{1000, 3},
                       std::pair<uint32_t, size_t>{999983, 48}));
 
-TEST(WorkerEngineTest, ParallelForVisitsEveryIndexOnce) {
+TEST(WorkerEngineTest, ParallelForChunksVisitsEveryIndexOnce) {
   engine::WorkerEngine eng(4);
   std::vector<std::atomic<int>> hits(1000);
-  eng.ParallelFor(1000, [&hits](uint32_t i) { hits[i].fetch_add(1); });
+  eng.ParallelForChunks(1000, [&hits](size_t, engine::VertexRange r) {
+    for (uint32_t i = r.begin; i < r.end; ++i) hits[i].fetch_add(1);
+  });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(WorkerEngineTest, ParallelForRangesCoverDisjointly) {
+TEST(WorkerEngineTest, ParallelForChunksCoverDisjointly) {
   engine::WorkerEngine eng(3);
   std::vector<int> owner(100, -1);
-  eng.ParallelForRanges(100, [&owner](size_t worker, engine::VertexRange r) {
+  eng.ParallelForChunks(100, [&owner](size_t worker, engine::VertexRange r) {
     for (uint32_t i = r.begin; i < r.end; ++i) owner[i] = static_cast<int>(worker);
   });
   for (int o : owner) EXPECT_GE(o, 0);
 }
 
-TEST(WorkerEngineTest, MapReduceSum) {
+TEST(WorkerEngineTest, ParallelForChunksPerWorkerSums) {
   engine::WorkerEngine eng(4);
-  const uint64_t sum = eng.MapReduce<uint64_t>(
-      1000, 0,
-      [](engine::VertexRange r, uint64_t acc) {
-        for (uint32_t i = r.begin; i < r.end; ++i) acc += i;
-        return acc;
-      },
-      [](uint64_t a, uint64_t b) { return a + b; });
+  std::vector<uint64_t> partials(eng.num_workers(), 0);
+  eng.ParallelForChunks(1000, [&partials](size_t worker,
+                                          engine::VertexRange r) {
+    for (uint32_t i = r.begin; i < r.end; ++i) partials[worker] += i;
+  });
+  uint64_t sum = 0;
+  for (const uint64_t p : partials) sum += p;
   EXPECT_EQ(sum, 999u * 1000u / 2);
 }
 
@@ -162,7 +164,9 @@ TEST(WorkerEngineTest, SingleWorkerEngine) {
   engine::WorkerEngine eng(1);
   EXPECT_EQ(eng.num_workers(), 1u);
   std::vector<int> hits(10, 0);
-  eng.ParallelFor(10, [&hits](uint32_t i) { ++hits[i]; });
+  eng.ParallelForChunks(10, [&hits](size_t, engine::VertexRange r) {
+    for (uint32_t i = r.begin; i < r.end; ++i) ++hits[i];
+  });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
@@ -170,14 +174,18 @@ TEST(WorkerEngineTest, DefaultEngineIsUsable) {
   const auto& eng = engine::DefaultEngine();
   EXPECT_GE(eng.num_workers(), 1u);
   std::atomic<int> count{0};
-  eng.ParallelFor(16, [&count](uint32_t) { count.fetch_add(1); });
+  eng.ParallelForChunks(16, [&count](size_t, engine::VertexRange r) {
+    count.fetch_add(static_cast<int>(r.end - r.begin));
+  });
   EXPECT_EQ(count.load(), 16);
 }
 
 TEST(WorkerEngineTest, ZeroElementLoopIsNoop) {
   engine::WorkerEngine eng(2);
   bool called = false;
-  eng.ParallelFor(0, [&called](uint32_t) { called = true; });
+  eng.ParallelForChunks(0, [&called](size_t, engine::VertexRange) {
+    called = true;
+  });
   EXPECT_FALSE(called);
 }
 

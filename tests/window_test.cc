@@ -46,7 +46,6 @@ TEST(ClickWindowTest, EmptyWindowDrainsToNothing) {
   EXPECT_EQ(stats.appended_rows, 0u);
   EXPECT_EQ(stats.retained_rows, 0u);
   EXPECT_EQ(stats.sealed_segments, 0u);
-  EXPECT_EQ(window.DecayedMass(), 0.0);
   EXPECT_TRUE(check::ValidateWindowSnapshot(snap).ok());
   EXPECT_TRUE(check::ValidateWindowStats(stats, window.options()).ok());
 }
@@ -175,21 +174,6 @@ TEST(ClickWindowTest, TimeSealSplitsSlowTraffic) {
   EXPECT_TRUE(check::ValidateWindowSnapshot(window.Snapshot()).ok());
 }
 
-TEST(ClickWindowTest, DecayedMassIsAdvisoryAndHalves) {
-  WindowOptions options;
-  options.segment_clicks = 4;
-  options.decay_half_life_seconds = 10;
-  ClickWindow window(options);
-  for (int i = 0; i < 4; ++i) window.Append(Rec(i, 1), 0);  // seals at ts 0
-  // Clock at 10 == one half life: the sealed segment weighs half, the live
-  // row full weight.
-  window.Append(Rec(9, 1), 10);
-  EXPECT_NEAR(window.DecayedMass(), 4.0 * 0.5 + 1.0, 1e-9);
-
-  // Decay never changes what is retained — only the advisory mass.
-  EXPECT_EQ(window.stats().retained_rows, 5u);
-}
-
 // ---------------------------------------------------------------------------
 // Invariant validators
 // ---------------------------------------------------------------------------
@@ -293,7 +277,6 @@ TEST(ClickWindowRaceTest, AppenderSealsAndEvictsUnderConcurrentReaders) {
   options.segment_clicks = 64;
   options.max_clicks = 512;
   options.max_seconds = 300;
-  options.decay_half_life_seconds = 50;
   ClickWindow window(options);
 
   constexpr int kAppends = 20000;
@@ -310,7 +293,6 @@ TEST(ClickWindowRaceTest, AppenderSealsAndEvictsUnderConcurrentReaders) {
             check::ValidateWindowStats(stats, window.options());
         EXPECT_TRUE(stats_ok.ok()) << stats_ok;
         EXPECT_LE(snap.rows(), stats.appended_rows);
-        (void)window.DecayedMass();
       }
     });
   }

@@ -2,8 +2,9 @@
 # Correctness matrix for the RICD repo: builds and tests the tree in four
 # configurations and prints a one-line verdict per configuration.
 #
-#   plain   RelWithDebInfo, full ctest suite (includes the `lint` label and
-#           the invariant-validator tests, which run with RICD_VALIDATE=1)
+#   plain   RelWithDebInfo built with -Werror, full ctest suite (includes
+#           the `lint` label and the invariant-validator tests, which run
+#           with RICD_VALIDATE=1)
 #   asan    -DRICD_SANITIZE=address,undefined — full suite under
 #           AddressSanitizer + UndefinedBehaviorSanitizer
 #   tsan    -DRICD_SANITIZE=thread — the concurrency-focused tests
@@ -54,10 +55,10 @@ done
 declare -a SUMMARY=()
 FAILED=0
 
-# run_config <name> <sanitize-value> <ctest-args...>
+# run_config <name> <sanitize-value> <cxx-flags> <ctest-args...>
 run_config() {
-  local name="$1" sanitize="$2"
-  shift 2
+  local name="$1" sanitize="$2" cxx_flags="$3"
+  shift 3
   local build_dir="$ROOT/build-check/$name"
   local log="$ROOT/build-check/$name.log"
   local start end verdict
@@ -66,6 +67,7 @@ run_config() {
 
   if cmake -B "$build_dir" -S "$ROOT" \
         -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
+        -DCMAKE_CXX_FLAGS="$cxx_flags" \
         -DRICD_SANITIZE="$sanitize" >"$log" 2>&1 \
       && cmake --build "$build_dir" -j "$JOBS" >>"$log" 2>&1 \
       && (cd "$build_dir" && RICD_VALIDATE=1 ctest --output-on-failure "$@" >>"$log" 2>&1); then
@@ -80,14 +82,15 @@ run_config() {
 }
 
 case ",$ONLY," in *,plain,*)
-  run_config plain "" -j "$JOBS"
+  # The plain leg keeps the build warning-free: any new warning fails it.
+  run_config plain "" "-Werror" -j "$JOBS"
 esac
 case ",$ONLY," in *,asan,*)
-  run_config asan "address,undefined" -j "$JOBS"
+  run_config asan "address,undefined" "" -j "$JOBS"
 esac
 case ",$ONLY," in *,tsan,*)
   # Deterministic concurrency workloads (race_test exists for this leg and
-  # also races first lookups on an adopted graph's lazy flat id map;
+  # also races first lookups on a graph's lazy flat id map;
   # parallel_pruning_test runs the witness/frontier pruning differential and
   # the witness-recheck fixture at 1-8 workers; serve_stress_test sweeps the lock-free verdict-snapshot
   # swap, the bounded ingest queue, and the telemetry-enabled serve path;
@@ -96,7 +99,7 @@ case ",$ONLY," in *,tsan,*)
   # snapshot readers and runs the windowed online-vs-offline differential
   # over a live DetectionService), plus the snapshot corruption suite so
   # it sees all three sanitizers.
-  run_config tsan "thread" -R "race_test|thread_pool_test|metrics_test|trace_test|flight_recorder_test|snapshot_fuzz_test|parallel_pruning_test|serve_test|serve_stress_test|window_test"
+  run_config tsan "thread" "" -R "race_test|thread_pool_test|metrics_test|trace_test|flight_recorder_test|snapshot_fuzz_test|parallel_pruning_test|serve_test|serve_stress_test|window_test"
 esac
 case ",$ONLY," in *,annotate,*)
   # Compile-time lock-discipline check: clang's -Wthread-safety over the

@@ -12,8 +12,6 @@ int PlantedViolations() {
   std::thread worker([] {});      // planted: no-raw-thread
   worker.join();
   DoRiskyThing(noise);  // planted: discarded-status
-  FakeEngine eng;
-  eng.ParallelFor(8, nullptr);  // planted: std-function-hot-loop
   FakeRegistry registry;
   int* series = registry.GetCounter("my.adhoc.metric");  // planted: metric-name-literal
   char scratch[8];

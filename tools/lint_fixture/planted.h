@@ -18,10 +18,6 @@ Status DoRiskyThing(int attempts);
 int OpenSocket();
 int close(int fd);  // shadow of the libc call, for the planted close() below
 
-struct FakeEngine {
-  void ParallelFor(unsigned n, void (*fn)(unsigned));
-};
-
 struct FakeRegistry {
   int* GetCounter(const char* name);
 };

@@ -37,9 +37,6 @@
 //                              close) called as a whole statement — the
 //                              return value is the only error signal these
 //                              APIs have (MAP_FAILED, short transfers)
-//   std-function-hot-loop      engine.ParallelFor(...) in library code —
-//                              one type-erased std::function dispatch per
-//                              element; hot paths use ParallelForChunks
 //   metric-name-literal        GetCounter("...")/GetGauge("...")/
 //                              GetHistogram("...") with an inline string in
 //                              library code — route names through
@@ -342,7 +339,6 @@ const char* const kAllRules[] = {
     "include-guard",
     "discarded-status",
     "unchecked-io-return",
-    "std-function-hot-loop",
     "metric-name-literal",
     "ad-hoc-workload",
     "atomic-order-justify",
@@ -613,13 +609,6 @@ class Linter {
       if (is_header && id == "using" && is_ident(i + 1, "namespace")) {
         Report(file, line_no, "no-using-namespace-in-header",
                "`using namespace` leaks into every includer");
-      }
-      if (in_library && (id == "ParallelFor") && i >= 1 &&
-          (is_punct(i - 1, ".") || is_punct(i - 1, "->")) &&
-          is_punct(i + 1, "(")) {
-        Report(file, line_no, "std-function-hot-loop",
-               "per-element ParallelFor in library code — use "
-               "ParallelForChunks (no std::function dispatch per element)");
       }
       if (in_library &&
           (id == "GetCounter" || id == "GetGauge" || id == "GetHistogram") &&

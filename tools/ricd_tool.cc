@@ -22,7 +22,7 @@
 //   ricd_tool validate --in=clicks.csv|clicks.bin | --snapshot=graph.snap
 //   ricd_tool snapshot save --in=clicks.csv --out=graph.snap
 //                      [--labels=labels.csv]
-//   ricd_tool snapshot load --in=graph.snap [--mmap=true]
+//   ricd_tool snapshot load --in=graph.snap
 //   ricd_tool snapshot info --in=graph.snap
 //   ricd_tool serve    --in=clicks.csv [--port=0] [--handlers=4]
 //                      [--batch=2048 --duration=0]
@@ -811,20 +811,17 @@ int RunSnapshotSave(const FlagParser& flags) {
 
 int RunSnapshotLoad(const FlagParser& flags) {
   const auto in = flags.GetString("in", "");
-  const auto use_mmap = flags.GetBool("mmap", true);
-  if (!in.ok() || !use_mmap.ok()) return 2;
+  if (!in.ok()) return 2;
   if (const int rc = RejectUnknown(flags)) return rc;
   if (in->empty()) {
     return Fail(Status::InvalidArgument("--in=<graph.snap> required"));
   }
 
-  auto view = *use_mmap ? snapshot::GraphView::Map(*in)
-                        : snapshot::GraphView::Read(*in);
+  auto view = snapshot::GraphView::Map(*in);
   if (!view.ok()) return Fail(view.status());
-  std::printf("loaded snapshot %s (%s): %u users, %u items, %llu edges, "
-              "%llu clicks",
-              in->c_str(), *use_mmap ? "mmap zero-copy" : "owning read",
-              view->graph().num_users(), view->graph().num_items(),
+  std::printf("loaded snapshot %s (mmap zero-copy): %u users, %u items, "
+              "%llu edges, %llu clicks",
+              in->c_str(), view->graph().num_users(), view->graph().num_items(),
               static_cast<unsigned long long>(view->graph().num_edges()),
               static_cast<unsigned long long>(view->graph().total_clicks()));
   if (view->has_labels()) {
@@ -1119,7 +1116,7 @@ int RunSnapshot(const std::string& action, const FlagParser& flags) {
                "usage: ricd_tool snapshot <save|load|info> [--flags]\n"
                "  save  --in=clicks.{csv,bin} --out=graph.snap "
                "[--labels=labels.csv]\n"
-               "  load  --in=graph.snap [--mmap=true]\n"
+               "  load  --in=graph.snap\n"
                "  info  --in=graph.snap\n");
   return 2;
 }
