@@ -258,6 +258,27 @@ BENCHMARK(BM_SquarePruning)
     ->Arg(static_cast<int>(gen::ScenarioScale::kSmall))
     ->Unit(benchmark::kMillisecond);
 
+/// Two sweeps of SquarePruning and CorePruning on one view, as Extract runs
+/// them: unlike BM_SquarePruning's first passes, the second sweep skips the
+/// candidates the first one certified (DESIGN.md §9.2).
+void BM_SquarePruningSweeps(benchmark::State& state) {
+  const auto& g = CachedGraph(ScaleArg(state.range(0)));
+  core::ExtensionBicliqueExtractor extractor(KernelParams());
+  graph::MutableView view(g);
+  for (auto _ : state) {
+    view.Reset();
+    extractor.CorePruning(view, nullptr);
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      extractor.SquarePruning(view, /*ordered=*/true, nullptr);
+      extractor.CorePruning(view, nullptr);
+    }
+  }
+}
+BENCHMARK(BM_SquarePruningSweeps)
+    ->Arg(static_cast<int>(gen::ScenarioScale::kTiny))
+    ->Arg(static_cast<int>(gen::ScenarioScale::kSmall))
+    ->Unit(benchmark::kMillisecond);
+
 /// Parallel pruning at an explicit worker count (arg), with the CorePruning
 /// frontier fallback disabled so the atomic frontier path is measured too.
 /// Output is bit-identical across args by construction; this bench tracks

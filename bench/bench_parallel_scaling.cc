@@ -1,8 +1,8 @@
 // Parallel pruning scaling: runs the full extraction at 1, 2, and 4
 // workers with the CorePruning frontier fallback disabled, checks groups,
-// ranking, extraction stats and the square-pruning work counters are
-// identical (DESIGN.md §9), and records the 4-vs-1 worker speedup and the
-// serial-recheck share in the bench record.
+// ranking, extraction stats and the square-pruning work counters (witness
+// skips included) are identical (DESIGN.md §9), and records the 4-vs-1
+// worker speedup and the serial-recheck share in the bench record.
 //
 // The serial-recheck share is round_rechecks / scratch_reuses: the fraction
 // of Lemma-2 evaluations that the commit walk had to repeat on one thread
@@ -29,10 +29,11 @@ namespace ricd::bench {
 namespace {
 
 /// Square-pruning work counters, read as deltas over one extraction.
-constexpr std::array<const char*, 4> kWorkCounters = {
+constexpr std::array<const char*, 5> kWorkCounters = {
     obs::metric_names::kRicdExtractionTwoHopEntries,
     obs::metric_names::kRicdExtractionRoundRechecks,
     obs::metric_names::kRicdExtractionScratchReuses,
+    obs::metric_names::kRicdExtractionWitnessSkips,
     obs::metric_names::kRicdExtractionRounds};
 constexpr size_t kRechecks = 1;     // round_rechecks
 constexpr size_t kEvaluations = 2;  // scratch_reuses

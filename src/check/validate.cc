@@ -1,10 +1,12 @@
 #include "check/validate.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/string_util.h"
 #include "obs/metric_names.h"
@@ -364,6 +366,68 @@ Status ValidateMutableView(const graph::MutableView& view) {
           StringPrintf("%s side caches %u active vertices but %u are marked "
                        "active",
                        SideName(side), view.NumActive(side), active));
+    }
+  }
+  return Status::Ok();
+}
+
+Status ValidateWitnessCertificates(const graph::MutableView& view) {
+  CheckCounters::Get().validations_run->Add(1);
+  const graph::BipartiteGraph& g = view.graph();
+  const auto fail = [](const char* tag, std::string detail) {
+    return Fail(StatusCode::kInternal, "view", tag, std::move(detail));
+  };
+
+  for (const Side side : {Side::kUser, Side::kItem}) {
+    const Side other = graph::Other(side);
+    const graph::WitnessCertificates& certs = view.Certificates(side);
+    const size_t count = certs.vertices.size();
+    if (certs.degrees.size() != count ||
+        certs.witnesses.size() != count * certs.per_vertex) {
+      return fail("certificate-malformed",
+                  StringPrintf("%s side holds %zu vertices, %zu degrees and "
+                               "%zu witnesses at %u per vertex",
+                               SideName(side), count, certs.degrees.size(),
+                               certs.witnesses.size(), certs.per_vertex));
+    }
+    const uint32_t n = g.num_vertices(side);
+    std::vector<uint8_t> shared(g.num_vertices(other), 0);
+    for (size_t c = 0; c < count; ++c) {
+      const VertexId x = certs.vertices[c];
+      const std::span<const VertexId> witnesses = certs.WitnessesOf(c);
+      const bool ascending = c == 0 || certs.vertices[c - 1] < x;
+      if (x >= n || !ascending ||
+          std::any_of(witnesses.begin(), witnesses.end(),
+                      [n](VertexId y) { return y >= n; })) {
+        return fail("certificate-malformed",
+                    StringPrintf("%s certificate %zu (vertex %u) is out of "
+                                 "range or out of order",
+                                 SideName(side), c, x));
+      }
+      // Only certificates the next pass could skip on owe the Lemma-2
+      // count.
+      if (!view.IsActive(side, x) ||
+          view.ActiveDegree(side, x) != certs.degrees[c] ||
+          !std::all_of(witnesses.begin(), witnesses.end(), [&](VertexId y) {
+            return view.IsActive(side, y);
+          })) {
+        continue;
+      }
+      for (const VertexId w : g.Neighbors(side, x)) {
+        shared[w] = view.IsActive(other, w) ? 1 : 0;
+      }
+      for (const VertexId y : witnesses) {
+        uint32_t common = 0;
+        for (const VertexId w : g.Neighbors(side, y)) common += shared[w];
+        if (common < certs.common_needed) {
+          return fail(
+              "witness-below-threshold",
+              StringPrintf("%s %u is certified by witness %u, which shares "
+                           "%u of its active counterparts (needs %u)",
+                           SideName(side), x, y, common, certs.common_needed));
+        }
+      }
+      for (const VertexId w : g.Neighbors(side, x)) shared[w] = 0;
     }
   }
   return Status::Ok();

@@ -59,6 +59,18 @@ Status ValidateExtensionBiclique(const graph::BipartiteGraph& graph,
 /// + E). Returns Internal on mismatch.
 Status ValidateMutableView(const graph::MutableView& view);
 
+/// Audits the Lemma-2 witness certificates SquarePruning left on `view`
+/// (graph::WitnessCertificates), the invariant its cross-sweep skip relies
+/// on. Each side's certificates must be well formed: ascending in-range
+/// vertices, one degree and `per_vertex` in-range witnesses each. Then, for
+/// each certificate whose vertex is active with its certified active degree
+/// and whose witnesses are all active — exactly the ones the next pass may
+/// skip — every witness must share at least `common_needed` active
+/// counterparts with the vertex, recomputed from the source graph. O(E +
+/// certified vertices × their witnesses' degrees). Returns Internal on
+/// violation.
+Status ValidateWitnessCertificates(const graph::MutableView& view);
+
 /// Checks a screening/identification result against its graph: groups are
 /// non-empty, reference live (in-range) vertices, and contain no duplicate
 /// members; when `ranked` is non-null, its rows are in range, unique,

@@ -49,13 +49,24 @@ Result<BipartiteGraph> GraphBuilder::FromTable(const table::ClickTable& table) {
   const uint32_t num_users = static_cast<uint32_t>(g.user_ids.size());
   const uint32_t num_items = static_cast<uint32_t>(g.item_ids.size());
 
-  // Pass 2: counting sort rows into user-CSR order, merging duplicates.
+  // Pass 2: counting sort rows into user-CSR order, merging duplicates: a
+  // stable sort by item, then a stable sort of that by user, so rows come
+  // out by (user, item) with duplicates adjacent. Merging saturates, and a
+  // saturating sum of positive counts does not depend on row order.
+  const auto sort_by = [](const std::vector<VertexId>& key, uint32_t num_keys,
+                          const std::vector<uint32_t>& rows,
+                          std::vector<uint32_t>& out) {
+    std::vector<uint32_t> start(num_keys + 1, 0);
+    for (const VertexId k : key) ++start[k + 1];
+    for (uint32_t k = 0; k < num_keys; ++k) start[k + 1] += start[k];
+    for (const uint32_t row : rows) out[start[key[row]]++] = row;
+  };
+  std::vector<uint32_t> by_item(n);
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (row_user[a] != row_user[b]) return row_user[a] < row_user[b];
-    return row_item[a] < row_item[b];
-  });
+  sort_by(row_item, num_items, order, by_item);
+  sort_by(row_user, num_users, by_item, order);
+  std::vector<uint32_t>().swap(by_item);
 
   g.user_offsets.assign(num_users + 1, 0);
   g.user_adj.reserve(n);

@@ -21,6 +21,7 @@ void MutableView::Reset() {
   for (uint32_t v = 0; v < ni; ++v) item_degree_[v] = graph_->Degree(Side::kItem, v);
   num_active_users_ = nu;
   num_active_items_ = ni;
+  certificates_ = {};
 }
 
 void MutableView::Remove(Side side, VertexId v) {

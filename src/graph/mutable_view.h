@@ -1,13 +1,35 @@
 #ifndef RICD_GRAPH_MUTABLE_VIEW_H_
 #define RICD_GRAPH_MUTABLE_VIEW_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
 
 namespace ricd::graph {
+
+/// Lemma-2 witness certificates that one SquarePruning pass of a side leaves
+/// for the next pass of the same side (DESIGN.md §9.2): every survivor's
+/// active degree at that pass and the `per_vertex` same-side vertices that
+/// shared at least `common_needed` of its active counterparts then. They
+/// stay true while the view only deletes: an unchanged active degree means
+/// an unchanged active neighbour set, so each witness that is still active
+/// still shares `common_needed` counterparts with the vertex.
+struct WitnessCertificates {
+  uint32_t common_needed = 0;  // ceil(alpha * k) the witnesses reached
+  uint32_t per_vertex = 0;     // witnesses per vertex (k1 users, k2 items)
+  std::vector<VertexId> vertices;   // ascending original ids
+  std::vector<uint32_t> degrees;    // active degree when certified
+  std::vector<VertexId> witnesses;  // per_vertex original ids per vertex
+
+  std::span<const VertexId> WitnessesOf(size_t i) const {
+    return std::span<const VertexId>(witnesses)
+        .subspan(i * per_vertex, per_vertex);
+  }
+};
 
 /// A deletion-only overlay on an immutable BipartiteGraph: vertices can be
 /// deactivated (together with their incident edges) and per-vertex active
@@ -63,7 +85,20 @@ class MutableView {
   /// All active vertex ids on `side`, ascending.
   std::vector<VertexId> ActiveVertices(Side side) const;
 
-  /// Restores every vertex to active and resets degrees.
+  /// The certificates the last SquarePruning pass of `side` left; empty
+  /// until one runs and after Reset().
+  const WitnessCertificates& Certificates(Side side) const {
+    return certificates_[side == Side::kUser ? 0 : 1];
+  }
+
+  /// Replaces `side`'s certificates. Only SquarePruning (and tests) call it.
+  void SetCertificates(Side side, WitnessCertificates certificates) {
+    certificates_[side == Side::kUser ? 0 : 1] = std::move(certificates);
+  }
+
+  /// Restores every vertex to active, resets degrees and drops the witness
+  /// certificates (a reactivated neighbour voids the deletion-only premise
+  /// they rest on).
   void Reset();
 
  private:
@@ -77,6 +112,7 @@ class MutableView {
   std::vector<uint32_t> item_degree_;
   uint32_t num_active_users_ = 0;
   uint32_t num_active_items_ = 0;
+  std::array<WitnessCertificates, 2> certificates_;
 };
 
 }  // namespace ricd::graph

@@ -48,12 +48,17 @@ inline constexpr char kRicdExtractionRoundRechecks[] =
 // SquarePruning side passes, one per side per sweep.
 inline constexpr char kRicdExtractionRounds[] = "ricd.extraction.rounds";
 // SquarePruning pass-start Lemma-2 evaluations, one per candidate per side
-// pass (rechecks not included).
+// pass that is not a witness skip (rechecks not included).
 inline constexpr char kRicdExtractionScratchReuses[] =
     "ricd.extraction.scratch_reuses";
 inline constexpr char kRicdExtractionSweeps[] = "ricd.extraction.sweeps";
 inline constexpr char kRicdExtractionTwoHopEntries[] =
     "ricd.extraction.two_hop_entries";
+// SquarePruning candidates taken as pass-start PASSes without a Lemma-2
+// evaluation: the previous pass of their side certified them, their active
+// degree is unchanged and their witnesses are all active.
+inline constexpr char kRicdExtractionWitnessSkips[] =
+    "ricd.extraction.witness_skips";
 inline constexpr char kRicdExtractionUsersPrunedCore[] =
     "ricd.extraction.users_pruned_core";
 inline constexpr char kRicdExtractionUsersPrunedSquare[] =

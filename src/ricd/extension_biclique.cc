@@ -37,6 +37,7 @@ struct ExtractionCounters {
   obs::Counter* round_rechecks;
   obs::Counter* core_levels;
   obs::Counter* scratch_reuses;
+  obs::Counter* witness_skips;
   obs::Counter* two_hop_entries;
 
   static const ExtractionCounters& Get() {
@@ -53,6 +54,7 @@ struct ExtractionCounters {
           registry.GetCounter(obs::metric_names::kRicdExtractionRoundRechecks),
           registry.GetCounter(obs::metric_names::kRicdExtractionCoreLevels),
           registry.GetCounter(obs::metric_names::kRicdExtractionScratchReuses),
+          registry.GetCounter(obs::metric_names::kRicdExtractionWitnessSkips),
           registry.GetCounter(obs::metric_names::kRicdExtractionTwoHopEntries)};
     }();
     return counters;
@@ -160,40 +162,43 @@ static_assert(alignof(PruneScratch) == 64 && sizeof(PruneScratch) % 64 == 0,
               "PruneScratch must fill whole cache lines");
 
 /// The Lemma-2 qualification test for local candidate `x` of `side`: counts,
-/// for every alive same-side vertex y reachable in two hops,
-/// |N(x) ∩ N(y)| over the compact subgraph, then scans the touched list for
-/// the first `witnesses.size()` vertices (x itself included) that reach
-/// `common_needed`, writing them to `witnesses`. Passes iff it fills
-/// `witnesses`. Every counterpart in `sub` is active for the whole side
-/// pass, so only same-side vertices need the `alive` test. Read-only on
-/// `sub` and `alive`, so any number of workers may run it concurrently.
+/// for every same-side vertex y reachable in two hops, |N(x) ∩ N(y)| over
+/// the compact subgraph, reading x's rows in ascending local-id order. An
+/// alive vertex becomes a witness when its count reaches `common_needed`
+/// (x itself included), and the scan stops at the `witnesses.size()`-th:
+/// any that many qualifiers are a pass. Passes iff it fills `witnesses`.
+/// Every counterpart in `sub` is active for the whole side pass, and a dead
+/// same-side vertex's count never decides anything, so `alive` is read only
+/// when a count reaches the threshold: never per entry, and at pass start
+/// every vertex is alive anyway. Read-only on `sub` and `alive`, so any
+/// number of workers may run it concurrently.
 bool PassesLemma2(const CompactSubgraph& sub, Side side,
                   const std::vector<uint8_t>& alive, VertexId x,
                   uint32_t common_needed, PruneScratch& scratch,
                   std::span<VertexId> witnesses) {
   const Side other = Other(side);
+  const size_t needed = witnesses.size();
   scratch.touched.clear();
+  size_t found = 0;
   uint64_t entries = 0;
+  // x appears once in each of its rows, so it is its own (alpha, k)-neighbor
+  // exactly when Lemma 1 already holds for it.
   for (const VertexId w : sub.Neighbors(side, x)) {
     const std::span<const VertexId> second = sub.Neighbors(other, w);
-    entries += second.size();
-    for (const VertexId y : second) {
-      if (alive[y] == 0) continue;
-      if (scratch.counts[y]++ == 0) scratch.touched.push_back(y);
+    size_t read = 0;
+    while (read < second.size() && found < needed) {
+      const VertexId y = second[read++];
+      const uint32_t count = ++scratch.counts[y];
+      if (count == 1) scratch.touched.push_back(y);
+      if (count == common_needed && alive[y] != 0) witnesses[found++] = y;
     }
+    entries += read;
+    if (found == needed) break;
   }
   scratch.two_hop_entries += entries;
 
-  // counts[x] is x's own active degree, so x is counted as its own
-  // (alpha, k)-neighbor exactly when Lemma 1 already holds for it.
-  size_t found = 0;
-  for (const VertexId y : scratch.touched) {
-    if (found == witnesses.size()) break;
-    if (scratch.counts[y] >= common_needed) witnesses[found++] = y;
-  }
-
   for (const VertexId y : scratch.touched) scratch.counts[y] = 0;
-  return found == witnesses.size();
+  return found == needed;
 }
 
 }  // namespace
@@ -350,10 +355,12 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
     });
   }
 
-  // One evaluation per candidate, in parallel over local ids (a split of
-  // `order` would hand the heaviest candidates to the last worker), against
-  // the pass-start state. A pass records its witnesses: the first
-  // `neighbors_needed` qualifying same-side vertices it found.
+  // Verdict and witness slots per local id. A candidate the previous pass
+  // of this side certified, whose active degree is unchanged and whose
+  // witnesses are all still active, is a pass-start PASS with those
+  // witnesses (DESIGN.md §9.2): the view only deletes, so its active
+  // neighbour set is the certified one and every witness still shares
+  // `common_needed` counterparts with it.
   const size_t workers = engine_->num_workers();
   std::vector<PruneScratch> scratch(workers);
   std::vector<uint8_t> passed(n, 0);
@@ -362,10 +369,44 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
     return std::span<VertexId>(witnesses)
         .subspan(static_cast<size_t>(x) * neighbors_needed, neighbors_needed);
   };
+  const std::vector<VertexId>& ids = sub.ids[CompactSubgraph::Index(side)];
+  const graph::WitnessCertificates& carried = view.Certificates(side);
+  uint64_t skips = 0;
+  if (carried.common_needed == common_needed &&
+      carried.per_vertex == neighbors_needed) {
+    VertexId x = 0;
+    for (size_t c = 0; c < carried.vertices.size(); ++c) {
+      while (x < n && ids[x] < carried.vertices[c]) ++x;
+      if (x == n) break;
+      if (ids[x] != carried.vertices[c] ||
+          sub.Degree(side, x) != carried.degrees[c]) {
+        continue;
+      }
+      const std::span<const VertexId> certified = carried.WitnessesOf(c);
+      if (!std::all_of(certified.begin(), certified.end(), [&](VertexId y) {
+            return view.IsActive(side, y);
+          })) {
+        continue;
+      }
+      const std::span<VertexId> slot = witnesses_of(x);
+      for (size_t j = 0; j < certified.size(); ++j) {
+        slot[j] = static_cast<VertexId>(
+            std::lower_bound(ids.begin(), ids.end(), certified[j]) -
+            ids.begin());
+      }
+      passed[x] = 1;
+      ++skips;
+    }
+  }
+
+  // One evaluation per uncertified candidate, in parallel over local ids (a
+  // split of `order` would hand the heaviest candidates to the last
+  // worker), against the pass-start state.
   engine_->ParallelForChunks(n, [&](size_t worker, engine::VertexRange range) {
     PruneScratch& sc = scratch[worker];
     sc.EnsureUniverse(n);
     for (VertexId x = range.begin; x < range.end; ++x) {
+      if (passed[x] != 0) continue;  // certified
       passed[x] = PassesLemma2(sub, side, alive, x, common_needed, sc,
                                witnesses_of(x));
     }
@@ -399,11 +440,27 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
     }
   }
 
+  // Certify every survivor for the next pass of this side: its active
+  // degree during this pass and the witnesses its verdict stood on.
+  graph::WitnessCertificates certificates;
+  certificates.common_needed = common_needed;
+  certificates.per_vertex = neighbors_needed;
+  for (VertexId x = 0; x < n; ++x) {
+    if (alive[x] == 0) continue;
+    certificates.vertices.push_back(ids[x]);
+    certificates.degrees.push_back(static_cast<uint32_t>(sub.Degree(side, x)));
+    for (const VertexId y : witnesses_of(x)) {
+      certificates.witnesses.push_back(ids[y]);
+    }
+  }
+  view.SetCertificates(side, std::move(certificates));
+
   uint64_t two_hop_entries = 0;
   for (const PruneScratch& s : scratch) two_hop_entries += s.two_hop_entries;
   ExtractionCounters::Get().rounds->Add(1);
   ExtractionCounters::Get().round_rechecks->Add(rechecks);
-  ExtractionCounters::Get().scratch_reuses->Add(n);
+  ExtractionCounters::Get().scratch_reuses->Add(n - skips);
+  ExtractionCounters::Get().witness_skips->Add(skips);
   ExtractionCounters::Get().two_hop_entries->Add(two_hop_entries);
 }
 
@@ -466,6 +523,7 @@ Result<std::vector<graph::Group>> ExtensionBicliqueExtractor::ExtractImpl(
 
   if (check::ValidationEnabled()) {
     RICD_RETURN_IF_ERROR(check::ValidateMutableView(view));
+    RICD_RETURN_IF_ERROR(check::ValidateWitnessCertificates(view));
     // Both arms end on a CorePruning fixpoint, and a component contains all
     // of its members' active neighbors — so every emitted group owes the
     // alpha condition against the source graph (Lemma 1).

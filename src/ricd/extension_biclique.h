@@ -47,10 +47,15 @@ struct ExtractionStats {
 /// Both pruning phases are parallel AND deterministic: CorePruning runs as
 /// level-synchronous frontiers (the fixpoint is order-independent), and
 /// each SquarePruning side pass evaluates every candidate once against the
-/// pass-start view, then commits in candidate order, rechecking a pass only
-/// when one of its witnesses was removed earlier in the walk — provably
-/// equivalent to the sequential immediate-removal schedule (DESIGN.md §9),
-/// so output is bit-identical for every worker count.
+/// pass-start view, stopping at its m-th witness (the m-th same-side vertex
+/// whose common-counterpart count reaches the threshold), then commits in
+/// candidate order, rechecking a pass only when one of its witnesses was
+/// removed earlier in the walk. Each pass leaves its survivors' active
+/// degrees and witnesses on the view as certificates, and the next pass of
+/// that side takes a certified candidate whose degree is unchanged and
+/// whose witnesses are all active as a pass without evaluating it. The
+/// schedule is provably equivalent to the sequential immediate-removal one
+/// (DESIGN.md §9.2), so output is bit-identical for every worker count.
 ///
 /// The surviving subgraph's connected components with >= k1 users and
 /// >= k2 items are returned as suspicious groups.
@@ -80,7 +85,8 @@ class ExtensionBicliqueExtractor {
 
   /// Exposed for tests: one SquarePruning pass (users then items) over
   /// `view`. `ordered` enables the two-hop candidate ordering; disabling it
-  /// is the ordering-ablation arm.
+  /// is the ordering-ablation arm. Each side pass uses and then replaces the
+  /// witness certificates `view` carries for that side.
   void SquarePruning(graph::MutableView& view, bool ordered,
                      ExtractionStats* stats) const;
 

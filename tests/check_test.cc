@@ -22,6 +22,7 @@
 #include "graph/graph_builder.h"
 #include "graph_test_peer.h"
 #include "obs/metrics.h"
+#include "ricd/extension_biclique.h"
 #include "ricd/framework.h"
 #include "serve/verdict_store.h"
 #include "table/click_table.h"
@@ -265,6 +266,71 @@ TEST(ValidateViewTest, RejectsWrongActiveCount) {
   GraphTestPeer::NumActiveUsers(view) -= 1;
   ExpectRejected(check::ValidateMutableView(view), StatusCode::kInternal,
                  "view-active-count-mismatch");
+}
+
+/// A certificate for user 0 of MakeGraph() at its full degree 3: witnesses
+/// users 1 and 2 share all three items with it.
+graph::WitnessCertificates UserZeroCertificate() {
+  graph::WitnessCertificates certs;
+  certs.common_needed = 3;
+  certs.per_vertex = 2;
+  certs.vertices = {0};
+  certs.degrees = {3};
+  certs.witnesses = {1, 2};
+  return certs;
+}
+
+TEST(ValidateCertificatesTest, AcceptsTrueAndStaleCertificates) {
+  const BipartiteGraph g = MakeGraph();
+  MutableView view(g);
+  EXPECT_TRUE(check::ValidateWitnessCertificates(view).ok());
+  view.SetCertificates(Side::kUser, UserZeroCertificate());
+  EXPECT_TRUE(check::ValidateWitnessCertificates(view).ok());
+  // Once item 0 goes, user 0's degree no longer matches and user 1 would
+  // share only two items: the certificate is stale, not false, because
+  // the next pass evaluates user 0 instead of skipping it.
+  view.Remove(Side::kItem, 0);
+  EXPECT_TRUE(check::ValidateWitnessCertificates(view).ok());
+}
+
+TEST(ValidateCertificatesTest, AcceptsCertificatesSquarePruningLeaves) {
+  const BipartiteGraph g = MakeGraph();
+  core::RicdParams params;
+  params.k1 = 3;
+  params.k2 = 3;
+  params.alpha = 1.0;
+  const core::ExtensionBicliqueExtractor extractor(params);
+  MutableView view(g);
+  extractor.CorePruning(view, nullptr);
+  extractor.SquarePruning(view, /*ordered=*/true, nullptr);
+  EXPECT_EQ(view.Certificates(Side::kUser).vertices.size(), 3u);
+  EXPECT_TRUE(check::ValidateWitnessCertificates(view).ok());
+}
+
+TEST(ValidateCertificatesTest, RejectsWitnessBelowThreshold) {
+  const BipartiteGraph g = MakeGraph();
+  MutableView view(g);
+  graph::WitnessCertificates certs = UserZeroCertificate();
+  certs.witnesses = {1, 3};  // user 3 shares no item with user 0
+  view.SetCertificates(Side::kUser, certs);
+  ExpectRejected(check::ValidateWitnessCertificates(view),
+                 StatusCode::kInternal, "witness-below-threshold");
+}
+
+TEST(ValidateCertificatesTest, RejectsMalformedCertificates) {
+  const BipartiteGraph g = MakeGraph();
+  MutableView view(g);
+  graph::WitnessCertificates short_witnesses = UserZeroCertificate();
+  short_witnesses.witnesses.pop_back();
+  view.SetCertificates(Side::kUser, short_witnesses);
+  ExpectRejected(check::ValidateWitnessCertificates(view),
+                 StatusCode::kInternal, "certificate-malformed");
+
+  graph::WitnessCertificates dangling = UserZeroCertificate();
+  dangling.witnesses = {1, g.num_users()};
+  view.SetCertificates(Side::kUser, dangling);
+  ExpectRejected(check::ValidateWitnessCertificates(view),
+                 StatusCode::kInternal, "certificate-malformed");
 }
 
 class ValidateResultTest : public ::testing::Test {

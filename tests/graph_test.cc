@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -119,6 +122,81 @@ TEST(GraphBuilderTest, NeighborListsAreSorted) {
     EXPECT_TRUE(std::is_sorted(n.begin(), n.end()));
   }
 }
+
+/// Property: duplicate (user, item) rows merge into one edge whose weight is
+/// the saturating sum of their clicks, wherever in the table they sit. Each
+/// random table draws its rows from a few hundred pairs, so most pairs
+/// repeat, and two rows near the ClickCount maximum land on one pair at
+/// random positions, so its sum saturates. Every edge weight, degree and
+/// click total is checked against a map oracle.
+class DuplicateMergePropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DuplicateMergePropertyTest, WeightsDegreesAndTotalsMatchOracle) {
+  constexpr uint64_t kMaxClicks = std::numeric_limits<table::ClickCount>::max();
+  Rng rng(GetParam());
+  const uint64_t users = 5 + rng.Uniform(20);
+  const uint64_t items = 5 + rng.Uniform(20);
+  const uint64_t rows = 500 + rng.Uniform(1500);
+  const uint64_t big_first = rng.Uniform(rows);
+  const uint64_t big_second = rng.Uniform(rows);
+  const auto big_user = static_cast<table::UserId>(rng.Uniform(users));
+  const auto big_item = static_cast<table::ItemId>(rng.Uniform(items));
+
+  table::ClickTable t;
+  std::map<std::pair<table::UserId, table::ItemId>, uint64_t> weight;
+  const auto append = [&](table::UserId user, table::ItemId item,
+                          table::ClickCount clicks) {
+    t.Append(user, item, clicks);
+    uint64_t& w = weight[{user, item}];
+    w = std::min(w + clicks, kMaxClicks);
+  };
+  for (uint64_t r = 0; r < rows; ++r) {
+    if (r == big_first) append(big_user, big_item, kMaxClicks - 3);
+    if (r == big_second) append(big_user, big_item, kMaxClicks / 2);
+    append(static_cast<table::UserId>(rng.Uniform(users)),
+           static_cast<table::ItemId>(rng.Uniform(items)),
+           static_cast<table::ClickCount>(1 + rng.Uniform(9)));
+  }
+  ASSERT_EQ(weight.at({big_user, big_item}), kMaxClicks);
+
+  auto g = GraphBuilder::FromTable(t);
+  ASSERT_TRUE(g.ok());
+  EXPECT_EQ(g->num_edges(), weight.size());
+  std::map<table::UserId, std::pair<uint32_t, uint64_t>> user_oracle;
+  std::map<table::ItemId, std::pair<uint32_t, uint64_t>> item_oracle;
+  uint64_t total = 0;
+  for (const auto& [pair, w] : weight) {
+    VertexId u = 0;
+    VertexId v = 0;
+    ASSERT_TRUE(g->LookupUser(pair.first, &u));
+    ASSERT_TRUE(g->LookupItem(pair.second, &v));
+    EXPECT_EQ(g->EdgeWeight(u, v), w)
+        << "user " << pair.first << " item " << pair.second;
+    ++user_oracle[pair.first].first;
+    user_oracle[pair.first].second += w;
+    ++item_oracle[pair.second].first;
+    item_oracle[pair.second].second += w;
+    total += w;
+  }
+  for (const auto& [user, want] : user_oracle) {
+    VertexId u = 0;
+    ASSERT_TRUE(g->LookupUser(user, &u));
+    EXPECT_EQ(g->Degree(Side::kUser, u), want.first) << "user " << user;
+    EXPECT_EQ(g->UserTotalClicks(u), want.second) << "user " << user;
+  }
+  for (const auto& [item, want] : item_oracle) {
+    VertexId v = 0;
+    ASSERT_TRUE(g->LookupItem(item, &v));
+    EXPECT_EQ(g->Degree(Side::kItem, v), want.first) << "item " << item;
+    EXPECT_EQ(g->ItemTotalClicks(v), want.second) << "item " << item;
+  }
+  EXPECT_EQ(g->num_users(), user_oracle.size());
+  EXPECT_EQ(g->num_items(), item_oracle.size());
+  EXPECT_EQ(g->total_clicks(), total);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DuplicateMergePropertyTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 /// Property: the item-side CSR is an exact transpose of the user-side CSR,
 /// weights included, on random tables of varying density.

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "check/diff_result.h"
@@ -174,6 +175,21 @@ auto StatsFields(const ExtractionStats& s) {
                          s.users_removed_square, s.items_removed_square);
 }
 
+/// Witness-skip and pass-start evaluation counters, read as deltas.
+struct SkipCounters {
+  obs::Counter* skips = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kRicdExtractionWitnessSkips);
+  obs::Counter* evaluations = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kRicdExtractionScratchReuses);
+  uint64_t skips_before = skips->Value();
+  uint64_t evaluations_before = evaluations->Value();
+
+  uint64_t Skips() const { return skips->Value() - skips_before; }
+  uint64_t Evaluations() const {
+    return evaluations->Value() - evaluations_before;
+  }
+};
+
 /// Runs Extract's pruning steps — CorePruning, then per sweep each
 /// SquarePruning side pass and CorePruning — on the production extractor
 /// at `workers` and with the reference side passes, asserting the views
@@ -222,9 +238,13 @@ TEST_P(ParallelExtractionTest, EverySidePassMatchesReferenceCascade) {
   const auto g =
       graph::GraphBuilder::FromTable(MakeWorkload(std::get<0>(GetParam())))
           .value();
+  const SkipCounters counters;
   for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     ExpectEveryStepMatchesReference(g, Params(), workers);
   }
+  // The second sweep skips certified candidates, so the reference cascade
+  // checks passes that contain skips.
+  EXPECT_GT(counters.Skips(), 0u);
 }
 
 /// Full extraction (groups + stats + business-facing ranking) is
@@ -288,6 +308,18 @@ TEST(FrontierCorePruningTest, ViewStateMatchesSequential) {
   }
 }
 
+/// Builds a graph from (user, items) click lists, one click per pair.
+graph::BipartiteGraph FromClickLists(
+    const std::vector<std::pair<table::UserId, std::vector<table::ItemId>>>&
+        clicks) {
+  table::ClickTable t;
+  for (const auto& [user, items] : clicks) {
+    for (const table::ItemId item : items) t.Append(user, item, 1);
+  }
+  t.ConsolidateDuplicates();
+  return graph::GraphBuilder::FromTable(t).value();
+}
+
 /// A user pass in which witnesses die mid-pass. With alpha 0.5 and
 /// k1 = k2 = 4, a user needs 4 users, itself included, sharing >= 2 items
 /// with it (core pruning removes nothing here):
@@ -308,12 +340,7 @@ TEST(WitnessRecheckTest, DeadWitnessesTriggerRechecksThatKeepAndRemove) {
       clicks = {{kD, {1, 2, 3, 4}}, {kA, {1, 2, 5, 6}}, {kB, {3, 4, 7, 8}},
                 {kE, {5, 6}},       {kF, {5, 6}},       {kG, {5, 6}},
                 {kH, {7, 8}},       {kI, {7, 8}}};
-  table::ClickTable t;
-  for (const auto& [user, items] : clicks) {
-    for (const table::ItemId item : items) t.Append(user, item, 1);
-  }
-  t.ConsolidateDuplicates();
-  const auto g = graph::GraphBuilder::FromTable(t).value();
+  const auto g = FromClickLists(clicks);
   const RicdParams params = MakeParams(4, 4, 0.5);
   const auto local = [&](table::UserId user) {
     VertexId v = 0;
@@ -344,6 +371,156 @@ TEST(WitnessRecheckTest, DeadWitnessesTriggerRechecksThatKeepAndRemove) {
     EXPECT_EQ(StatsFields(got_stats), StatsFields(want_stats));
 
     ExpectEveryStepMatchesReference(g, params, workers);
+  }
+}
+
+/// Cross-sweep certificates. With alpha 0.5 and k1 = k2 = 4, a user needs
+/// 4 users, itself included, sharing >= 2 items with it:
+///
+///   Q1..Q4 {5,6}   S1..S4 {1,2}   P1..P4 {3,4}
+///
+/// The first user pass certifies all twelve. Between passes item 4 goes
+/// (P loses a counterpart) and Q4 goes (Q1..Q3 lose a witness). The second
+/// pass skips S1..S4 and evaluates P1..P4 and Q1..Q3 again, which all fail
+/// now. Q4 sorts before S1, so a skip that ignored the dead witness would
+/// point at a live user.
+TEST(WitnessSkipTest, CertifiedCandidatesSkipOnlyWhileDegreeAndWitnessesHold) {
+  enum : table::UserId { kQ1 = 1, kQ2, kQ3, kQ4, kS1, kS2, kS3, kS4, kP1 };
+  std::vector<std::pair<table::UserId, std::vector<table::ItemId>>> clicks;
+  for (table::UserId q = kQ1; q <= kQ4; ++q) clicks.push_back({q, {5, 6}});
+  for (table::UserId s = kS1; s <= kS4; ++s) clicks.push_back({s, {1, 2}});
+  for (table::UserId p = kP1; p < kP1 + 4; ++p) clicks.push_back({p, {3, 4}});
+  const auto g = FromClickLists(clicks);
+  const RicdParams params = MakeParams(4, 4, 0.5);
+  VertexId item4 = 0;
+  VertexId q4 = 0;
+  ASSERT_TRUE(g.LookupItem(4, &item4));
+  ASSERT_TRUE(g.LookupUser(kQ4, &q4));
+
+  for (const size_t workers : {size_t{1}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    engine::WorkerEngine engine(workers);
+    const ExtensionBicliqueExtractor extractor(params, &engine);
+    graph::MutableView got(g);
+    graph::MutableView want(g);
+    ExtractionStats got_stats;
+    ExtractionStats want_stats;
+
+    const SkipCounters first;
+    extractor.SquarePruneSide(got, Side::kUser, /*ordered=*/true, &got_stats);
+    ReferenceSquarePruneSide(want, Side::kUser, params, &want_stats);
+    EXPECT_EQ(first.Skips(), 0u);
+    EXPECT_EQ(first.Evaluations(), clicks.size());
+    EXPECT_EQ(got.Certificates(Side::kUser).vertices.size(), clicks.size());
+    ASSERT_TRUE(SameViewState(got, want));
+
+    for (graph::MutableView* view : {&got, &want}) {
+      view->Remove(Side::kItem, item4);
+      view->Remove(Side::kUser, q4);
+    }
+    const SkipCounters second;
+    extractor.SquarePruneSide(got, Side::kUser, /*ordered=*/true, &got_stats);
+    ReferenceSquarePruneSide(want, Side::kUser, params, &want_stats);
+    EXPECT_EQ(second.Skips(), 4u);        // S1..S4
+    EXPECT_EQ(second.Evaluations(), 7u);  // P1..P4, Q1..Q3
+    EXPECT_TRUE(SameViewState(got, want));
+    EXPECT_EQ(StatsFields(got_stats), StatsFields(want_stats));
+    EXPECT_EQ(got.NumActive(Side::kUser), 4u);
+  }
+}
+
+/// Reset() drops the certificates: after it, a certified vertex can have
+/// its certified active degree over a different neighbour set. X clicks
+/// {1,2,3}, W1..W4 click {1,2,4} (alpha 0.5, k1 = k2 = 4). With item 3
+/// removed, the user pass certifies X at degree 2 on {1,2} with W
+/// witnesses. After Reset() and removing item 2, X again has degree 2, now
+/// on {1,3}, shares one item with each W and fails; the W users still
+/// share {1,4} and pass.
+TEST(WitnessSkipTest, ResetDropsCertificates) {
+  enum : table::UserId { kX = 1, kW1, kW2, kW3, kW4 };
+  std::vector<std::pair<table::UserId, std::vector<table::ItemId>>> clicks = {
+      {kX, {1, 2, 3}}};
+  for (table::UserId w = kW1; w <= kW4; ++w) clicks.push_back({w, {1, 2, 4}});
+  const auto g = FromClickLists(clicks);
+  const RicdParams params = MakeParams(4, 4, 0.5);
+  VertexId item2 = 0;
+  VertexId item3 = 0;
+  VertexId x = 0;
+  ASSERT_TRUE(g.LookupItem(2, &item2));
+  ASSERT_TRUE(g.LookupItem(3, &item3));
+  ASSERT_TRUE(g.LookupUser(kX, &x));
+
+  for (const size_t workers : {size_t{1}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    engine::WorkerEngine engine(workers);
+    const ExtensionBicliqueExtractor extractor(params, &engine);
+    graph::MutableView got(g);
+    graph::MutableView want(g);
+    ExtractionStats got_stats;
+    ExtractionStats want_stats;
+
+    got.Remove(Side::kItem, item3);
+    want.Remove(Side::kItem, item3);
+    extractor.SquarePruneSide(got, Side::kUser, /*ordered=*/true, &got_stats);
+    ReferenceSquarePruneSide(want, Side::kUser, params, &want_stats);
+    ASSERT_TRUE(SameViewState(got, want));
+    ASSERT_TRUE(got.IsActive(Side::kUser, x));
+    ASSERT_EQ(got.ActiveDegree(Side::kUser, x), 2u);
+
+    for (graph::MutableView* view : {&got, &want}) {
+      view->Reset();
+      view->Remove(Side::kItem, item2);
+    }
+    EXPECT_TRUE(got.Certificates(Side::kUser).vertices.empty());
+    ASSERT_EQ(got.ActiveDegree(Side::kUser, x), 2u);
+    const SkipCounters after_reset;
+    extractor.SquarePruneSide(got, Side::kUser, /*ordered=*/true, &got_stats);
+    ReferenceSquarePruneSide(want, Side::kUser, params, &want_stats);
+    EXPECT_EQ(after_reset.Skips(), 0u);
+    EXPECT_FALSE(got.IsActive(Side::kUser, x));
+    EXPECT_EQ(got.NumActive(Side::kUser), 4u);
+    EXPECT_TRUE(SameViewState(got, want));
+    EXPECT_EQ(StatsFields(got_stats), StatsFields(want_stats));
+  }
+}
+
+/// A certificate serves only the thresholds it was made for. On the graph
+/// of ResetDropsCertificates, a pass at k2 = 4 certifies every user (two
+/// common items). At k2 = 6 the next pass needs three: X shares only two
+/// with each W and must be evaluated and removed although its degree and
+/// witnesses held.
+TEST(WitnessSkipTest, CertificatesServeOnlyTheirThresholds) {
+  enum : table::UserId { kX = 1, kW1, kW2, kW3, kW4 };
+  std::vector<std::pair<table::UserId, std::vector<table::ItemId>>> clicks = {
+      {kX, {1, 2, 3}}};
+  for (table::UserId w = kW1; w <= kW4; ++w) clicks.push_back({w, {1, 2, 4}});
+  const auto g = FromClickLists(clicks);
+  const RicdParams certify = MakeParams(4, 4, 0.5);
+  const RicdParams stricter = MakeParams(4, 6, 0.5);
+  VertexId x = 0;
+  ASSERT_TRUE(g.LookupUser(kX, &x));
+
+  for (const size_t workers : {size_t{1}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    engine::WorkerEngine engine(workers);
+    graph::MutableView got(g);
+    graph::MutableView want(g);
+    ExtractionStats got_stats;
+    ExtractionStats want_stats;
+
+    ExtensionBicliqueExtractor(certify, &engine)
+        .SquarePruneSide(got, Side::kUser, /*ordered=*/true, &got_stats);
+    ReferenceSquarePruneSide(want, Side::kUser, certify, &want_stats);
+    ASSERT_EQ(got.Certificates(Side::kUser).vertices.size(), clicks.size());
+
+    const SkipCounters counters;
+    ExtensionBicliqueExtractor(stricter, &engine)
+        .SquarePruneSide(got, Side::kUser, /*ordered=*/true, &got_stats);
+    ReferenceSquarePruneSide(want, Side::kUser, stricter, &want_stats);
+    EXPECT_EQ(counters.Skips(), 0u);
+    EXPECT_FALSE(got.IsActive(Side::kUser, x));
+    EXPECT_TRUE(SameViewState(got, want));
+    EXPECT_EQ(StatsFields(got_stats), StatsFields(want_stats));
   }
 }
 
