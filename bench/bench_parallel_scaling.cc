@@ -29,12 +29,14 @@ namespace ricd::bench {
 namespace {
 
 /// Square-pruning work counters, read as deltas over one extraction.
-constexpr std::array<const char*, 5> kWorkCounters = {
+constexpr std::array<const char*, 7> kWorkCounters = {
     obs::metric_names::kRicdExtractionTwoHopEntries,
     obs::metric_names::kRicdExtractionRoundRechecks,
     obs::metric_names::kRicdExtractionScratchReuses,
     obs::metric_names::kRicdExtractionWitnessSkips,
-    obs::metric_names::kRicdExtractionRounds};
+    obs::metric_names::kRicdExtractionRounds,
+    obs::metric_names::kRicdExtractionDenseWords,
+    obs::metric_names::kRicdExtractionParallelRechecks};
 constexpr size_t kRechecks = 1;     // round_rechecks
 constexpr size_t kEvaluations = 2;  // scratch_reuses
 

@@ -177,7 +177,11 @@ int Run() {
   // --- detection overlap: ingest/query latency while detection runs -----
   // A second thread re-runs detection over the retained window back to back
   // (ForceRebuild, the same refresh every publish runs); the claim is that
-  // neither ingest acks nor verdict queries ever wait on it.
+  // neither ingest acks nor verdict queries ever wait on it. Each push waits
+  // until a run is in flight and counts as acked during that run when the
+  // run is still unfinished after the push returns, and the whole schedule
+  // is streamed: how long a run takes changes how many runs the stream
+  // overlaps, not whether pushes land inside one.
   {
     serve::ServeOptions options;
     options.framework.params = PaperDefaultParams();
@@ -195,38 +199,37 @@ int Run() {
     obs::Histogram* query_hist =
         registry.GetHistogram("bench.stream.query_during_rebuild.seconds");
 
-    constexpr uint64_t kRuns = 8;
+    // Runs begun and runs finished; runs finish in the order they begin.
     std::atomic<bool> streaming{true};
-    std::atomic<bool> detecting{false};
-    std::atomic<uint64_t> runs{0};
+    std::atomic<uint64_t> runs_begun{0};
+    std::atomic<uint64_t> runs_finished{0};
     ThreadPool rebuilder(1);
     rebuilder.Submit([&] {
       while (streaming.load(std::memory_order_acquire)) {
-        detecting.store(true, std::memory_order_release);
+        runs_begun.fetch_add(1, std::memory_order_acq_rel);
         const Status rebuilt = service.ForceRebuild();
-        detecting.store(false, std::memory_order_release);
+        runs_finished.fetch_add(1, std::memory_order_acq_rel);
         RICD_CHECK(rebuilt.ok()) << rebuilt;
-        runs.fetch_add(1, std::memory_order_acq_rel);
       }
     });
-    // Start streaming once the first run is under way.
-    while (!detecting.load(std::memory_order_acquire) &&
-           runs.load(std::memory_order_acquire) == 0) {
-      std::this_thread::yield();
-    }
     uint64_t acked_during_rebuild = 0;
     uint64_t queried_during_rebuild = 0;
-    for (size_t i = 0; i < schedule.size() &&
-                       runs.load(std::memory_order_acquire) < kRuns;
-         ++i) {
+    for (size_t i = 0; i < schedule.size(); ++i) {
       const scenario::ArrivalEvent& ev = schedule[i];
+      // Run number `run` has begun; it is in flight while fewer than `run`
+      // runs have finished.
+      uint64_t run = runs_begun.load(std::memory_order_acquire);
+      while (runs_finished.load(std::memory_order_acquire) >= run) {
+        std::this_thread::yield();
+        run = runs_begun.load(std::memory_order_acquire);
+      }
       {
         WallTimer timer;
         const Status pushed =
             service.IngestClickAt(rows.row(ev.row), ev.ts);
         ingest_hist->Observe(timer.ElapsedSeconds());
         if (pushed.ok()) {
-          if (detecting.load(std::memory_order_acquire)) {
+          if (runs_finished.load(std::memory_order_acquire) < run) {
             ++acked_during_rebuild;
           }
         } else {
@@ -258,7 +261,7 @@ int Run() {
         "%llu back-to-back detection runs\n",
         static_cast<unsigned long long>(acked_during_rebuild),
         static_cast<unsigned long long>(queried_during_rebuild),
-        static_cast<unsigned long long>(runs.load()));
+        static_cast<unsigned long long>(runs_finished.load()));
     std::printf("  ingest  p50 %.1f us  p99 %.1f us\n", in.P50() * 1e6,
                 in.P99() * 1e6);
     std::printf("  query   p50 %.1f us  p99 %.1f us\n", qu.P50() * 1e6,

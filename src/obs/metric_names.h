@@ -41,7 +41,18 @@ inline constexpr char kRicdExtractionItemsPrunedCore[] =
     "ricd.extraction.items_pruned_core";
 inline constexpr char kRicdExtractionItemsPrunedSquare[] =
     "ricd.extraction.items_pruned_square";
-// SquarePruning rechecks: pass-start PASSes re-evaluated in the commit walk
+// SquarePruning dense-row words added into the Lemma-2 test's bit-sliced
+// counters: a candidate whose sparse rows give fewer than m witnesses adds
+// each of its dense rows, ⌈n/64⌉ words apiece (n: the pass's same-side
+// active count), rechecks included.
+inline constexpr char kRicdExtractionDenseWords[] =
+    "ricd.extraction.dense_words";
+// SquarePruning re-evaluations before the commit walk, run in parallel:
+// pass-start PASSes with a witness that is a pass-start FAIL placed earlier
+// in the walk, re-evaluated with every such FAIL dead.
+inline constexpr char kRicdExtractionParallelRechecks[] =
+    "ricd.extraction.parallel_rechecks";
+// SquarePruning serial rechecks: PASSes re-evaluated in the commit walk
 // because one of their witnesses was removed earlier in it.
 inline constexpr char kRicdExtractionRoundRechecks[] =
     "ricd.extraction.round_rechecks";
@@ -52,6 +63,9 @@ inline constexpr char kRicdExtractionRounds[] = "ricd.extraction.rounds";
 inline constexpr char kRicdExtractionScratchReuses[] =
     "ricd.extraction.scratch_reuses";
 inline constexpr char kRicdExtractionSweeps[] = "ricd.extraction.sweeps";
+// SquarePruning second-hop entries the Lemma-2 test reads one at a time:
+// entries of sparse rows only (rows under ⌈n/64⌉ entries), rechecks
+// included. Dense rows are counted in dense_words instead.
 inline constexpr char kRicdExtractionTwoHopEntries[] =
     "ricd.extraction.two_hop_entries";
 // SquarePruning candidates taken as pass-start PASSes without a Lemma-2

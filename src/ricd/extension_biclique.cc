@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <span>
@@ -35,10 +36,12 @@ struct ExtractionCounters {
   obs::Counter* sweeps;
   obs::Counter* rounds;
   obs::Counter* round_rechecks;
+  obs::Counter* parallel_rechecks;
   obs::Counter* core_levels;
   obs::Counter* scratch_reuses;
   obs::Counter* witness_skips;
   obs::Counter* two_hop_entries;
+  obs::Counter* dense_words;
 
   static const ExtractionCounters& Get() {
     static const ExtractionCounters counters = [] {
@@ -52,10 +55,12 @@ struct ExtractionCounters {
           registry.GetCounter(obs::metric_names::kRicdExtractionSweeps),
           registry.GetCounter(obs::metric_names::kRicdExtractionRounds),
           registry.GetCounter(obs::metric_names::kRicdExtractionRoundRechecks),
+          registry.GetCounter(obs::metric_names::kRicdExtractionParallelRechecks),
           registry.GetCounter(obs::metric_names::kRicdExtractionCoreLevels),
           registry.GetCounter(obs::metric_names::kRicdExtractionScratchReuses),
           registry.GetCounter(obs::metric_names::kRicdExtractionWitnessSkips),
-          registry.GetCounter(obs::metric_names::kRicdExtractionTwoHopEntries)};
+          registry.GetCounter(obs::metric_names::kRicdExtractionTwoHopEntries),
+          registry.GetCounter(obs::metric_names::kRicdExtractionDenseWords)};
     }();
     return counters;
   }
@@ -66,8 +71,11 @@ struct ExtractionCounters {
 /// by rank, so local ids keep the original order; adjacency keeps only
 /// active counterparts, in local ids.
 struct CompactSubgraph {
-  std::array<std::vector<VertexId>, 2> ids;      // local -> original id
-  std::array<std::vector<uint64_t>, 2> offsets;  // size() + 1 row starts
+  static constexpr VertexId kInactive = ~VertexId{0};
+
+  std::array<std::vector<VertexId>, 2> ids;       // local -> original id
+  std::array<std::vector<VertexId>, 2> to_local;  // original -> local id
+  std::array<std::vector<uint64_t>, 2> offsets;   // size() + 1 row starts
   std::array<std::vector<VertexId>, 2> adj;
 
   static size_t Index(Side side) { return side == Side::kUser ? 0 : 1; }
@@ -75,6 +83,10 @@ struct CompactSubgraph {
     return static_cast<uint32_t>(ids[Index(side)].size());
   }
   VertexId Original(Side side, VertexId x) const { return ids[Index(side)][x]; }
+  /// The local id of original vertex `v`, or kInactive.
+  VertexId Local(Side side, VertexId v) const {
+    return to_local[Index(side)][v];
+  }
   uint64_t Degree(Side side, VertexId x) const {
     const auto& off = offsets[Index(side)];
     return off[x + 1] - off[x];
@@ -99,9 +111,11 @@ CompactSubgraph CompactActive(const graph::MutableView& view,
   for (const Side side : {Side::kUser, Side::kItem}) {
     const size_t s = CompactSubgraph::Index(side);
     sub.ids[s] = view.ActiveVertices(side);
+    sub.to_local[s].assign(g.num_vertices(side), CompactSubgraph::kInactive);
     auto& off = sub.offsets[s];
     off.assign(sub.ids[s].size() + 1, 0);
     for (size_t x = 0; x < sub.ids[s].size(); ++x) {
+      sub.to_local[s][sub.ids[s][x]] = static_cast<VertexId>(x);
       off[x + 1] = off[x] + view.ActiveDegree(side, sub.ids[s][x]);
       original_entries[s] += g.Degree(side, sub.ids[s][x]);
     }
@@ -113,18 +127,15 @@ CompactSubgraph CompactActive(const graph::MutableView& view,
   const Side other = Other(scan);
   const size_t sc = CompactSubgraph::Index(scan);
   const size_t ot = CompactSubgraph::Index(other);
-  constexpr VertexId kInactive = ~VertexId{0};
-  std::vector<VertexId> to_local(g.num_vertices(other), kInactive);
-  for (size_t x = 0; x < sub.ids[ot].size(); ++x) {
-    to_local[sub.ids[ot][x]] = static_cast<VertexId>(x);
-  }
   engine.ParallelForChunks(
       sub.size(scan), [&](size_t, engine::VertexRange range) {
         for (VertexId x = range.begin; x < range.end; ++x) {
           uint64_t out = sub.offsets[sc][x];
           for (const VertexId w : g.Neighbors(scan, sub.ids[sc][x])) {
-            const VertexId local = to_local[w];
-            if (local != kInactive) sub.adj[sc][out++] = local;
+            const VertexId local = sub.to_local[ot][w];
+            if (local != CompactSubgraph::kInactive) {
+              sub.adj[sc][out++] = local;
+            }
           }
           RICD_DCHECK_EQ(out, sub.offsets[sc][x + 1]);
         }
@@ -142,63 +153,234 @@ CompactSubgraph CompactActive(const graph::MutableView& view,
   return sub;
 }
 
+/// Bitsets over the same-side local ids of a side pass, one per counterpart
+/// row that holds at least `words` = ⌈n/64⌉ entries (n: the pass's
+/// same-side active count). Adding such a row into bit-sliced counters
+/// takes a few word operations per 64 same-side vertices, where reading it
+/// costs one random increment per entry. Built from the compact rows, so a
+/// bitset holds exactly its row's entries.
+struct DenseRows {
+  static constexpr uint32_t kSparse = ~uint32_t{0};
+
+  uint32_t words = 0;
+  std::vector<uint32_t> index;  // counterpart local id -> dense row or kSparse
+  std::vector<uint64_t> bits;   // dense row d at [d * words, (d + 1) * words)
+
+  bool IsDense(VertexId w) const { return index[w] != kSparse; }
+  const uint64_t* Row(VertexId w) const {
+    return bits.data() + static_cast<size_t>(index[w]) * words;
+  }
+};
+
+DenseRows BuildDenseRows(const CompactSubgraph& sub, Side side) {
+  const Side other = Other(side);
+  DenseRows dense;
+  dense.words = (sub.size(side) + 63) / 64;
+  dense.index.assign(sub.size(other), DenseRows::kSparse);
+  uint32_t rows = 0;
+  for (VertexId w = 0; w < sub.size(other); ++w) {
+    if (dense.words > 0 && sub.Degree(other, w) >= dense.words) {
+      dense.index[w] = rows++;
+    }
+  }
+  dense.bits.assign(static_cast<size_t>(rows) * dense.words, 0);
+  for (VertexId w = 0; w < sub.size(other); ++w) {
+    if (!dense.IsDense(w)) continue;
+    const size_t start = static_cast<size_t>(dense.index[w]) * dense.words;
+    for (const VertexId y : sub.Neighbors(other, w)) {
+      dense.bits[start + (y >> 6)] |= uint64_t{1} << (y & 63);
+    }
+  }
+  return dense;
+}
+
 /// Reusable per-worker scratch of the Lemma-2 test: a flat counting array
 /// (reset cost proportional to the touched list, not to n) plus the touched
-/// list itself. Pooled per worker and reused across every candidate of a
-/// side pass — the evaluation allocates nothing per candidate. One cache
-/// line per worker, so neighbouring workers' `touched` appends never write
-/// to a shared line. `two_hop_entries` tallies the second-hop entries the
-/// test has read.
+/// list itself for the sparse rows, and the bit-sliced counter planes, a
+/// carry row and the qualifier mask for the dense ones (`words` each).
+/// Pooled per worker and reused across every candidate of a side pass —
+/// the evaluation allocates nothing per candidate once the planes have
+/// grown. One cache line per worker, so neighbouring workers' `touched`
+/// appends never write to a shared line. `two_hop_entries` tallies the
+/// sparse second-hop entries the test has read, `dense_words` the
+/// dense-row words it added.
 struct alignas(64) PruneScratch {
   std::vector<uint32_t> counts;
   std::vector<VertexId> touched;
+  std::vector<uint64_t> planes;  // all zero between evaluations
+  std::vector<uint64_t> carry;
+  std::vector<uint64_t> mask;
   uint64_t two_hop_entries = 0;
+  uint64_t dense_words = 0;
 
-  void EnsureUniverse(uint32_t n) {
+  /// Called on the worker's own thread, so its buffers come from that
+  /// thread's allocations and never share a cache line with another
+  /// worker's.
+  void EnsureUniverse(uint32_t n, uint32_t words) {
     if (counts.size() < n) counts.assign(n, 0);
+    if (mask.size() < words) {
+      carry.assign(words, 0);
+      mask.assign(words, 0);
+    }
   }
 };
 static_assert(alignof(PruneScratch) == 64 && sizeof(PruneScratch) % 64 == 0,
               "PruneScratch must fill whole cache lines");
 
-/// The Lemma-2 qualification test for local candidate `x` of `side`: counts,
-/// for every same-side vertex y reachable in two hops, |N(x) ∩ N(y)| over
-/// the compact subgraph, reading x's rows in ascending local-id order. An
-/// alive vertex becomes a witness when its count reaches `common_needed`
-/// (x itself included), and the scan stops at the `witnesses.size()`-th:
-/// any that many qualifiers are a pass. Passes iff it fills `witnesses`.
-/// Every counterpart in `sub` is active for the whole side pass, and a dead
-/// same-side vertex's count never decides anything, so `alive` is read only
-/// when a count reaches the threshold: never per entry, and at pass start
-/// every vertex is alive anyway. Read-only on `sub` and `alive`, so any
-/// number of workers may run it concurrently.
-bool PassesLemma2(const CompactSubgraph& sub, Side side,
-                  const std::vector<uint8_t>& alive, VertexId x,
-                  uint32_t common_needed, PruneScratch& scratch,
-                  std::span<VertexId> witnesses) {
-  const Side other = Other(side);
+/// What the Lemma-2 test reads of one side pass; all of it is fixed for
+/// the pass.
+struct Lemma2Pass {
+  const CompactSubgraph& sub;
+  const DenseRows& dense;
+  Side side;
+  uint32_t common_needed;
+  const std::vector<uint32_t>& position;  // commit-walk position by local id
+};
+
+/// The dense phase of the Lemma-2 test, for a candidate whose sparse rows
+/// alone gave fewer than m witnesses and whose sparse counts sit in
+/// `scratch.counts` for the vertices in `scratch.touched`. Adds x's
+/// `dense_rows` dense rows into bit-sliced counters (word i of plane j
+/// holds bit j of the counts of local ids 64i..64i+63), takes the "count >=
+/// ⌈αk⌉" mask by a bit-sliced compare, adds the sparse counts of the
+/// touched vertices, and picks witnesses from the mask: x itself, then the
+/// qualifiers the commit walk visits after x, then earlier ones.
+template <typename Alive>
+bool PassesDensePhase(const Lemma2Pass& pass, VertexId x, uint32_t dense_rows,
+                      const Alive& alive, PruneScratch& scratch,
+                      std::span<VertexId> witnesses) {
+  const uint32_t words = pass.dense.words;
+  const uint32_t c = pass.common_needed;
+  // Every dense count is at most dense_rows < 2^planes, so no carry
+  // leaves the top plane.
+  const uint32_t planes = static_cast<uint32_t>(std::bit_width(dense_rows));
+  const size_t used = static_cast<size_t>(words) * planes;
+  if (scratch.planes.size() < used) scratch.planes.resize(used, 0);
+  uint64_t* const counter = scratch.planes.data();
+  const auto plane = [&](uint32_t j) {
+    return counter + static_cast<size_t>(j) * words;
+  };
+  uint64_t* const carry = scratch.carry.data();
+  for (const VertexId w : pass.sub.Neighbors(pass.side, x)) {
+    if (!pass.dense.IsDense(w)) continue;
+    const uint64_t* row = pass.dense.Row(w);
+    std::copy(row, row + words, carry);
+    // Ripple-carry add, a plane at a time across all words: the inner loop
+    // has no data-dependent branch, and the add stops at the first plane
+    // that passes no carry on.
+    for (uint32_t j = 0; j < planes; ++j) {
+      uint64_t* bits = plane(j);
+      uint64_t any = 0;
+      for (uint32_t i = 0; i < words; ++i) {
+        const uint64_t next = bits[i] & carry[i];
+        bits[i] ^= carry[i];
+        carry[i] = next;
+        any |= next;
+      }
+      if (any == 0) break;
+    }
+  }
+  scratch.dense_words += static_cast<uint64_t>(dense_rows) * words;
+
+  // Bit-sliced compare against c, from the top plane down: `gt` marks the
+  // counts already above c's prefix, `eq` those equal to it so far. A c
+  // wider than the planes exceeds every dense count.
+  uint64_t* const mask = scratch.mask.data();
+  const bool reachable = (uint64_t{c} >> planes) == 0;
+  for (uint32_t i = 0; i < words; ++i) {
+    uint64_t gt = 0;
+    uint64_t eq = reachable ? ~uint64_t{0} : 0;
+    for (uint32_t j = planes; j-- > 0;) {
+      const uint64_t bits = plane(j)[i];
+      if (((c >> j) & 1) != 0) {
+        eq &= bits;
+      } else {
+        gt |= eq & bits;
+        eq &= ~bits;
+      }
+    }
+    mask[i] = gt | eq;
+  }
+  // A touched vertex adds its sparse count to its dense one.
+  for (const VertexId y : scratch.touched) {
+    uint32_t count = scratch.counts[y];
+    for (uint32_t j = 0; j < planes; ++j) {
+      count += static_cast<uint32_t>((plane(j)[y >> 6] >> (y & 63)) & 1) << j;
+    }
+    if (count >= c) mask[y >> 6] |= uint64_t{1} << (y & 63);
+  }
+  std::fill(counter, counter + used, 0);
+
+  const size_t needed = witnesses.size();
+  size_t found = 0;
+  if (((mask[x >> 6] >> (x & 63)) & 1) != 0 && alive(x)) witnesses[found++] = x;
+  const uint32_t turn = pass.position[x];
+  const auto pick = [&](bool later) {
+    for (uint32_t i = 0; i < words && found < needed; ++i) {
+      for (uint64_t bits = mask[i]; bits != 0 && found < needed;
+           bits &= bits - 1) {
+        const auto y = static_cast<VertexId>(i * 64 + std::countr_zero(bits));
+        if (y != x && (pass.position[y] > turn) == later && alive(y)) {
+          witnesses[found++] = y;
+        }
+      }
+    }
+  };
+  pick(/*later=*/true);
+  pick(/*later=*/false);
+  return found == needed;
+}
+
+/// The Lemma-2 qualification test for local candidate `x` of `side`:
+/// passes iff at least m = `witnesses.size()` alive same-side vertices y
+/// (x itself included) have |N(x) ∩ N(y)| >= `common_needed` over the
+/// compact subgraph, and then fills `witnesses` with m of them. It reads
+/// x's sparse rows first, entry by entry in ascending local-id order,
+/// recording an alive vertex as a witness when its count reaches the
+/// threshold and stopping at the m-th: any that many qualifiers are a pass.
+/// Only when the sparse rows fall short does it add x's dense rows
+/// (PassesDensePhase). Every counterpart in `sub` is active for the whole
+/// side pass, and a dead same-side vertex's count never decides anything,
+/// so `alive(y)` is asked only of a vertex whose count reaches the
+/// threshold. Read-only on the pass, so any number of workers may run it
+/// concurrently.
+template <typename Alive>
+bool PassesLemma2(const Lemma2Pass& pass, VertexId x, const Alive& alive,
+                  PruneScratch& scratch, std::span<VertexId> witnesses) {
+  const Side other = Other(pass.side);
   const size_t needed = witnesses.size();
   scratch.touched.clear();
   size_t found = 0;
+  uint32_t dense_rows = 0;
   uint64_t entries = 0;
   // x appears once in each of its rows, so it is its own (alpha, k)-neighbor
   // exactly when Lemma 1 already holds for it.
-  for (const VertexId w : sub.Neighbors(side, x)) {
-    const std::span<const VertexId> second = sub.Neighbors(other, w);
+  for (const VertexId w : pass.sub.Neighbors(pass.side, x)) {
+    if (pass.dense.IsDense(w)) {
+      ++dense_rows;
+      continue;
+    }
+    const std::span<const VertexId> second = pass.sub.Neighbors(other, w);
     size_t read = 0;
     while (read < second.size() && found < needed) {
       const VertexId y = second[read++];
       const uint32_t count = ++scratch.counts[y];
       if (count == 1) scratch.touched.push_back(y);
-      if (count == common_needed && alive[y] != 0) witnesses[found++] = y;
+      if (count == pass.common_needed && alive(y)) witnesses[found++] = y;
     }
     entries += read;
     if (found == needed) break;
   }
   scratch.two_hop_entries += entries;
 
+  // Falling short means every sparse row was read to the end, so `counts`
+  // holds the full sparse counts.
+  const bool passes =
+      found == needed ||
+      (dense_rows > 0 &&
+       PassesDensePhase(pass, x, dense_rows, alive, scratch, witnesses));
   for (const VertexId y : scratch.touched) scratch.counts[y] = 0;
-  return found == needed;
+  return passes;
 }
 
 }  // namespace
@@ -325,6 +507,7 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
   const CompactSubgraph sub = CompactActive(view, *engine_);
   const Side other = Other(side);
   const uint32_t n = sub.size(side);
+  const DenseRows dense = BuildDenseRows(sub, side);
   std::vector<uint8_t> alive(n, 1);
 
   // Thresholds per Definition 4 / Lemma 2: a user needs >= k1 members in
@@ -354,6 +537,9 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
       return two_hop[a] < two_hop[b];
     });
   }
+  std::vector<uint32_t> position(n);
+  for (uint32_t p = 0; p < n; ++p) position[order[p]] = p;
+  const Lemma2Pass pass{sub, dense, side, common_needed, position};
 
   // Verdict and witness slots per local id. A candidate the previous pass
   // of this side certified, whose active degree is unchanged and whose
@@ -369,31 +555,24 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
     return std::span<VertexId>(witnesses)
         .subspan(static_cast<size_t>(x) * neighbors_needed, neighbors_needed);
   };
-  const std::vector<VertexId>& ids = sub.ids[CompactSubgraph::Index(side)];
   const graph::WitnessCertificates& carried = view.Certificates(side);
   uint64_t skips = 0;
   if (carried.common_needed == common_needed &&
       carried.per_vertex == neighbors_needed) {
-    VertexId x = 0;
     for (size_t c = 0; c < carried.vertices.size(); ++c) {
-      while (x < n && ids[x] < carried.vertices[c]) ++x;
-      if (x == n) break;
-      if (ids[x] != carried.vertices[c] ||
+      const VertexId x = sub.Local(side, carried.vertices[c]);
+      if (x == CompactSubgraph::kInactive ||
           sub.Degree(side, x) != carried.degrees[c]) {
         continue;
       }
       const std::span<const VertexId> certified = carried.WitnessesOf(c);
-      if (!std::all_of(certified.begin(), certified.end(), [&](VertexId y) {
-            return view.IsActive(side, y);
-          })) {
-        continue;
-      }
       const std::span<VertexId> slot = witnesses_of(x);
-      for (size_t j = 0; j < certified.size(); ++j) {
-        slot[j] = static_cast<VertexId>(
-            std::lower_bound(ids.begin(), ids.end(), certified[j]) -
-            ids.begin());
+      bool witnesses_active = true;
+      for (size_t j = 0; j < certified.size() && witnesses_active; ++j) {
+        slot[j] = sub.Local(side, certified[j]);
+        witnesses_active = slot[j] != CompactSubgraph::kInactive;
       }
+      if (!witnesses_active) continue;
       passed[x] = 1;
       ++skips;
     }
@@ -402,21 +581,57 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
   // One evaluation per uncertified candidate, in parallel over local ids (a
   // split of `order` would hand the heaviest candidates to the last
   // worker), against the pass-start state.
+  const auto all_alive = [](VertexId) { return true; };
   engine_->ParallelForChunks(n, [&](size_t worker, engine::VertexRange range) {
     PruneScratch& sc = scratch[worker];
-    sc.EnsureUniverse(n);
+    sc.EnsureUniverse(n, dense.words);
     for (VertexId x = range.begin; x < range.end; ++x) {
       if (passed[x] != 0) continue;  // certified
-      passed[x] = PassesLemma2(sub, side, alive, x, common_needed, sc,
-                               witnesses_of(x));
+      passed[x] = PassesLemma2(pass, x, all_alive, sc, witnesses_of(x));
     }
   });
 
+  // A pass-start FAIL is a FAIL at its turn (DESIGN.md §9.2), so every
+  // pass-start FAIL placed before x in the walk is gone by x's turn.
+  // Re-evaluate, in parallel, each pass-start PASS leaning on such a
+  // witness with exactly those vertices dead: a FAIL there is a FAIL at
+  // its turn, and a PASS comes with witnesses none of those removals kill.
+  std::vector<VertexId> reevaluate;
+  for (VertexId x = 0; x < n; ++x) {
+    if (passed[x] == 0) continue;
+    const std::span<VertexId> w = witnesses_of(x);
+    if (std::any_of(w.begin(), w.end(), [&](VertexId y) {
+          return passed[y] == 0 && position[y] < position[x];
+        })) {
+      reevaluate.push_back(x);
+    }
+  }
+  std::vector<uint8_t> reevaluated(reevaluate.size(), 0);
+  engine_->ParallelForChunks(
+      static_cast<uint32_t>(reevaluate.size()),
+      [&](size_t worker, engine::VertexRange range) {
+        PruneScratch& sc = scratch[worker];
+        sc.EnsureUniverse(n, dense.words);
+        for (uint32_t i = range.begin; i < range.end; ++i) {
+          const VertexId x = reevaluate[i];
+          const auto alive_at_turn = [&](VertexId y) {
+            return passed[y] != 0 || position[y] > position[x];
+          };
+          reevaluated[i] =
+              PassesLemma2(pass, x, alive_at_turn, sc, witnesses_of(x));
+        }
+      });
+  for (size_t i = 0; i < reevaluate.size(); ++i) {
+    passed[reevaluate[i]] = reevaluated[i];
+  }
+
   // Commit in candidate order. A side pass removes only `side` vertices,
   // so every count is fixed for the pass and the qualified set only
-  // shrinks (DESIGN.md §9.2): a pass-start FAIL is a FAIL at its turn, and
-  // a pass-start PASS stands while its witnesses live. Otherwise the
-  // candidate is rechecked against the live state on this thread.
+  // shrinks (DESIGN.md §9.2): a FAIL above is a FAIL at its turn, and a
+  // PASS stands while its witnesses live. Otherwise the candidate is
+  // rechecked against the live state on this thread.
+  const auto is_alive = [&](VertexId y) { return alive[y] != 0; };
+  scratch[0].EnsureUniverse(n, dense.words);
   uint64_t rechecks = 0;
   for (const VertexId x : order) {
     bool keep = passed[x] != 0;
@@ -425,7 +640,7 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
       if (std::any_of(w.begin(), w.end(),
                       [&](VertexId y) { return alive[y] == 0; })) {
         ++rechecks;
-        keep = PassesLemma2(sub, side, alive, x, common_needed, scratch[0], w);
+        keep = PassesLemma2(pass, x, is_alive, scratch[0], w);
       }
     }
     if (keep) continue;
@@ -447,21 +662,28 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
   certificates.per_vertex = neighbors_needed;
   for (VertexId x = 0; x < n; ++x) {
     if (alive[x] == 0) continue;
-    certificates.vertices.push_back(ids[x]);
+    certificates.vertices.push_back(sub.Original(side, x));
     certificates.degrees.push_back(static_cast<uint32_t>(sub.Degree(side, x)));
     for (const VertexId y : witnesses_of(x)) {
-      certificates.witnesses.push_back(ids[y]);
+      certificates.witnesses.push_back(sub.Original(side, y));
     }
   }
   view.SetCertificates(side, std::move(certificates));
 
   uint64_t two_hop_entries = 0;
-  for (const PruneScratch& s : scratch) two_hop_entries += s.two_hop_entries;
-  ExtractionCounters::Get().rounds->Add(1);
-  ExtractionCounters::Get().round_rechecks->Add(rechecks);
-  ExtractionCounters::Get().scratch_reuses->Add(n - skips);
-  ExtractionCounters::Get().witness_skips->Add(skips);
-  ExtractionCounters::Get().two_hop_entries->Add(two_hop_entries);
+  uint64_t dense_words = 0;
+  for (const PruneScratch& s : scratch) {
+    two_hop_entries += s.two_hop_entries;
+    dense_words += s.dense_words;
+  }
+  const ExtractionCounters& counters = ExtractionCounters::Get();
+  counters.rounds->Add(1);
+  counters.round_rechecks->Add(rechecks);
+  counters.parallel_rechecks->Add(reevaluate.size());
+  counters.scratch_reuses->Add(n - skips);
+  counters.witness_skips->Add(skips);
+  counters.two_hop_entries->Add(two_hop_entries);
+  counters.dense_words->Add(dense_words);
 }
 
 void ExtensionBicliqueExtractor::SquarePruning(graph::MutableView& view,

@@ -47,15 +47,21 @@ struct ExtractionStats {
 /// Both pruning phases are parallel AND deterministic: CorePruning runs as
 /// level-synchronous frontiers (the fixpoint is order-independent), and
 /// each SquarePruning side pass evaluates every candidate once against the
-/// pass-start view, stopping at its m-th witness (the m-th same-side vertex
-/// whose common-counterpart count reaches the threshold), then commits in
-/// candidate order, rechecking a pass only when one of its witnesses was
-/// removed earlier in the walk. Each pass leaves its survivors' active
-/// degrees and witnesses on the view as certificates, and the next pass of
-/// that side takes a certified candidate whose degree is unchanged and
-/// whose witnesses are all active as a pass without evaluating it. The
-/// schedule is provably equivalent to the sequential immediate-removal one
-/// (DESIGN.md §9.2), so output is bit-identical for every worker count.
+/// pass-start view. The evaluation reads the candidate's sparse counterpart
+/// rows entry by entry and stops at its m-th witness (the m-th same-side
+/// vertex whose common-counterpart count reaches the threshold); only when
+/// they fall short does it add its dense rows (rows of at least ⌈n/64⌉
+/// entries, kept as bitsets over the n same-side vertices) into bit-sliced
+/// counters. Pass-start PASSes that lean on a pass-start FAIL placed
+/// earlier in the walk are re-evaluated in parallel with those FAILs dead;
+/// then the pass commits in candidate order, rechecking a pass only when
+/// one of its witnesses was removed earlier in the walk. Each pass leaves
+/// its survivors' active degrees and witnesses on the view as
+/// certificates, and the next pass of that side takes a certified
+/// candidate whose degree is unchanged and whose witnesses are all active
+/// as a pass without evaluating it. The schedule is provably equivalent to
+/// the sequential immediate-removal one (DESIGN.md §9.2), so output is
+/// bit-identical for every worker count.
 ///
 /// The surviving subgraph's connected components with >= k1 users and
 /// >= k2 items are returned as suspicious groups.

@@ -169,18 +169,23 @@ TEST(SquarePruningTest, TwoHopWorkIgnoresVerticesCorePruningRemoved) {
   engine::WorkerEngine engine(1);
   obs::Counter* entries = obs::MetricsRegistry::Global().GetCounter(
       obs::metric_names::kRicdExtractionTwoHopEntries);
+  obs::Counter* words = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kRicdExtractionDenseWords);
   struct Outcome {
     std::vector<graph::Group> groups;
     uint64_t two_hop_entries = 0;
+    uint64_t dense_words = 0;
   };
   const auto run = [&](uint32_t crowd) {
     const auto g =
         graph::GraphBuilder::FromTable(BicliqueWithOneClickCrowd(crowd)).value();
     ExtensionBicliqueExtractor ex(Params(8, 8, 1.0), &engine);
     Outcome out;
-    const uint64_t before = entries->Value();
+    const uint64_t entries_before = entries->Value();
+    const uint64_t words_before = words->Value();
     auto groups = ex.Extract(g);
-    out.two_hop_entries = entries->Value() - before;
+    out.two_hop_entries = entries->Value() - entries_before;
+    out.dense_words = words->Value() - words_before;
     EXPECT_TRUE(groups.ok());
     if (groups.ok()) out.groups = std::move(groups).value();
     return out;
@@ -188,10 +193,14 @@ TEST(SquarePruningTest, TwoHopWorkIgnoresVerticesCorePruningRemoved) {
   const Outcome small = run(100);
   const Outcome large = run(10000);
 
-  // One clean sweep: each side reads 8 candidates x 8 counterparts x 8
-  // same-side rows, whatever the crowd size.
-  EXPECT_EQ(small.two_hop_entries, uint64_t{2 * 8 * 8 * 8});
+  // One clean sweep over the 8 x 8 survivors, whatever the crowd size:
+  // each side pass has n = 8, so every counterpart row holds at least
+  // ⌈8/64⌉ = 1 entry and is dense. Each side's 8 candidates read no entry
+  // one at a time and add 8 one-word rows.
+  EXPECT_EQ(small.two_hop_entries, 0u);
+  EXPECT_EQ(small.dense_words, uint64_t{2 * 8 * 8});
   EXPECT_EQ(large.two_hop_entries, small.two_hop_entries);
+  EXPECT_EQ(large.dense_words, small.dense_words);
   ASSERT_EQ(small.groups.size(), 1u);
   ASSERT_EQ(large.groups.size(), small.groups.size());
   EXPECT_EQ(large.groups[0].users, small.groups[0].users);

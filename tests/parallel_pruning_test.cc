@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -284,6 +285,60 @@ INSTANTIATE_TEST_SUITE_P(
                           std::tuple<uint32_t, uint32_t, double>{5, 5, 0.8},
                           std::tuple<uint32_t, uint32_t, double>{3, 4, 0.6})));
 
+/// Workload whose user passes mix dense and sparse rows: 1,100 users in
+/// communities of 10, each clicking 12-14 of 24 hot items (about 600 users
+/// apiece, dense at ⌈n/64⌉ = 18 words) and 3 of its community's 5 cold
+/// items (sparse). Two users share about 7 hot items, so at
+/// ⌈αk2⌉ = 10 a same-community user qualifies mostly when its cold items
+/// make up the difference: the test adds sparse counts to dense counts
+/// whose top counter plane is set.
+table::ClickTable MakeDenseWorkload(uint64_t seed) {
+  table::ClickTable t;
+  Rng rng(seed);
+  constexpr uint32_t kHot = 24;
+  for (uint32_t u = 0; u < 1100; ++u) {
+    std::vector<table::ItemId> hot(kHot);
+    std::iota(hot.begin(), hot.end(), table::ItemId{0});
+    const uint32_t degree = 12 + static_cast<uint32_t>(rng.Uniform(3));
+    for (uint32_t d = 0; d < degree; ++d) {
+      std::swap(hot[d], hot[d + rng.Uniform(kHot - d)]);
+      t.Append(u, hot[d], 1);
+    }
+    const table::ItemId cold = 1000 + 5 * (u / 10);
+    const uint32_t skip = static_cast<uint32_t>(rng.Uniform(5));
+    for (uint32_t d = 0; d < 5; ++d) {
+      if (d != skip && d != (skip + 2) % 5) t.Append(u, cold + d, 1);
+    }
+  }
+  t.ConsolidateDuplicates();
+  return t;
+}
+
+/// The dense path against the reference cascade: ≥ 1,000 users, hot rows
+/// of 18 words, candidates holding 12-14 dense rows beside 3 sparse ones.
+TEST(DenseRowsTest, EverySidePassMatchesReferenceCascade) {
+  for (const uint64_t seed : {5u, 17u}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    const auto g =
+        graph::GraphBuilder::FromTable(MakeDenseWorkload(seed)).value();
+    const RicdParams params = MakeParams(6, 10, 1.0);
+    graph::MutableView cored(g);
+    ExtensionBicliqueExtractor(params).CorePruning(cored, nullptr);
+    ASSERT_GE(cored.NumActive(Side::kUser), 1000u);  // rows of >= 16 words
+    obs::Counter* entries = obs::MetricsRegistry::Global().GetCounter(
+        obs::metric_names::kRicdExtractionTwoHopEntries);
+    obs::Counter* words = obs::MetricsRegistry::Global().GetCounter(
+        obs::metric_names::kRicdExtractionDenseWords);
+    const uint64_t entries_before = entries->Value();
+    const uint64_t words_before = words->Value();
+    for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      ExpectEveryStepMatchesReference(g, params, workers);
+    }
+    EXPECT_GT(entries->Value() - entries_before, 0u);
+    EXPECT_GT(words->Value() - words_before, 0u);
+  }
+}
+
 /// Frontier CorePruning leaves the view in exactly the state the
 /// one-worker cascade does.
 TEST(FrontierCorePruningTest, ViewStateMatchesSequential) {
@@ -320,36 +375,33 @@ graph::BipartiteGraph FromClickLists(
   return graph::GraphBuilder::FromTable(t).value();
 }
 
-/// A user pass in which witnesses die mid-pass. With alpha 0.5 and
-/// k1 = k2 = 4, a user needs 4 users, itself included, sharing >= 2 items
-/// with it (core pruning removes nothing here):
-///
-///   D {1,2,3,4}    qualifiers D, A, B          FAIL
-///   A {1,2,5,6}    qualifiers A, D, E, F, G    PASS, witnesses include D
-///   B {3,4,7,8}    qualifiers B, D, H, I       PASS, witnesses include D
-///   E, F, G {5,6}  qualifiers A, E, F, G       PASS
-///   H, I {7,8}     qualifiers B, H, I          FAIL
-///
-/// The reduce2Hop order is H, I (two-hop size 6), D, E, F, G (8), B (10),
-/// A (12). By B's turn D, H and I are gone, so its recheck finds only B and
-/// removes it; by A's turn D is gone, and its recheck still finds A, E, F
-/// and G and keeps it.
-TEST(WitnessRecheckTest, DeadWitnessesTriggerRechecksThatKeepAndRemove) {
-  enum : table::UserId { kD = 1, kA, kB, kE, kF, kG, kH, kI };
-  const std::vector<std::pair<table::UserId, std::vector<table::ItemId>>>
-      clicks = {{kD, {1, 2, 3, 4}}, {kA, {1, 2, 5, 6}}, {kB, {3, 4, 7, 8}},
-                {kE, {5, 6}},       {kF, {5, 6}},       {kG, {5, 6}},
-                {kH, {7, 8}},       {kI, {7, 8}}};
+/// Serial and parallel recheck counters, read as deltas.
+struct RecheckCounters {
+  obs::Counter* serial = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kRicdExtractionRoundRechecks);
+  obs::Counter* parallel = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kRicdExtractionParallelRechecks);
+  uint64_t serial_before = serial->Value();
+  uint64_t parallel_before = parallel->Value();
+
+  uint64_t Serial() const { return serial->Value() - serial_before; }
+  uint64_t Parallel() const { return parallel->Value() - parallel_before; }
+};
+
+/// Runs one user side pass over `clicks` (alpha 0.5, k1 = k2 = 4: a user
+/// needs 4 users, itself included, sharing >= 2 items with it; core pruning
+/// removes nothing) at 1, 4 and 8 workers against the reference, then
+/// `check(graph, view, rechecks)` on each, then every step of two sweeps.
+/// Every row of these small graphs is dense (n <= 64, so ⌈n/64⌉ = 1), so
+/// witnesses are picked as x itself, then the qualifiers the walk visits
+/// after x, then earlier ones, each in ascending local id.
+template <typename Check>
+void ExpectUserPassMatchesReference(
+    const std::vector<std::pair<table::UserId, std::vector<table::ItemId>>>&
+        clicks,
+    const Check& check) {
   const auto g = FromClickLists(clicks);
   const RicdParams params = MakeParams(4, 4, 0.5);
-  const auto local = [&](table::UserId user) {
-    VertexId v = 0;
-    EXPECT_TRUE(g.LookupUser(user, &v));
-    return v;
-  };
-  obs::Counter* rechecks = obs::MetricsRegistry::Global().GetCounter(
-      obs::metric_names::kRicdExtractionRoundRechecks);
-
   for (const size_t workers : {size_t{1}, size_t{4}, size_t{8}}) {
     SCOPED_TRACE(testing::Message() << "workers=" << workers);
     engine::WorkerEngine engine(workers);
@@ -359,19 +411,91 @@ TEST(WitnessRecheckTest, DeadWitnessesTriggerRechecksThatKeepAndRemove) {
     extractor.CorePruning(got, nullptr);
     ASSERT_EQ(got.NumActive(Side::kUser), clicks.size());
 
-    const uint64_t before = rechecks->Value();
+    const RecheckCounters rechecks;
     ExtractionStats got_stats;
     ExtractionStats want_stats;
     extractor.SquarePruneSide(got, Side::kUser, /*ordered=*/true, &got_stats);
     ReferenceSquarePruneSide(want, Side::kUser, params, &want_stats);
-    EXPECT_GE(rechecks->Value() - before, 2u);
-    EXPECT_TRUE(got.IsActive(Side::kUser, local(kA)));  // recheck keeps
-    EXPECT_FALSE(got.IsActive(Side::kUser, local(kB)));  // recheck removes
+    check(g, got, rechecks);
     EXPECT_TRUE(SameViewState(got, want));
     EXPECT_EQ(StatsFields(got_stats), StatsFields(want_stats));
 
     ExpectEveryStepMatchesReference(g, params, workers);
   }
+}
+
+bool IsActiveUser(const graph::BipartiteGraph& g,
+                  const graph::MutableView& view, table::UserId user) {
+  VertexId v = 0;
+  EXPECT_TRUE(g.LookupUser(user, &v));
+  return view.IsActive(Side::kUser, v);
+}
+
+/// A chain of dead witnesses that the parallel re-evaluation cannot see to
+/// its end, so the commit walk rechecks serially:
+///
+///   Z {1,2}          qualifiers Z, Y               FAIL
+///   Y {1,2,3,4}      qualifiers Y, Z, R, K         PASS, leans on Z
+///   R {3,4,7,8}      qualifiers R, Y, K, S         PASS, leans on Y
+///   K {3,4,11,12}    qualifiers K, Y, R, V1..V3    PASS, leans on Y and R
+///   S {7,8,9,10}     qualifiers S, R, U1..U3       PASS, leans on R
+///   U1..U3 {9,10}    qualifiers U1..U3, S          PASS
+///   V1..V3 {11,12}   qualifiers V1..V3, K          PASS
+///
+/// The reduce2Hop order is Z (two-hop size 4), U1..U3, V1..V3 (8), Y, R
+/// (10), S (12), K (14). Y leans on Z, a pass-start FAIL placed before it,
+/// so Y is re-evaluated in parallel with Z dead and fails. R, S and K lean
+/// only on pass-start PASSes, so the walk rechecks them serially once Y (and
+/// then R) is gone: R's recheck finds R, K and S and removes it; S's finds
+/// S and U1..U3 and keeps it; K's finds K and V1..V3 and keeps it.
+TEST(WitnessRecheckTest, DeadWitnessesTriggerRechecksThatKeepAndRemove) {
+  enum : table::UserId { kZ = 1, kY, kR, kK, kS, kU1, kU2, kU3, kV1, kV2, kV3 };
+  const std::vector<std::pair<table::UserId, std::vector<table::ItemId>>>
+      clicks = {{kZ, {1, 2}},          {kY, {1, 2, 3, 4}},
+                {kR, {3, 4, 7, 8}},    {kK, {3, 4, 11, 12}},
+                {kS, {7, 8, 9, 10}},   {kU1, {9, 10}},
+                {kU2, {9, 10}},        {kU3, {9, 10}},
+                {kV1, {11, 12}},       {kV2, {11, 12}},
+                {kV3, {11, 12}}};
+  ExpectUserPassMatchesReference(
+      clicks, [](const graph::BipartiteGraph& g, const graph::MutableView& got,
+                 const RecheckCounters& rechecks) {
+        EXPECT_EQ(rechecks.Parallel(), 1u);  // Y
+        EXPECT_GE(rechecks.Serial(), 2u);
+        EXPECT_FALSE(IsActiveUser(g, got, kY));  // parallel recheck removes
+        EXPECT_FALSE(IsActiveUser(g, got, kR));  // serial recheck removes
+        EXPECT_TRUE(IsActiveUser(g, got, kS));   // serial recheck keeps
+        EXPECT_TRUE(IsActiveUser(g, got, kK));   // serial recheck keeps
+      });
+}
+
+/// Witnesses that are pass-start FAILs placed earlier in the walk, resolved
+/// by the parallel re-evaluation before the commit walk:
+///
+///   D {1,2,3,4}    qualifiers D, A, B          FAIL
+///   A {1,2,5,6}    qualifiers A, D, E, F, G    PASS, witnesses A, D, E, F
+///   B {3,4,7,8}    qualifiers B, D, H, I       PASS, witnesses B, D, H, I
+///   E, F, G {5,6}  qualifiers A, E, F, G       PASS
+///   H, I {7,8}     qualifiers B, H, I          FAIL
+///
+/// The reduce2Hop order is H, I (two-hop size 6), D, E, F, G (8), B (10),
+/// A (12). A and B are re-evaluated with D, H and I dead: B finds only B
+/// and fails; A finds A, E, F and G and passes with them, so the walk
+/// rechecks nothing.
+TEST(WitnessRecheckTest, PassStartFailWitnessesAreRecheckedInParallel) {
+  enum : table::UserId { kD = 1, kA, kB, kE, kF, kG, kH, kI };
+  const std::vector<std::pair<table::UserId, std::vector<table::ItemId>>>
+      clicks = {{kD, {1, 2, 3, 4}}, {kA, {1, 2, 5, 6}}, {kB, {3, 4, 7, 8}},
+                {kE, {5, 6}},       {kF, {5, 6}},       {kG, {5, 6}},
+                {kH, {7, 8}},       {kI, {7, 8}}};
+  ExpectUserPassMatchesReference(
+      clicks, [](const graph::BipartiteGraph& g, const graph::MutableView& got,
+                 const RecheckCounters& rechecks) {
+        EXPECT_EQ(rechecks.Parallel(), 2u);  // A and B
+        EXPECT_EQ(rechecks.Serial(), 0u);
+        EXPECT_TRUE(IsActiveUser(g, got, kA));   // re-evaluation keeps
+        EXPECT_FALSE(IsActiveUser(g, got, kB));  // re-evaluation removes
+      });
 }
 
 /// Cross-sweep certificates. With alpha 0.5 and k1 = k2 = 4, a user needs
