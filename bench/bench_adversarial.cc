@@ -7,8 +7,9 @@
 // bench_smoke instead of the next consumer.
 //
 // The per-point precision/recall/f1 gauges land in RICD_BENCH_JSON and are
-// folded into the committed BENCH_adversarial.json trajectory by
-// tools/bench_trajectory (quality regressions gate like perf regressions).
+// folded into the committed BENCH_adversarial.json record by
+// tools/bench_trajectory; the bench_trajectory_gate_adversarial ctest
+// re-runs the sweep and fails on any point that moved.
 
 #include <cstdio>
 #include <iostream>

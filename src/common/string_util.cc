@@ -67,6 +67,19 @@ bool ParseDouble(std::string_view input, double* out) {
   return true;
 }
 
+uint64_t EnvUint(const char* name, uint64_t fallback, uint64_t min,
+                 uint64_t max) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  const std::string_view value(env);
+  uint64_t parsed = 0;
+  if (value.find_first_not_of("0123456789") != std::string_view::npos ||
+      !ParseUint64(value, &parsed) || parsed < min || parsed > max) {
+    return fallback;
+  }
+  return parsed;
+}
+
 std::string StringPrintf(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -24,6 +24,12 @@ bool ParseUint64(std::string_view input, uint64_t* out);
 /// Parses a floating-point value; same contract as ParseInt64.
 bool ParseDouble(std::string_view input, double* out);
 
+/// Reads environment variable `name` as a plain base-10 unsigned integer in
+/// [min, max]. Returns `fallback` when the variable is unset, empty, holds
+/// anything but digits or is out of range.
+uint64_t EnvUint(const char* name, uint64_t fallback, uint64_t min,
+                 uint64_t max);
+
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -55,8 +55,9 @@ Result<std::vector<RedteamPoint>> RunRedteam(const RedteamOptions& options);
 ///
 ///   bench.adversarial.<family>.<setting>.<detector>.{precision,recall,f1}
 ///
-/// which the RICD_BENCH_JSON sink then lands in the perf trajectory
-/// (bench_trajectory treats precision/recall/f1 as higher-is-better).
+/// which the RICD_BENCH_JSON sink then lands in the committed
+/// BENCH_adversarial.json record; tier-1 compares every point exactly
+/// with a fresh sweep.
 void EmitRedteamGauges(const std::vector<RedteamPoint>& points);
 
 /// Fixed-width robustness-curve table, grouped by family and knob.

@@ -1,9 +1,7 @@
 #include "serve/detection_service.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -12,6 +10,7 @@
 #include "check/validate_serve.h"
 #include "check/validate_window.h"
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "obs/flight_recorder.h"
 #include "obs/metric_names.h"
@@ -19,17 +18,6 @@
 
 namespace ricd::serve {
 namespace {
-
-uint64_t EnvUint(const char* name, uint64_t fallback, uint64_t max) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  for (const char* c = env; *c != '\0'; ++c) {
-    if (std::isdigit(static_cast<unsigned char>(*c)) == 0) return fallback;
-  }
-  const unsigned long long parsed = std::strtoull(env, nullptr, 10);
-  if (parsed == 0 || parsed > max) return fallback;
-  return parsed;
-}
 
 /// Copies the flagged ids of `result` with their risks into `out`, sorted
 /// by id, and lists the rows of `retained` whose user and item are both
@@ -70,7 +58,7 @@ void FillVerdicts(const core::FrameworkResult& result,
 ServeOptions ServeOptions::FromEnv() {
   ServeOptions options;
   options.ingest_batch =
-      EnvUint("RICD_INGEST_BATCH", options.ingest_batch, 1ull << 24);
+      EnvUint("RICD_INGEST_BATCH", options.ingest_batch, 1, 1ull << 24);
   options.window = window::WindowOptions::FromEnv();
   return options;
 }

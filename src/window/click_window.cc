@@ -1,34 +1,20 @@
 #include "window/click_window.h"
 
-#include <cctype>
-#include <cstdlib>
 #include <utility>
 
+#include "common/string_util.h"
 #include "obs/flight_recorder.h"
 #include "obs/metric_names.h"
 
 namespace ricd::window {
-namespace {
-
-uint64_t EnvUint(const char* name, uint64_t fallback, uint64_t max) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  for (const char* c = env; *c != '\0'; ++c) {
-    if (std::isdigit(static_cast<unsigned char>(*c)) == 0) return fallback;
-  }
-  const unsigned long long parsed = std::strtoull(env, nullptr, 10);
-  if (parsed > max) return fallback;
-  return parsed;
-}
-
-}  // namespace
 
 WindowOptions WindowOptions::FromEnv() {
   WindowOptions options;
+  // 0 is a valid bound here: it reads as "unbounded".
   options.max_clicks =
-      EnvUint("RICD_WINDOW_CLICKS", options.max_clicks, 1ull << 40);
+      EnvUint("RICD_WINDOW_CLICKS", options.max_clicks, 0, 1ull << 40);
   options.max_seconds =
-      EnvUint("RICD_WINDOW_SECONDS", options.max_seconds, 1ull << 40);
+      EnvUint("RICD_WINDOW_SECONDS", options.max_seconds, 0, 1ull << 40);
   return options;
 }
 

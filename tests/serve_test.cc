@@ -69,6 +69,28 @@ ServeOptions TinyServeOptions() {
 // Protocol
 // ---------------------------------------------------------------------------
 
+// First in the file, so no service thread reads the environment while it is
+// edited. RICD_INGEST_BATCH must be at least 1; a window bound of 0 reads as
+// "unbounded".
+TEST(ServeOptionsTest, FromEnvKeepsEachKnobsLowerBound) {
+  ::setenv("RICD_INGEST_BATCH", "0", 1);
+  ::setenv("RICD_WINDOW_CLICKS", "0", 1);
+  ::setenv("RICD_WINDOW_SECONDS", "300", 1);
+  ServeOptions options = ServeOptions::FromEnv();
+  EXPECT_EQ(options.ingest_batch, ServeOptions{}.ingest_batch);
+  EXPECT_EQ(options.window.max_clicks, 0u);
+  EXPECT_EQ(options.window.max_seconds, 300u);
+  ::setenv("RICD_INGEST_BATCH", "512", 1);
+  ::setenv("RICD_WINDOW_CLICKS", "49152", 1);
+  options = ServeOptions::FromEnv();
+  EXPECT_EQ(options.ingest_batch, 512u);
+  EXPECT_EQ(options.window.max_clicks, 49152u);
+  for (const char* name :
+       {"RICD_INGEST_BATCH", "RICD_WINDOW_CLICKS", "RICD_WINDOW_SECONDS"}) {
+    ::unsetenv(name);
+  }
+}
+
 TEST(ProtocolTest, FramePrependsLittleEndianLength) {
   const std::string frame = EncodePing();
   ASSERT_EQ(frame.size(), 5u);  // 4-byte prefix + 1-byte opcode

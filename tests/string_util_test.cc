@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 namespace ricd {
 namespace {
 
@@ -75,6 +77,30 @@ TEST(ParseDoubleTest, ValidAndInvalid) {
   EXPECT_FALSE(ParseDouble("x", &v));
   EXPECT_FALSE(ParseDouble("1.2.3", &v));
   EXPECT_FALSE(ParseDouble("", &v));
+}
+
+TEST(EnvUintTest, FallsBackOnAnythingButAnInRangeInteger) {
+  constexpr const char* kName = "RICD_STRING_UTIL_TEST_UINT";
+  ::unsetenv(kName);
+  EXPECT_EQ(EnvUint(kName, 7, 1, 100), 7u) << "absent";
+  ::setenv(kName, "", 1);
+  EXPECT_EQ(EnvUint(kName, 7, 1, 100), 7u) << "empty";
+  for (const char* garbage : {"12a", "-3", "+3", " 3", "3.0"}) {
+    ::setenv(kName, garbage, 1);
+    EXPECT_EQ(EnvUint(kName, 7, 1, 100), 7u) << "non-digit '" << garbage << "'";
+  }
+  ::setenv(kName, "0", 1);
+  EXPECT_EQ(EnvUint(kName, 7, 1, 100), 7u) << "0 below the bound";
+  EXPECT_EQ(EnvUint(kName, 7, 0, 100), 0u) << "0 at the bound";
+  ::setenv(kName, "101", 1);
+  EXPECT_EQ(EnvUint(kName, 7, 1, 100), 7u) << "above the maximum";
+  ::setenv(kName, "99999999999999999999999", 1);
+  EXPECT_EQ(EnvUint(kName, 7, 1, UINT64_MAX), 7u) << "beyond uint64";
+  ::setenv(kName, "100", 1);
+  EXPECT_EQ(EnvUint(kName, 7, 1, 100), 100u);
+  ::setenv(kName, "1", 1);
+  EXPECT_EQ(EnvUint(kName, 7, 1, 100), 1u);
+  ::unsetenv(kName);
 }
 
 TEST(StringPrintfTest, FormatsLikePrintf) {

@@ -1,42 +1,41 @@
-// bench_trajectory — in-tree perf trajectory with regression gates.
+// bench_trajectory — deterministic bench records, compared exactly.
 //
 //   bench_trajectory run       --bin-dir=build/bench [--out-dir=.]
-//                              [--suite=serving,medium_pipeline,
-//                                       adversarial,streaming]
+//                              [--suite=medium_pipeline,adversarial]
 //   bench_trajectory normalize --in=records.jsonl --scenario=NAME
-//                              --source=BENCH [--out=BENCH_NAME.json]
+//                              [--out=BENCH_NAME.json]
 //   bench_trajectory compare   --baseline=BENCH_NAME.json
-//                              --current=other.json
-//                              [--tolerance=0.15] [--min-seconds=0.0005]
-//                              [--expect-regression]
+//                              --current=other.json [--expect-regression]
 //
-// `run` executes each suite bench with a pinned (scale, seed) workload and
+// `run` executes each suite bench with its pinned (scale, seed) workload and
 // RICD_BENCH_JSON pointed at a scratch JSONL file, then normalizes the
 // record into `BENCH_<scenario>.json` in --out-dir. Those files are the
-// committed trajectory: small, sorted, pretty-printed JSON that diffs
-// reviewably PR over PR.
+// committed trajectory: sorted, one metric per line, so a moved counter
+// diffs as one line.
 //
-// `compare` gates a fresh trajectory file against a committed baseline:
-// lower-is-better metrics (stage latencies, *.seconds histograms) may not
-// grow past baseline*(1+tolerance); higher-is-better metrics (qps and
-// speedup gauges, red-team precision/recall/f1 robustness curves) may not
-// fall below baseline/(1+tolerance). Latency
-// metrics where both sides sit under --min-seconds are treated as noise
-// and skipped. --tolerance defaults from RICD_BENCH_TOLERANCE (else 0.15).
-// Exit is non-zero on any regression; --expect-regression inverts the exit
-// for the planted-slowdown fixture test.
+// `normalize` keeps the counters and gauges whose names start with one of
+// the suite entry's prefixes, and never a histogram. Every kept metric is a
+// pure function of the workload, so it reads the same on every host, at
+// every worker count and under load; wall time belongs to perfbench. A
+// prefix that matches no metric fails, so renaming a metric cannot
+// silently empty a record.
 //
-// Normalized schema (version tag "ricd-bench-trajectory-v1"):
+// `compare` fails on any difference: a workload descriptor, a metric
+// present on one side only, or a value token (the number text exactly as
+// the bench wrote it). --expect-regression inverts the exit for the
+// fixture tests that plant a difference.
+//
+// Schema "ricd-bench-trajectory-v2":
 //   {"schema": ..., "scenario": ..., "source": ...,
-//    "workload": {"scale", "seed", "users", "items", "edges", "clicks"},
-//    "metrics": {"<name>": {"value": v, "better": "lower"|"higher"}, ...}}
+//    "workload": {"clicks", "edges", "items", "scale", "seed", "users"},
+//    "metrics": {"<name>": <value>, ...}}
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,19 +48,20 @@
 namespace ricd::tool {
 namespace {
 
+constexpr const char* kSchema = "ricd-bench-trajectory-v2";
+
 int Usage() {
   std::fprintf(
       stderr,
       "usage: bench_trajectory <run|normalize|compare> [--flags]\n"
       "  run        execute the trajectory suite and write BENCH_*.json\n"
       "             --bin-dir=<dir with bench binaries> [--out-dir=.]\n"
-      "             [--suite=serving,medium_pipeline,adversarial,streaming]\n"
+      "             [--suite=medium_pipeline,adversarial]\n"
       "  normalize  fold one RICD_BENCH_JSON record into a trajectory file\n"
-      "             --in=<jsonl> --scenario=<name> --source=<bench name>\n"
-      "             [--out=<path>]\n"
-      "  compare    gate a fresh trajectory against a committed baseline\n"
-      "             --baseline=<json> --current=<json> [--tolerance=0.15]\n"
-      "             [--min-seconds=0.0005] [--expect-regression]\n");
+      "             --in=<jsonl> --scenario=<suite entry> [--out=<path>]\n"
+      "  compare    fail on any difference from a committed trajectory\n"
+      "             --baseline=<json> --current=<json>\n"
+      "             [--expect-regression]\n");
   return 2;
 }
 
@@ -70,21 +70,34 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// One suite entry: a bench binary pinned to a reproducible workload.
+/// Rejects flags no getter asked about, so a mistyped or retired flag fails
+/// instead of being ignored.
+int RejectUnknown(const FlagParser& flags) {
+  const auto unknown = flags.UnknownFlags();
+  for (const auto& name : unknown) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+  }
+  return unknown.empty() ? 0 : 2;
+}
+
+/// One suite entry: a bench binary pinned to a reproducible workload, and
+/// the name prefixes of the deterministic metrics its record keeps.
 struct SuiteScenario {
   const char* name;
   const char* bench;
   const char* scale;
   const char* seed;
+  std::vector<std::string> prefixes;
 };
 
-constexpr SuiteScenario kSuite[] = {
-    {"serving", "bench_serving", "small", "42"},
-    {"medium_pipeline", "bench_scaling", "medium", "42"},
-    {"adversarial", "bench_adversarial", "tiny", "42"},
-    // Windowed serving: sustained ingest qps, eviction cost and ingest/query
-    // latency beside back-to-back detection runs over regime_shift.
-    {"streaming", "bench_streaming", "tiny", "42"},
+const SuiteScenario kSuite[] = {
+    // Section V-D work of one extraction, summed over the bench's 1-, 2-
+    // and 4-worker runs, plus the generated workload's size.
+    {"medium_pipeline", "bench_parallel_scaling", "medium", "42",
+     {"ricd.", "gen.scenario."}},
+    // Red-team precision/recall/f1 per attack family, knob setting and
+    // detector.
+    {"adversarial", "bench_adversarial", "tiny", "42", {"bench.adversarial."}},
 };
 
 const SuiteScenario* FindScenario(const std::string& name) {
@@ -94,45 +107,23 @@ const SuiteScenario* FindScenario(const std::string& name) {
   return nullptr;
 }
 
-/// A comparable metric distilled from a bench record.
-struct TrajectoryMetric {
-  double value = 0.0;
-  bool higher_better = false;
-};
+std::string SuiteNames() {
+  std::string names;
+  for (const auto& s : kSuite) {
+    names += (names.empty() ? "" : "|");
+    names += s.name;
+  }
+  return names;
+}
 
+/// A record as name -> JSON token, workload descriptors and metric values
+/// alike, kept verbatim so `compare` sees exactly what the bench wrote.
 struct Trajectory {
   std::string scenario;
   std::string source;
-  // Workload descriptors, kept as raw JSON tokens for byte-faithful
-  // round-trips (seed/users/... are uint64).
-  std::vector<std::pair<std::string, std::string>> workload;
-  std::map<std::string, TrajectoryMetric> metrics;  // sorted by name
+  std::map<std::string, std::string> workload;
+  std::map<std::string, std::string> metrics;
 };
-
-bool NameContains(const std::string& name, const char* needle) {
-  return name.find(needle) != std::string::npos;
-}
-
-/// Gauges worth tracking across PRs: throughput/speedup numbers plus the
-/// red-team robustness curves (detector quality per attack knob setting) —
-/// all higher-is-better.
-bool IsThroughputGauge(const std::string& name) {
-  return NameContains(name, "qps") || NameContains(name, "speedup") ||
-         NameContains(name, "per_second") || NameContains(name, "precision") ||
-         NameContains(name, "recall") || NameContains(name, ".f1");
-}
-
-/// Latency histograms: every duration instrument in the tree is named
-/// `*seconds` (serve.request.query_seconds, ricd.extraction.seconds, ...).
-bool IsLatencyHistogram(const std::string& name) {
-  return NameContains(name, "seconds");
-}
-
-std::string FormatDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  return buf;
-}
 
 Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -142,66 +133,56 @@ Result<std::string> ReadFile(const std::string& path) {
   return out.str();
 }
 
-/// Picks the last JSONL record whose "source" matches `source` and distills
-/// it into a Trajectory.
+/// Distills the last JSONL record whose "source" is the entry's bench.
 Result<Trajectory> NormalizeRecords(const std::string& jsonl,
-                                    const std::string& scenario,
-                                    const std::string& source) {
-  Trajectory out;
-  out.scenario = scenario;
-  out.source = source;
-  bool found = false;
-
+                                    const SuiteScenario& entry) {
+  std::optional<obs::JsonValue> record;
   std::istringstream lines(jsonl);
   std::string line;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
-    RICD_ASSIGN_OR_RETURN(const obs::JsonValue record,
-                          obs::JsonValue::Parse(line));
-    const obs::JsonValue* src = record.Find("source");
-    if (src == nullptr || !src->is_string() || src->string_value != source) {
-      continue;
+    RICD_ASSIGN_OR_RETURN(obs::JsonValue parsed, obs::JsonValue::Parse(line));
+    const obs::JsonValue* src = parsed.Find("source");
+    if (src != nullptr && src->is_string() &&
+        src->string_value == entry.bench) {
+      record = std::move(parsed);
     }
-    found = true;
-    out.workload.clear();
-    out.metrics.clear();
+  }
+  if (!record.has_value()) {
+    return Status::NotFound(std::string("no record with source '") +
+                            entry.bench + "' in the JSONL input");
+  }
 
-    if (const obs::JsonValue* workload = record.Find("workload");
-        workload != nullptr && workload->is_object()) {
-      for (const auto& [key, value] : workload->members) {
-        if (value.is_string()) {
-          out.workload.emplace_back(
-              key, "\"" + obs::JsonEscape(value.string_value) + "\"");
-        } else if (value.is_number()) {
-          out.workload.emplace_back(key, value.number_token.empty()
-                                             ? FormatDouble(value.number_value)
-                                             : value.number_token);
-        }
-      }
+  Trajectory out{entry.name, entry.bench, {}, {}};
+  if (const obs::JsonValue* workload = record->Find("workload");
+      workload != nullptr && workload->is_object()) {
+    for (const auto& [key, value] : workload->members) {
+      out.workload[key] = value.Serialize();
     }
-    if (const obs::JsonValue* gauges = record.Find("gauges");
-        gauges != nullptr && gauges->is_object()) {
-      for (const auto& [name, value] : gauges->members) {
-        if (!value.is_number() || !IsThroughputGauge(name)) continue;
-        out.metrics[name] = TrajectoryMetric{value.number_value, true};
-      }
-    }
-    if (const obs::JsonValue* hists = record.Find("histograms");
-        hists != nullptr && hists->is_object()) {
-      for (const auto& [name, hist] : hists->members) {
-        if (!hist.is_object() || !IsLatencyHistogram(name)) continue;
-        for (const char* stat : {"mean", "p50", "p99"}) {
-          const obs::JsonValue* v = hist.Find(stat);
-          if (v == nullptr || !v->is_number()) continue;
-          out.metrics[name + "." + stat] =
-              TrajectoryMetric{v->number_value, false};
-        }
+  }
+  const auto kept = [&](const std::string& name) {
+    return std::any_of(
+        entry.prefixes.begin(), entry.prefixes.end(),
+        [&](const std::string& prefix) { return name.starts_with(prefix); });
+  };
+  for (const char* section : {"counters", "gauges"}) {
+    const obs::JsonValue* metrics = record->Find(section);
+    if (metrics == nullptr || !metrics->is_object()) continue;
+    for (const auto& [name, value] : metrics->members) {
+      if (value.is_number() && kept(name)) {
+        out.metrics[name] = value.Serialize();
       }
     }
   }
-  if (!found) {
-    return Status::NotFound("no record with source '" + source +
-                            "' in the JSONL input");
+  for (const std::string& prefix : entry.prefixes) {
+    const bool matched = std::any_of(
+        out.metrics.begin(), out.metrics.end(),
+        [&](const auto& metric) { return metric.first.starts_with(prefix); });
+    if (!matched) {
+      return Status::InvalidArgument(
+          std::string("no counter or gauge of the '") + entry.bench +
+          "' record starts with '" + prefix + "'");
+    }
   }
   return out;
 }
@@ -210,25 +191,23 @@ Result<Trajectory> NormalizeRecords(const std::string& jsonl,
 /// committed trajectory diffs metric by metric.
 std::string SerializeTrajectory(const Trajectory& t) {
   std::string out = "{\n";
-  out += "  \"schema\": \"ricd-bench-trajectory-v1\",\n";
+  out += std::string("  \"schema\": \"") + kSchema + "\",\n";
   out += "  \"scenario\": \"" + obs::JsonEscape(t.scenario) + "\",\n";
   out += "  \"source\": \"" + obs::JsonEscape(t.source) + "\",\n";
   out += "  \"workload\": {";
-  for (size_t i = 0; i < t.workload.size(); ++i) {
-    out += (i == 0 ? "" : ", ");
-    out += "\"" + obs::JsonEscape(t.workload[i].first) +
-           "\": " + t.workload[i].second;
+  bool first = true;
+  for (const auto& [key, token] : t.workload) {
+    out += first ? "" : ", ";
+    first = false;
+    out += "\"" + obs::JsonEscape(key) + "\": " + token;
   }
   out += "},\n";
   out += "  \"metrics\": {";
-  bool first = true;
-  for (const auto& [name, metric] : t.metrics) {
+  first = true;
+  for (const auto& [name, token] : t.metrics) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + obs::JsonEscape(name) +
-           "\": {\"value\": " + FormatDouble(metric.value) +
-           ", \"better\": \"" + (metric.higher_better ? "higher" : "lower") +
-           "\"}";
+    out += "    \"" + obs::JsonEscape(name) + "\": " + token;
   }
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";
@@ -240,30 +219,26 @@ Result<Trajectory> LoadTrajectory(const std::string& path) {
   RICD_ASSIGN_OR_RETURN(const obs::JsonValue doc, obs::JsonValue::Parse(text));
   const obs::JsonValue* schema = doc.Find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      schema->string_value != "ricd-bench-trajectory-v1") {
-    return Status::InvalidArgument(path +
-                                   ": not a ricd-bench-trajectory-v1 file");
+      schema->string_value != kSchema) {
+    return Status::InvalidArgument(path + ": not a " + kSchema + " file");
+  }
+  const obs::JsonValue* workload = doc.Find("workload");
+  const obs::JsonValue* metrics = doc.Find("metrics");
+  if (workload == nullptr || !workload->is_object() || metrics == nullptr ||
+      !metrics->is_object()) {
+    return Status::InvalidArgument(
+        path + ": missing \"workload\" or \"metrics\" object");
   }
   Trajectory t;
-  if (const obs::JsonValue* s = doc.Find("scenario"); s != nullptr) {
-    t.scenario = s->string_value;
+  for (const auto& [key, value] : workload->members) {
+    t.workload[key] = value.Serialize();
   }
-  if (const obs::JsonValue* s = doc.Find("source"); s != nullptr) {
-    t.source = s->string_value;
-  }
-  const obs::JsonValue* metrics = doc.Find("metrics");
-  if (metrics == nullptr || !metrics->is_object()) {
-    return Status::InvalidArgument(path + ": missing \"metrics\" object");
-  }
-  for (const auto& [name, entry] : metrics->members) {
-    const obs::JsonValue* value = entry.Find("value");
-    const obs::JsonValue* better = entry.Find("better");
-    if (value == nullptr || !value->is_number() || better == nullptr) {
-      return Status::InvalidArgument(path + ": malformed metric '" + name +
-                                     "'");
+  for (const auto& [name, value] : metrics->members) {
+    if (!value.is_number()) {
+      return Status::InvalidArgument(path + ": metric '" + name +
+                                     "' is not a number");
     }
-    t.metrics[name] =
-        TrajectoryMetric{value->number_value, better->string_value == "higher"};
+    t.metrics[name] = value.Serialize();
   }
   return t;
 }
@@ -280,19 +255,23 @@ Status WriteTrajectory(const Trajectory& t, const std::string& path) {
 int RunNormalize(const FlagParser& flags) {
   const auto in = flags.GetString("in", "");
   const auto scenario = flags.GetString("scenario", "");
-  const auto source = flags.GetString("source", "");
-  if (!in.ok() || !scenario.ok() || !source.ok()) return 2;
-  if (in->empty() || scenario->empty() || source->empty()) {
-    return Fail(Status::InvalidArgument(
-        "--in, --scenario and --source are all required"));
+  if (!in.ok() || !scenario.ok()) return 2;
+  if (in->empty() || scenario->empty()) {
+    return Fail(Status::InvalidArgument("--in and --scenario are required"));
   }
-  const auto out =
-      flags.GetString("out", "BENCH_" + *scenario + ".json");
+  const SuiteScenario* entry = FindScenario(*scenario);
+  if (entry == nullptr) {
+    return Fail(Status::InvalidArgument("unknown suite scenario '" +
+                                        *scenario + "' (" + SuiteNames() +
+                                        ")"));
+  }
+  const auto out = flags.GetString("out", "BENCH_" + *scenario + ".json");
   if (!out.ok()) return 2;
+  if (const int rc = RejectUnknown(flags)) return rc;
 
   auto jsonl = ReadFile(*in);
   if (!jsonl.ok()) return Fail(jsonl.status());
-  auto trajectory = NormalizeRecords(*jsonl, *scenario, *source);
+  auto trajectory = NormalizeRecords(*jsonl, *entry);
   if (!trajectory.ok()) return Fail(trajectory.status());
   const Status written = WriteTrajectory(*trajectory, *out);
   if (!written.ok()) return Fail(written);
@@ -301,24 +280,33 @@ int RunNormalize(const FlagParser& flags) {
   return 0;
 }
 
-double DefaultTolerance() {
-  const char* env = std::getenv("RICD_BENCH_TOLERANCE");
-  if (env == nullptr || env[0] == '\0') return 0.15;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  return (end != env && parsed > 0.0) ? parsed : 0.15;
+/// Prints every key whose token differs between the two sides, or that one
+/// side lacks, and returns how many there were.
+size_t DiffTokens(const char* kind,
+                  const std::map<std::string, std::string>& baseline,
+                  const std::map<std::string, std::string>& current) {
+  std::map<std::string, std::pair<std::string, std::string>> keys;
+  for (const auto& [key, token] : baseline) keys[key].first = token;
+  for (const auto& [key, token] : current) keys[key].second = token;
+  size_t differences = 0;
+  for (const auto& [key, tokens] : keys) {
+    if (tokens.first == tokens.second) continue;
+    ++differences;
+    std::printf("  %s %s: %s -> %s\n", kind, key.c_str(),
+                tokens.first.empty() ? "(absent)" : tokens.first.c_str(),
+                tokens.second.empty() ? "(absent)" : tokens.second.c_str());
+  }
+  return differences;
 }
 
 int RunCompare(const FlagParser& flags) {
   const auto baseline_path = flags.GetString("baseline", "");
   const auto current_path = flags.GetString("current", "");
-  const auto tolerance = flags.GetDouble("tolerance", DefaultTolerance());
-  const auto min_seconds = flags.GetDouble("min-seconds", 0.0005);
   const auto expect_regression = flags.GetBool("expect-regression", false);
-  if (!baseline_path.ok() || !current_path.ok()) return 2;
-  if (!tolerance.ok()) return Fail(tolerance.status());
-  if (!min_seconds.ok()) return Fail(min_seconds.status());
-  if (!expect_regression.ok()) return 2;
+  if (!baseline_path.ok() || !current_path.ok() || !expect_regression.ok()) {
+    return 2;
+  }
+  if (const int rc = RejectUnknown(flags)) return rc;
   if (baseline_path->empty() || current_path->empty()) {
     return Fail(
         Status::InvalidArgument("--baseline and --current are required"));
@@ -329,70 +317,34 @@ int RunCompare(const FlagParser& flags) {
   auto current = LoadTrajectory(*current_path);
   if (!current.ok()) return Fail(current.status());
 
-  std::printf("comparing %s -> %s (tolerance %.0f%%)\n",
-              baseline_path->c_str(), current_path->c_str(),
-              *tolerance * 100.0);
-  size_t regressions = 0;
-  size_t compared = 0;
-  size_t skipped_noise = 0;
-  for (const auto& [name, base] : baseline->metrics) {
-    const auto it = current->metrics.find(name);
-    if (it == current->metrics.end()) {
-      std::printf("  [gone]    %-52s (absent from current run)\n",
-                  name.c_str());
-      continue;
-    }
-    const TrajectoryMetric& cur = it->second;
-    // Sub-floor latencies are timer noise, not signal: a 0.1ms stage that
-    // doubles is still invisible to users and flaps the gate.
-    if (!base.higher_better &&
-        std::max(base.value, cur.value) < *min_seconds) {
-      ++skipped_noise;
-      continue;
-    }
-    ++compared;
-    const bool regressed =
-        base.higher_better
-            ? cur.value * (1.0 + *tolerance) < base.value
-            : cur.value > base.value * (1.0 + *tolerance);
-    const double ratio =
-        base.value != 0.0 ? cur.value / base.value
-                          : (cur.value == 0.0 ? 1.0 : 0.0);
-    if (regressed) ++regressions;
-    std::printf("  [%s] %-52s %12.6g -> %-12.6g (%.2fx, %s-is-better)\n",
-                regressed ? "REGRESS" : "ok     ", name.c_str(), base.value,
-                cur.value, ratio, base.higher_better ? "higher" : "lower");
-  }
-  for (const auto& [name, cur] : current->metrics) {
-    if (baseline->metrics.count(name) == 0) {
-      std::printf("  [new]     %-52s %12.6g (no baseline yet)\n", name.c_str(),
-                  cur.value);
-    }
-  }
-  std::printf("compared %zu metric(s): %zu regression(s), %zu below the "
-              "%.4gs noise floor\n",
-              compared, regressions, skipped_noise, *min_seconds);
+  std::printf("comparing %s (baseline) with %s (current)\n",
+              baseline_path->c_str(), current_path->c_str());
+  const size_t differences =
+      DiffTokens("workload", baseline->workload, current->workload) +
+      DiffTokens("metric", baseline->metrics, current->metrics);
+  std::printf("compared %zu workload descriptor(s) and %zu metric(s): %zu "
+              "difference(s)\n",
+              baseline->workload.size(), baseline->metrics.size(),
+              differences);
 
   if (*expect_regression) {
-    if (regressions == 0) {
+    if (differences == 0) {
       std::fprintf(stderr,
-                   "error: --expect-regression set but no regression was "
-                   "detected\n");
+                   "error: --expect-regression set but the files agree\n");
       return 1;
     }
-    std::printf("expected regression detected; exiting 0\n");
+    std::printf("expected difference detected; exiting 0\n");
     return 0;
   }
-  return regressions == 0 ? 0 : 1;
+  return differences == 0 ? 0 : 1;
 }
 
 int RunSuite(const FlagParser& flags) {
   const auto bin_dir = flags.GetString("bin-dir", "");
   const auto out_dir = flags.GetString("out-dir", ".");
-  const auto suite =
-      flags.GetString("suite",
-                      "serving,medium_pipeline,adversarial,streaming");
+  const auto suite = flags.GetString("suite", "medium_pipeline,adversarial");
   if (!bin_dir.ok() || !out_dir.ok() || !suite.ok()) return 2;
+  if (const int rc = RejectUnknown(flags)) return rc;
   if (bin_dir->empty()) {
     return Fail(Status::InvalidArgument(
         "--bin-dir=<directory with bench binaries> required"));
@@ -405,9 +357,8 @@ int RunSuite(const FlagParser& flags) {
     if (name.empty()) continue;
     const SuiteScenario* s = FindScenario(name);
     if (s == nullptr) {
-      return Fail(Status::InvalidArgument(
-          "unknown suite scenario '" + name +
-          "' (serving|medium_pipeline|adversarial|streaming)"));
+      return Fail(Status::InvalidArgument("unknown suite scenario '" + name +
+                                          "' (" + SuiteNames() + ")"));
     }
     selected.push_back(s);
   }
@@ -434,7 +385,7 @@ int RunSuite(const FlagParser& flags) {
     }
     auto records = ReadFile(jsonl);
     if (!records.ok()) return Fail(records.status());
-    auto trajectory = NormalizeRecords(*records, s->name, s->bench);
+    auto trajectory = NormalizeRecords(*records, *s);
     if (!trajectory.ok()) return Fail(trajectory.status());
     const std::string out = *out_dir + "/BENCH_" + std::string(s->name) +
                             ".json";

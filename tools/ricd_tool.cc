@@ -1,7 +1,7 @@
 // ricd_tool — command-line front end for the RICD library.
 //
-//   ricd_tool generate --scale=small --seed=42 --out=clicks.csv
-//                      [--labels=labels.csv] [--binary]
+//   ricd_tool generate --scale=small --seed=42 --out=clicks.csv|clicks.bin
+//                      [--labels=labels.csv]
 //                      [--scenario=<name|spec.json>]
 //   ricd_tool stats    --in=clicks.csv
 //   ricd_tool detect   --in=clicks.csv [--k1=10 --k2=10 --alpha=1.0
@@ -71,8 +71,9 @@
 // spec's own values. `redteam` runs the adversarial robustness sweep
 // (src/eval/redteam): every attack family x the pinned knob grid, scored
 // by RICD/FRAUDAR/CopyCatch; with RICD_BENCH_JSON=<path> set, the
-// per-point precision/recall/f1 gauges are appended as one bench record
-// for the BENCH_adversarial.json trajectory.
+// per-point precision/recall/f1 gauges are appended as one record with
+// source "ricd_tool redteam"; the committed BENCH_adversarial.json holds
+// bench_adversarial's sweep instead.
 //
 // All click CSVs are "user,item,clicks" rows (a header is optional); label
 // files are "kind,id" rows as written by `generate --labels`.
@@ -225,12 +226,17 @@ Result<core::RicdParams> ParamsFromFlags(const FlagParser& flags) {
   return params;
 }
 
+/// Click files named `*.bin` are in the binary table format of
+/// table/table_io.h; every other name is a CSV. Readers and writers both
+/// decide through this test.
+bool IsBinaryClickFile(const std::string& path) {
+  return path.size() > 4 && path.ends_with(".bin");
+}
+
 Result<table::ClickTable> LoadClicks(const FlagParser& flags) {
   RICD_ASSIGN_OR_RETURN(const std::string in, flags.GetString("in", ""));
   if (in.empty()) return Status::InvalidArgument("--in=<clicks file> required");
-  if (in.size() > 4 && in.substr(in.size() - 4) == ".bin") {
-    return table::ReadBinary(in);
-  }
+  if (IsBinaryClickFile(in)) return table::ReadBinary(in);
   return table::ReadCsv(in);
 }
 
@@ -251,9 +257,8 @@ int RunGenerate(const FlagParser& flags) {
   const auto spec = ResolveSpec(flags, "small", 42);
   const auto out = flags.GetString("out", "clicks.csv");
   const auto labels_path = flags.GetString("labels", "");
-  const auto binary = flags.GetBool("binary", false);
   if (!spec.ok()) return Fail(spec.status());
-  if (!out.ok() || !labels_path.ok() || !binary.ok()) return 2;
+  if (!out.ok() || !labels_path.ok()) return 2;
   if (const int rc = RejectUnknown(flags)) return rc;
 
   std::printf("scenario: %s\n", scenario::ScenarioSpecToJson(*spec).c_str());
@@ -262,8 +267,9 @@ int RunGenerate(const FlagParser& flags) {
   auto scenario = ::ricd::scenario::Materialize(*spec);
   if (!scenario.ok()) return Fail(scenario.status());
 
-  const Status write = *binary ? table::WriteBinary(scenario->table, *out)
-                               : table::WriteCsv(scenario->table, *out);
+  const Status write = IsBinaryClickFile(*out)
+                           ? table::WriteBinary(scenario->table, *out)
+                           : table::WriteCsv(scenario->table, *out);
   if (!write.ok()) return Fail(write);
   std::printf("wrote %zu click rows to %s\n", scenario->table.num_rows(),
               out->c_str());

@@ -1,34 +1,35 @@
-# Driver for the opt-in bench_trajectory_full_gate ctest: run the suite
-# into a scratch directory, then compare every produced BENCH_*.json
-# against the committed baseline of the same name. Invoked as
-#   cmake -DTRAJECTORY=... -DBENCH_DIR=... -DSOURCE_DIR=... -DWORK_DIR=...
+# Exact gate for one suite entry of tools/bench_trajectory: re-runs the
+# entry's bench into a work directory of its own, under the directory the
+# script runs in, and compares the fresh record with the committed
+# BENCH_<SUITE>.json, which must exist. Invoked as
+#   cmake -DTRAJECTORY=... -DBENCH_DIR=... -DSOURCE_DIR=... -DSUITE=...
 #         -P trajectory_gate.cmake
-file(MAKE_DIRECTORY "${WORK_DIR}")
+set(baseline "${SOURCE_DIR}/BENCH_${SUITE}.json")
+if(NOT EXISTS "${baseline}")
+  message(FATAL_ERROR "no committed record ${baseline}")
+endif()
+
+set(work_dir "${CMAKE_CURRENT_BINARY_DIR}/trajectory_gate/${SUITE}")
+file(REMOVE_RECURSE "${work_dir}")
+file(MAKE_DIRECTORY "${work_dir}")
 
 execute_process(
-  COMMAND "${TRAJECTORY}" run "--bin-dir=${BENCH_DIR}" "--out-dir=${WORK_DIR}"
+  COMMAND "${TRAJECTORY}" run "--bin-dir=${BENCH_DIR}" "--out-dir=${work_dir}"
+          "--suite=${SUITE}"
   RESULT_VARIABLE run_rc)
 if(NOT run_rc EQUAL 0)
-  message(FATAL_ERROR "bench_trajectory run failed (rc=${run_rc})")
+  message(FATAL_ERROR "bench_trajectory run --suite=${SUITE} failed "
+                      "(rc=${run_rc})")
 endif()
 
-file(GLOB produced "${WORK_DIR}/BENCH_*.json")
-if(produced STREQUAL "")
-  message(FATAL_ERROR "bench_trajectory run produced no BENCH_*.json")
+execute_process(
+  COMMAND "${TRAJECTORY}" compare "--baseline=${baseline}"
+          "--current=${work_dir}/BENCH_${SUITE}.json"
+  RESULT_VARIABLE compare_rc)
+if(NOT compare_rc EQUAL 0)
+  message(FATAL_ERROR
+          "BENCH_${SUITE}.json differs from a fresh run (rc=${compare_rc}). "
+          "A change that moves these values refreshes the record with "
+          "`bench_trajectory run --bin-dir=${BENCH_DIR} --suite=${SUITE}` "
+          "from the repository root and says why in CHANGES.md.")
 endif()
-
-foreach(current ${produced})
-  get_filename_component(name "${current}" NAME)
-  set(baseline "${SOURCE_DIR}/${name}")
-  if(NOT EXISTS "${baseline}")
-    message(STATUS "no committed baseline for ${name}; skipping compare")
-    continue()
-  endif()
-  execute_process(
-    COMMAND "${TRAJECTORY}" compare "--baseline=${baseline}"
-            "--current=${current}"
-    RESULT_VARIABLE compare_rc)
-  if(NOT compare_rc EQUAL 0)
-    message(FATAL_ERROR "perf regression against ${name} (rc=${compare_rc})")
-  endif()
-endforeach()
