@@ -69,9 +69,9 @@ int Run() {
   attack.structure_evading_fraction = 0.0;
   attack.budget_evading_fraction = 0.0;
   attack.group_size_jitter = 0.0;
-  auto scenario = ricd::scenario::MaterializeCustom(
-      background, attack,
-      gen::OrganicConfigFor(gen::ScenarioScale::kSmall), SeedFromEnv(7));
+  auto scenario = gen::MakeScenario(
+      background, attack, gen::OrganicConfigFor(gen::ScenarioScale::kSmall),
+      SeedFromEnv(7));
   RICD_CHECK(scenario.ok()) << scenario.status();
   auto graph = graph::GraphBuilder::FromTable(scenario->table);
   RICD_CHECK(graph.ok()) << graph.status();

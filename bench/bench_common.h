@@ -18,8 +18,6 @@
 #include "ricd/params.h"
 #include "scenario/materialize.h"
 #include "scenario/registry.h"
-#include "snapshot/snapshot.h"
-#include "table/table_io.h"
 
 namespace ricd::bench {
 
@@ -141,78 +139,7 @@ inline BenchWorkload GenerateWorkload(gen::ScenarioScale scale, uint64_t seed) {
   return GenerateWorkload(SpecFromEnv(scale, seed));
 }
 
-/// RICD_SNAPSHOT=<prefix> routes workload setup through the binary snapshot
-/// cache (src/snapshot): the graph, labels and raw click table for each
-/// (scale, seed) live in `<prefix>.<scale>.<seed>.snap` (+ `.tbl` sidecar
-/// for the table). A cache miss generates the scenario once, saves it, then
-/// mmaps the snapshot back zero-copy; every later run skips generation and
-/// graph construction entirely. Injected-group/community provenance is not
-/// stored in the container, so `scenario.groups` / `organic_clubs` are
-/// empty on a cache hit (benches that need them document it or regenerate).
-inline BenchWorkload MakeWorkloadCached(const std::string& prefix,
-                                        gen::ScenarioScale scale,
-                                        uint64_t seed) {
-  const scenario::ScenarioSpec spec = SpecFromEnv(scale, seed);
-  char suffix[160];
-  if (spec.name == "baseline") {
-    // Keep the pre-registry cache key so existing snapshot caches stay hot.
-    std::snprintf(suffix, sizeof(suffix), ".%s.%llu.snap",
-                  gen::ScenarioScaleName(scale),
-                  static_cast<unsigned long long>(seed));
-  } else {
-    std::snprintf(suffix, sizeof(suffix), ".%s.%s.%llu.snap",
-                  spec.name.c_str(), gen::ScenarioScaleName(scale),
-                  static_cast<unsigned long long>(seed));
-  }
-  const std::string snap_path = prefix + suffix;
-  const std::string table_path = snap_path + ".tbl";
-
-  auto view = snapshot::GraphView::Map(snap_path);
-  if (!view.ok()) {
-    std::printf("[snapshot] cache miss for %s (%s); generating\n",
-                snap_path.c_str(), view.status().ToString().c_str());
-    BenchWorkload fresh = GenerateWorkload(spec);
-    const Status saved = snapshot::SaveSnapshot(fresh.graph, snap_path,
-                                                &fresh.scenario.labels);
-    RICD_CHECK(saved.ok()) << saved;
-    const Status table_saved =
-        table::WriteBinary(fresh.scenario.table, table_path);
-    RICD_CHECK(table_saved.ok()) << table_saved;
-    view = snapshot::GraphView::Map(snap_path);
-    RICD_CHECK(view.ok()) << view.status();
-    // Adopt the mapped graph so cold and warm runs exercise the same
-    // zero-copy storage path.
-    fresh.graph = std::move(*view).TakeGraph();
-    PrintWorkloadLine(fresh);
-    return fresh;
-  }
-
-  std::printf("[snapshot] cache hit: %s (groups/communities provenance not "
-              "snapshotted; scenario.groups empty)\n",
-              snap_path.c_str());
-  BenchWorkload cached;
-  cached.scale = scale;
-  cached.seed = seed;
-  cached.spec = spec;
-  cached.scenario.labels = view->Labels();
-  auto table = table::ReadBinary(table_path);
-  if (table.ok()) {
-    cached.scenario.table = std::move(table).value();
-  } else {
-    RICD_LOG(WARNING) << "snapshot table sidecar missing (" << table_path
-                      << "); reconstructing from graph";
-    cached.scenario.table = snapshot::TableFromGraph(view->graph());
-  }
-  cached.graph = std::move(*view).TakeGraph();
-  PrintWorkloadLine(cached);
-  return cached;
-}
-
 inline BenchWorkload MakeWorkload(gen::ScenarioScale scale, uint64_t seed) {
-  const char* snapshot_prefix = std::getenv("RICD_SNAPSHOT");
-  if (snapshot_prefix != nullptr && snapshot_prefix[0] != '\0') {
-    return MakeWorkloadCached(snapshot_prefix, scale, seed);
-  }
   BenchWorkload workload = GenerateWorkload(scale, seed);
   PrintWorkloadLine(workload);
   return workload;

@@ -279,16 +279,14 @@ BENCHMARK(BM_SquarePruningSweeps)
     ->Arg(static_cast<int>(gen::ScenarioScale::kSmall))
     ->Unit(benchmark::kMillisecond);
 
-/// Parallel pruning at an explicit worker count (arg), with the CorePruning
-/// frontier fallback disabled so the atomic frontier path is measured too.
-/// Output is bit-identical across args by construction; this bench tracks
-/// the schedule's cost/scaling, bench_parallel_scaling records the ratio.
+/// Parallel pruning at an explicit worker count (arg); above one worker the
+/// atomic CorePruning frontier path is measured too. Output is
+/// bit-identical across args by construction; this bench tracks the
+/// schedule's cost/scaling, bench_parallel_scaling records the ratio.
 void BM_SquarePruningParallel(benchmark::State& state) {
   const auto& g = CachedGraph(gen::ScenarioScale::kSmall);
   engine::WorkerEngine engine(static_cast<size_t>(state.range(0)));
-  core::PruneSchedule schedule;
-  schedule.frontier_cutoff = 0;
-  core::ExtensionBicliqueExtractor extractor(KernelParams(), &engine, schedule);
+  core::ExtensionBicliqueExtractor extractor(KernelParams(), &engine);
   graph::MutableView view(g);
   for (auto _ : state) {
     view.Reset();

@@ -3,12 +3,10 @@
 // O(U + V + E) (near-linear rows below); SquarePruning carries the
 // two-hop neighborhood term and dominates RICD's total.
 //
-// RICD_SCALE clamps the top of the sweep (default medium; the bench_smoke
-// ctest guard runs with RICD_SCALE=tiny). Set RICD_SCALING_LARGE=1 to
-// include the large (200k-user) point.
+// The sweep runs every preset from tiny up to RICD_SCALE (default medium;
+// the bench_smoke ctest guard runs with RICD_SCALE=tiny).
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -31,15 +29,8 @@ int Run() {
 
   const gen::ScenarioScale max_scale = ScaleFromEnv(gen::ScenarioScale::kMedium);
   std::vector<gen::ScenarioScale> scales;
-  for (const auto scale :
-       {gen::ScenarioScale::kTiny, gen::ScenarioScale::kSmall,
-        gen::ScenarioScale::kMedium}) {
-    if (static_cast<int>(scale) > static_cast<int>(max_scale)) break;
-    scales.push_back(scale);
-  }
-  if (std::getenv("RICD_SCALING_LARGE") != nullptr ||
-      max_scale == gen::ScenarioScale::kLarge) {
-    scales.push_back(gen::ScenarioScale::kLarge);
+  for (int s = 0; s <= static_cast<int>(max_scale); ++s) {
+    scales.push_back(static_cast<gen::ScenarioScale>(s));
   }
 
   std::printf("%-8s %10s %10s %12s | %10s %10s %10s %10s %10s\n", "scale",

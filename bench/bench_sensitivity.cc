@@ -100,9 +100,9 @@ int Run() {
   for (const uint32_t camo_items : {0u, 3u, 6u, 12u}) {
     gen::AttackConfig attack = gen::AttackConfigFor(scale);
     attack.camouflage_items = camo_items;
-    auto scenario = ricd::scenario::MaterializeCustom(
-        gen::BackgroundConfigFor(scale), attack, gen::OrganicConfigFor(scale),
-        SeedFromEnv(42));
+    auto scenario =
+        gen::MakeScenario(gen::BackgroundConfigFor(scale), attack,
+                          gen::OrganicConfigFor(scale), SeedFromEnv(42));
     RICD_CHECK(scenario.ok()) << scenario.status();
     auto graph = graph::GraphBuilder::FromTable(scenario->table);
     RICD_CHECK(graph.ok()) << graph.status();

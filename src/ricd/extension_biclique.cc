@@ -432,14 +432,15 @@ void ExtensionBicliqueExtractor::CorePruning(graph::MutableView& view,
   // still-active counterpart; a neighbor joins the next frontier exactly
   // when its degree crosses from `other_min` to `other_min - 1` — each
   // vertex crosses once globally, so frontiers stay duplicate-free without
-  // a dedup pass. Above the cutoff the decrements run atomically across
+  // a dedup pass. With one worker the frontier expands on the calling
+  // thread without atomics; otherwise the decrements run atomically across
   // workers (commutative, hence deterministic final degrees) and the
   // per-worker discoveries are merged in worker order + sorted.
   uint32_t levels = 0;
   const auto expand = [&](Side side, const std::vector<VertexId>& frontier,
                           uint32_t other_min, std::vector<VertexId>* next) {
     const Side other = Other(side);
-    if (workers == 1 || frontier.size() < schedule_.frontier_cutoff) {
+    if (workers == 1) {
       for (const VertexId x : frontier) {
         for (const VertexId w : g.Neighbors(side, x)) {
           if (!view.IsActive(other, w)) continue;

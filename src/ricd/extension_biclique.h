@@ -13,15 +13,6 @@
 
 namespace ricd::core {
 
-/// Scheduling knob of the parallel CorePruning phase. It only steers how
-/// work is batched across workers; every value produces bit-identical
-/// output (DESIGN.md §9).
-struct PruneSchedule {
-  /// CorePruning frontiers smaller than this are expanded on the calling
-  /// thread (no atomics) instead of across workers.
-  uint32_t frontier_cutoff = 2048;
-};
-
 /// Counters reported by one extraction run (used by the ablation bench).
 struct ExtractionStats {
   uint32_t users_removed_core = 0;
@@ -68,13 +59,11 @@ struct ExtractionStats {
 class ExtensionBicliqueExtractor {
  public:
   /// `engine` runs every data-parallel phase (degree scans, two-hop sizes,
-  /// frontier expansion, Lemma-2 evaluation); `schedule` steers CorePruning
-  /// batching only.
+  /// frontier expansion, Lemma-2 evaluation).
   explicit ExtensionBicliqueExtractor(
       RicdParams params,
-      const engine::WorkerEngine* engine = &engine::DefaultEngine(),
-      PruneSchedule schedule = {})
-      : params_(params), engine_(engine), schedule_(schedule) {}
+      const engine::WorkerEngine* engine = &engine::DefaultEngine())
+      : params_(params), engine_(engine) {}
 
   /// Runs pruning + component extraction over `graph`. Fails with
   /// InvalidArgument on out-of-domain parameters (alpha outside (0, 1],
@@ -108,7 +97,6 @@ class ExtensionBicliqueExtractor {
 
   RicdParams params_;
   const engine::WorkerEngine* engine_;
-  PruneSchedule schedule_;
 };
 
 }  // namespace ricd::core

@@ -27,7 +27,9 @@ struct IncrementalUpdate {
 /// simplest well-defined form: a consolidated standing table plus one
 /// offline RicdFramework::Run per batch. After every Ingest the flags are
 /// exactly what an offline Run over the consolidated stream so far reports,
-/// retractions included.
+/// retractions included. Its one caller is perfbench's `stream_window`
+/// replay; the online path is serve::DetectionService, which re-detects
+/// over its retention window instead.
 class IncrementalRicd {
  public:
   explicit IncrementalRicd(FrameworkOptions options)

@@ -116,14 +116,6 @@ Result<gen::Scenario> Materialize(const ScenarioSpec& spec) {
   return out;
 }
 
-Result<gen::Scenario> MaterializeCustom(
-    const gen::BackgroundConfig& background_config,
-    const gen::AttackConfig& attack_config,
-    const gen::OrganicCommunityConfig& organic_config, uint64_t seed) {
-  return gen::MakeScenario(background_config, attack_config, organic_config,
-                           seed);
-}
-
 std::vector<uint32_t> ArrivalOrder(const ScenarioSpec& spec,
                                    const table::ClickTable& table) {
   const size_t n = table.num_rows();

@@ -22,16 +22,6 @@ namespace ricd::scenario {
 /// accounts/items never collide across campaigns.
 Result<gen::Scenario> Materialize(const ScenarioSpec& spec);
 
-/// Sanctioned config-level entry for parameter-sweep benches
-/// (bench_sensitivity, bench_case_study) that need to perturb raw generator
-/// configs rather than named presets. Forwards to gen::MakeScenario; going
-/// through this wrapper instead of calling the generator directly is what
-/// the `ad-hoc-workload` lint rule enforces.
-Result<gen::Scenario> MaterializeCustom(
-    const gen::BackgroundConfig& background_config,
-    const gen::AttackConfig& attack_config,
-    const gen::OrganicCommunityConfig& organic_config, uint64_t seed);
-
 /// Deterministic replay schedule implementing the spec's arrival pattern:
 /// a permutation of [0, table.num_rows()) giving the order rows should be
 /// streamed/ingested. The table itself is never reordered — graph vertex

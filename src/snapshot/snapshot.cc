@@ -377,18 +377,4 @@ gen::LabelSet GraphView::Labels() const {
   return labels;
 }
 
-table::ClickTable TableFromGraph(const graph::BipartiteGraph& graph) {
-  table::ClickTable out;
-  out.Reserve(graph.num_edges());
-  for (graph::VertexId u = 0; u < graph.num_users(); ++u) {
-    const auto neighbors = graph.UserNeighbors(u);
-    const auto clicks = graph.UserEdgeClicks(u);
-    const table::UserId external_user = graph.ExternalUserId(u);
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      out.Append(external_user, graph.ExternalItemId(neighbors[i]), clicks[i]);
-    }
-  }
-  return out;
-}
-
 }  // namespace ricd::snapshot

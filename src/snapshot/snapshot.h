@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "gen/label_set.h"
 #include "graph/bipartite_graph.h"
-#include "table/click_table.h"
 
 namespace ricd::snapshot {
 
@@ -19,10 +18,9 @@ namespace ricd::snapshot {
 /// format.h) that (re)materializes a built BipartiteGraph in milliseconds
 /// instead of re-parsing click logs and rebuilding CSR — the artifact-reuse
 /// layer under `ricd_tool snapshot`, the `--snapshot` pipeline flags and
-/// the benches' RICD_SNAPSHOT cache. One load path: GraphView::Map(path)
-/// mmaps the file read-only and the graph's section pointers alias the
-/// mapping (pages fault in on demand); FromImage adopts an image already in
-/// memory.
+/// `bench_snapshot`. One load path: GraphView::Map(path) mmaps the file
+/// read-only and the graph's section pointers alias the mapping (pages
+/// fault in on demand); FromImage adopts an image already in memory.
 ///
 /// Both run check::ValidateSnapshotHeader and re-verify the whole-file
 /// checksum before any section pointer is formed, so corrupt or truncated
@@ -96,12 +94,6 @@ class GraphView {
   std::span<const int64_t> label_items_;
   std::shared_ptr<const void> retention_;
 };
-
-/// Reconstructs a consolidated click table from a graph (user-CSR order:
-/// ascending dense user id, then item id, external ids in the rows). The
-/// inverse of GraphBuilder::FromTable up to row order and duplicate
-/// merging; lets snapshot-cached benches feed table-consuming stages.
-table::ClickTable TableFromGraph(const graph::BipartiteGraph& graph);
 
 }  // namespace ricd::snapshot
 

@@ -32,14 +32,6 @@ namespace {
 using graph::Side;
 using graph::VertexId;
 
-/// A schedule that expands CorePruning frontiers across workers even for
-/// the small graphs tests can afford.
-PruneSchedule ForcedParallelSchedule() {
-  PruneSchedule s;
-  s.frontier_cutoff = 0;
-  return s;
-}
-
 /// Messy workload: three overlapping planted bicliques of different sizes,
 /// a dense random block and background noise, so pruning has real cascades
 /// to resolve (square removals re-triggering core removals across several
@@ -200,8 +192,7 @@ void ExpectEveryStepMatchesReference(const graph::BipartiteGraph& g,
                                      size_t workers) {
   SCOPED_TRACE(testing::Message() << "workers=" << workers);
   engine::WorkerEngine engine(workers);
-  const ExtensionBicliqueExtractor extractor(params, &engine,
-                                             ForcedParallelSchedule());
+  const ExtensionBicliqueExtractor extractor(params, &engine);
   graph::MutableView got(g);
   graph::MutableView want(g);
   ExtractionStats got_stats;
@@ -267,9 +258,7 @@ TEST_P(ParallelExtractionTest, BitIdenticalAcrossWorkers) {
     SCOPED_TRACE(testing::Message() << "workers=" << workers);
     engine::WorkerEngine engine(workers);
     ExtractionStats stats;
-    auto got = ExtensionBicliqueExtractor(params, &engine,
-                                          ForcedParallelSchedule())
-                   .Extract(g, &stats);
+    auto got = ExtensionBicliqueExtractor(params, &engine).Extract(g, &stats);
     ASSERT_TRUE(got.ok());
     const Status diff = check::DiffPipelineResult(
         want, AsResult(g, std::move(got).value(), stats));
@@ -355,7 +344,7 @@ TEST(FrontierCorePruningTest, ViewStateMatchesSequential) {
     for (const size_t workers : {size_t{2}, size_t{4}, size_t{8}}) {
       SCOPED_TRACE(testing::Message() << "workers=" << workers);
       engine::WorkerEngine engine(workers);
-      ExtensionBicliqueExtractor par(params, &engine, ForcedParallelSchedule());
+      ExtensionBicliqueExtractor par(params, &engine);
       graph::MutableView view(g);
       par.CorePruning(view, nullptr);
       EXPECT_TRUE(SameViewState(view, seq_view));

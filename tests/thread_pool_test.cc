@@ -57,51 +57,6 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
   EXPECT_EQ(count.load(), 50);
 }
 
-TEST(PartitionerTest, CoversRangeExactlyOnce) {
-  const auto ranges = engine::PartitionRange(10, 3);
-  ASSERT_EQ(ranges.size(), 3u);
-  EXPECT_EQ(ranges[0].begin, 0u);
-  uint32_t total = 0;
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    if (i > 0) {
-      EXPECT_EQ(ranges[i].begin, ranges[i - 1].end);
-    }
-    total += ranges[i].size();
-  }
-  EXPECT_EQ(total, 10u);
-  EXPECT_EQ(ranges.back().end, 10u);
-}
-
-TEST(PartitionerTest, BalancedWithinOne) {
-  const auto ranges = engine::PartitionRange(100, 7);
-  uint32_t min_size = UINT32_MAX;
-  uint32_t max_size = 0;
-  for (const auto& r : ranges) {
-    min_size = std::min(min_size, r.size());
-    max_size = std::max(max_size, r.size());
-  }
-  EXPECT_LE(max_size - min_size, 1u);
-}
-
-TEST(PartitionerTest, MorePartsThanElements) {
-  const auto ranges = engine::PartitionRange(2, 5);
-  ASSERT_EQ(ranges.size(), 5u);
-  uint32_t total = 0;
-  for (const auto& r : ranges) total += r.size();
-  EXPECT_EQ(total, 2u);
-}
-
-TEST(PartitionerTest, EmptyRange) {
-  const auto ranges = engine::PartitionRange(0, 4);
-  for (const auto& r : ranges) EXPECT_TRUE(r.empty());
-}
-
-TEST(PartitionerTest, ZeroPartsClampedToOne) {
-  const auto ranges = engine::PartitionRange(5, 0);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].size(), 5u);
-}
-
 /// Property sweep over (n, parts) combinations.
 class PartitionPropertyTest
     : public ::testing::TestWithParam<std::pair<uint32_t, size_t>> {};

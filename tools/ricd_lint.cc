@@ -41,13 +41,6 @@
 //                              GetHistogram("...") with an inline string in
 //                              library code — route names through
 //                              src/obs/metric_names.h
-//   ad-hoc-workload            direct MakeScenario/InjectAttacks/
-//                              GenerateBackground/GenerateOrganicCommunities
-//                              calls outside src/gen, src/scenario and
-//                              tests/ — benches and tools materialize named
-//                              scenario-registry specs (or the sanctioned
-//                              MaterializeCustom wrapper) so every workload
-//                              is reproducible by name
 //   atomic-order-justify       every memory_order_relaxed / memory_order
 //                              _consume operand and every standalone
 //                              atomic_thread_fence/atomic_signal_fence in
@@ -340,7 +333,6 @@ const char* const kAllRules[] = {
     "discarded-status",
     "unchecked-io-return",
     "metric-name-literal",
-    "ad-hoc-workload",
     "atomic-order-justify",
     "guarded-field",
     "bare-lock",
@@ -548,14 +540,6 @@ class Linter {
     const bool in_library = !HasPrefix(file.rel_path, "tests/") &&
                             !HasPrefix(file.rel_path, "bench/") &&
                             !HasPrefix(file.rel_path, "tools/");
-    // Sanctioned homes of raw workload-generator calls: the generator
-    // itself, the scenario layer that wraps it, and unit tests. Everything
-    // else (benches, tools, other library code) must go through a named
-    // scenario::ScenarioSpec so workloads stay reproducible by name.
-    const bool workload_sanctioned =
-        HasPrefix(file.rel_path, "tests/") ||
-        HasPrefix(file.rel_path, "src/gen/") ||
-        HasPrefix(file.rel_path, "src/scenario/");
     // Sanctioned homes of member-state click appends: the window itself
     // (its live buffer is what retention bounds) and the table layer the
     // append methods live in. Everywhere else a `name_.Append*` call is
@@ -617,17 +601,6 @@ class Linter {
         Report(file, line_no, "metric-name-literal",
                "ad-hoc metric name literal — use a constant from "
                "src/obs/metric_names.h (typos create dead series)");
-      }
-      if (!workload_sanctioned &&
-          (id == "MakeScenario" || id == "InjectAttacks" ||
-           id == "GenerateBackground" ||
-           id == "GenerateOrganicCommunities") &&
-          is_punct(i + 1, "(")) {
-        Report(file, line_no, "ad-hoc-workload",
-               "direct workload-generator call — materialize a named "
-               "scenario (scenario::LoadScenario + Materialize, or "
-               "MaterializeCustom for parameter sweeps) so "
-               "every workload stays reproducible by name");
       }
       if (in_library && !append_sanctioned &&
           (id == "Append" || id == "AppendTable") && i >= 2 &&

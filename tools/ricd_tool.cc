@@ -12,8 +12,6 @@
 //   ricd_tool i2i      --in=clicks.csv --item=ID [--top=10]
 //   ricd_tool compare  --in=clicks.csv --labels=labels.csv
 //                      [--k1= --k2= --alpha= --t-hot= --t-click=]
-//   ricd_tool stream   --in=clicks.csv --batches=N [--bootstrap-rows=M]
-//                      [--k1= --k2= --alpha= --t-hot= --t-click=]
 //   ricd_tool scenario [list | show <name> [--out=spec.json]]
 //   ricd_tool redteam  [--scenario=ric_burst] [--scale=] [--seed=]
 //                      [--families=covisit_poison,uplift_camouflage]
@@ -108,7 +106,6 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "ricd/framework.h"
-#include "ricd/incremental.h"
 #include "ricd/ui_adapter.h"
 #include "scenario/materialize.h"
 #include "scenario/registry.h"
@@ -126,14 +123,13 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: ricd_tool "
-      "<generate|stats|detect|i2i|compare|stream|scenario|redteam|selftest"
+      "<generate|stats|detect|i2i|compare|scenario|redteam|selftest"
       "|validate|snapshot|serve|client|monitor> [--flags]\n"
       "  generate  synthesize a Taobao-shaped workload with planted attacks\n"
       "  stats     print Table I/II-style statistics of a click CSV\n"
       "  detect    run the RICD framework and emit ranked suspects\n"
       "  i2i       top related items of an item (the manipulated ranking)\n"
       "  compare   score RICD and all baselines against a label file\n"
-      "  stream    replay a click file in batches, re-detecting after each\n"
       "  scenario  list workload presets or show one as canonical JSON\n"
       "  redteam   sweep attack families x knobs against the detector panel\n"
       "  selftest  generate a small workload and run the full pipeline once\n"
@@ -495,63 +491,6 @@ int RunCompare(const FlagParser& flags) {
     rows.push_back(std::move(row).value());
   }
   eval::PrintRows(std::cout, rows);
-  return 0;
-}
-
-int RunStream(const FlagParser& flags) {
-  auto clicks = LoadClicks(flags);
-  if (!clicks.ok()) return Fail(clicks.status());
-  auto params = ParamsFromFlags(flags);
-  if (!params.ok()) return Fail(params.status());
-  const auto batches = flags.GetInt("batches", 5);
-  const auto bootstrap_rows = flags.GetInt("bootstrap-rows", 0);
-  if (!batches.ok()) return Fail(batches.status());
-  if (!bootstrap_rows.ok()) return Fail(bootstrap_rows.status());
-  if (const int rc = RejectUnknown(flags)) return rc;
-  if (*batches <= 0) {
-    return Fail(Status::InvalidArgument("--batches must be > 0"));
-  }
-
-  // Bootstrap on the leading rows (default: half the table), then replay
-  // the remainder in equal batches.
-  const size_t n = clicks->num_rows();
-  const size_t boot = *bootstrap_rows > 0
-                          ? std::min<size_t>(static_cast<size_t>(*bootstrap_rows), n)
-                          : n / 2;
-  table::ClickTable initial;
-  for (size_t i = 0; i < boot; ++i) initial.Append(clicks->row(i));
-
-  core::FrameworkOptions options;
-  options.params = *params;
-  core::IncrementalRicd incremental(options);
-  const Status bs = incremental.Bootstrap(initial);
-  if (!bs.ok()) return Fail(bs);
-  std::printf("bootstrap: %zu rows, %zu users flagged, %zu items flagged\n",
-              boot, incremental.flagged_users().size(),
-              incremental.flagged_items().size());
-
-  const size_t per_batch =
-      std::max<size_t>(1, (n - boot + *batches - 1) / *batches);
-  size_t cursor = boot;
-  int batch_no = 0;
-  while (cursor < n) {
-    table::ClickTable batch;
-    for (size_t i = cursor; i < std::min(n, cursor + per_batch); ++i) {
-      batch.Append(clicks->row(i));
-    }
-    cursor += per_batch;
-    auto update = incremental.Ingest(batch);
-    if (!update.ok()) return Fail(update.status());
-    std::printf("batch %2d: +%zu rows | re-detected over %llu edges | newly "
-                "flagged %zu users, %zu items\n",
-                ++batch_no, batch.num_rows(),
-                static_cast<unsigned long long>(update->region_edges),
-                update->newly_flagged_users.size(),
-                update->newly_flagged_items.size());
-  }
-  std::printf("final standing suspicious set: %zu users, %zu items\n",
-              incremental.flagged_users().size(),
-              incremental.flagged_items().size());
   return 0;
 }
 
@@ -1171,8 +1110,6 @@ int Main(int argc, char** argv) {
     rc = RunI2i(flags);
   } else if (command == "compare") {
     rc = RunCompare(flags);
-  } else if (command == "stream") {
-    rc = RunStream(flags);
   } else if (command == "scenario") {
     rc = RunScenario(flags);
   } else if (command == "redteam") {
