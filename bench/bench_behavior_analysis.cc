@@ -107,14 +107,18 @@ int Run() {
               "(%.2f * 0.2) = %.1f  (paper: 12)\n\n",
               stats.user_side.avg_clicks, stats.user_side.avg_degree, t_click);
 
-  // Table III: a representative crowd worker from a full-participation
-  // group (the last injected group).
-  const auto& attack_group = scenario.groups.back();
-  VertexId suspect = 0;
-  RICD_CHECK(g.LookupUser(attack_group.workers[0], &suspect));
-  std::printf("--- Table III: click record of a suspect (planted crowd "
-              "worker) ---\n");
-  PrintClickRecord(g, suspect, hot, 14);
+  // Tables III and V show a planted crew: a representative crowd worker and
+  // its target item from a full-participation group (the last injected
+  // group). An attack-free scenario plants none.
+  const gen::InjectedGroup* attack_group =
+      scenario.groups.empty() ? nullptr : &scenario.groups.back();
+  if (attack_group != nullptr) {
+    VertexId suspect = 0;
+    RICD_CHECK(g.LookupUser(attack_group->workers[0], &suspect));
+    std::printf("--- Table III: click record of a suspect (planted crowd "
+                "worker) ---\n");
+    PrintClickRecord(g, suspect, hot, 14);
+  }
 
   // Table IV: the most active normal (unlabeled) user for contrast.
   VertexId normal_user = 0;
@@ -130,10 +134,18 @@ int Run() {
   std::printf("--- Table IV: click record of an ordinary user ---\n");
   PrintClickRecord(g, normal_user, hot, 10);
 
+  if (attack_group == nullptr) {
+    std::printf("Tables III and V need a planted crew; scenario '%s' plants "
+                "none.\n",
+                workload.spec.name.c_str());
+    FinishBench("bench_behavior_analysis", DescribeWorkload(workload));
+    return 0;
+  }
+
   // Table V: a target item vs the normal item closest to it in total
   // clicks (< 10% difference, as in the paper).
   VertexId target = 0;
-  RICD_CHECK(g.LookupItem(attack_group.targets[0], &target));
+  RICD_CHECK(g.LookupItem(attack_group->targets[0], &target));
   const uint64_t target_total = g.ItemTotalClicks(target);
   VertexId matched_normal = 0;
   uint64_t best_diff = UINT64_MAX;

@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the kernels underlying RICD and the
 // baselines: graph construction, adjacency intersection, CorePruning,
-// SquarePruning, connected components and I2I scoring. These back the
+// SquarePruning, connected components, I2I scoring and the serve query
+// path with telemetry on and off. The pruning kernels back the
 // Section V-D complexity discussion: CorePruning is O(U + V + E) and its
 // time should scale linearly across the workload sizes below, while
 // SquarePruning carries the quadratic-ish neighborhood term.
@@ -9,6 +10,8 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "common/logging.h"
@@ -20,9 +23,14 @@
 #include "graph/intersection.h"
 #include "graph/mutable_view.h"
 #include "i2i/i2i_score.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/request_trace.h"
 #include "ricd/extension_biclique.h"
 #include "ricd/framework.h"
+#include "serve/detection_service.h"
+#include "serve/protocol.h"
+#include "serve/server.h"
 
 namespace ricd::bench {
 namespace {
@@ -242,6 +250,64 @@ void BM_CorePruningMetricsOff(benchmark::State& state) {
 BENCHMARK(BM_CorePruningMetricsOff)
     ->Arg(static_cast<int>(gen::ScenarioScale::kMedium))
     ->Unit(benchmark::kMillisecond);
+
+/// One verdict query through TcpServer::HandleRequest in-process (no
+/// sockets, no client threads), alternating QUERY_USER and QUERY_PAIR over
+/// a live DetectionService bootstrapped on the small baseline. telemetry:1
+/// runs with 1-in-64 request traces, the flight recorder and the metrics
+/// registry on; telemetry:0 with every sink off. The throughput ratio of
+/// the pair is the serve-path telemetry overhead, budgeted at 5% in
+/// DESIGN.md §11. The sinks are process-global, so they are restored before
+/// returning.
+void BM_ServeQuery(benchmark::State& state) {
+  const bool telemetry = state.range(0) != 0;
+  const table::ClickTable& rows =
+      CachedScenario(gen::ScenarioScale::kSmall).table;
+  serve::ServeOptions options;
+  options.framework.params = KernelParams();
+  serve::DetectionService service(options);
+  const Status started = service.Start(rows);
+  RICD_CHECK(started.ok()) << started;
+  serve::TcpServer server(&service, serve::TcpServer::Options{0, 1});
+
+  // HandleRequest consumes the bare payload (the Encode* frame minus its
+  // 4-byte length prefix) and returns a framed reply.
+  std::vector<std::string> payloads;
+  for (size_t i = 0; i < 64; ++i) {
+    const size_t r = (i * 131) % rows.num_rows();
+    const std::string frame =
+        i % 2 == 0 ? serve::EncodeQueryUser(rows.user(r))
+                   : serve::EncodeQueryPair(rows.user(r), rows.item(r));
+    payloads.push_back(frame.substr(4));
+    // The timed loop must exercise the verdict path, not error replies.
+    const std::string reply = server.HandleRequest(payloads.back());
+    RICD_CHECK(reply.size() > 4 &&
+               static_cast<uint8_t>(reply[4]) ==
+                   static_cast<uint8_t>(serve::OpCode::kVerdict));
+  }
+
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  const uint64_t saved_sample = obs::TraceSampleEvery();
+  const bool registry_was_enabled = registry.enabled();
+  const bool recorder_was_enabled = recorder.enabled();
+  obs::SetTraceSampleEvery(telemetry ? 64 : 0);
+  recorder.set_enabled(telemetry);
+  registry.set_enabled(telemetry);
+  size_t i = 0;
+  for (auto _ : state) {
+    std::string reply = server.HandleRequest(payloads[i++ % payloads.size()]);
+    benchmark::DoNotOptimize(reply);
+  }
+  obs::SetTraceSampleEvery(saved_sample);
+  recorder.set_enabled(recorder_was_enabled);
+  registry.set_enabled(registry_was_enabled);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+
+  const Status stopped = service.Shutdown();
+  RICD_CHECK(stopped.ok()) << stopped;
+}
+BENCHMARK(BM_ServeQuery)->ArgName("telemetry")->Arg(1)->Arg(0);
 
 void BM_SquarePruning(benchmark::State& state) {
   const auto& g = CachedGraph(ScaleArg(state.range(0)));

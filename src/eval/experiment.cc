@@ -30,15 +30,4 @@ void PrintRows(std::ostream& os, const std::vector<ExperimentRow>& rows) {
   }
 }
 
-void WriteRowsCsv(std::ostream& os, const std::vector<ExperimentRow>& rows) {
-  os << "method,precision,recall,f1,elapsed_seconds,output_nodes,detected_nodes,"
-        "known_nodes\n";
-  for (const auto& row : rows) {
-    os << row.method << ',' << row.metrics.precision << ',' << row.metrics.recall
-       << ',' << row.metrics.f1 << ',' << row.elapsed_seconds << ','
-       << row.metrics.output_nodes << ',' << row.metrics.detected_nodes << ','
-       << row.metrics.known_nodes << '\n';
-  }
-}
-
 }  // namespace ricd::eval

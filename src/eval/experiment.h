@@ -30,9 +30,6 @@ Result<ExperimentRow> RunExperiment(baselines::Detector& detector,
 /// elapsed seconds, output size).
 void PrintRows(std::ostream& os, const std::vector<ExperimentRow>& rows);
 
-/// Writes rows as CSV with a header (for downstream plotting).
-void WriteRowsCsv(std::ostream& os, const std::vector<ExperimentRow>& rows);
-
 }  // namespace ricd::eval
 
 #endif  // RICD_EVAL_EXPERIMENT_H_

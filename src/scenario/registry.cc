@@ -103,10 +103,10 @@ std::vector<ScenarioSpec> BuildPresets() {
     // The windowed-serving shape: ric_burst's campaign (same deliberate
     // 3 groups — see above) but with attack_burst_mid_window arrivals, so
     // the whole campaign compresses into one event-second mid-trace while
-    // organic traffic ticks the clock forward. Under RICD_WINDOW_* retention
-    // this drives seal/evict churn and verdict retractions; it is the
-    // workload behind tests/window_test.cc's windowed≡offline differential
-    // and bench_streaming.
+    // organic traffic ticks the clock forward. Under window retention this
+    // drives seal/evict churn and verdict retractions; it is the workload
+    // behind tests/window_test.cc's windowed≡offline differential and
+    // serve_stress_test's ingest-during-detection case.
     ScenarioSpec spec;
     spec.name = "regime_shift";
     spec.scale = gen::ScenarioScale::kTiny;

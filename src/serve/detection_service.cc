@@ -10,7 +10,6 @@
 #include "check/validate_serve.h"
 #include "check/validate_window.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "obs/flight_recorder.h"
 #include "obs/metric_names.h"
@@ -54,14 +53,6 @@ void FillVerdicts(const core::FrameworkResult& result,
 }
 
 }  // namespace
-
-ServeOptions ServeOptions::FromEnv() {
-  ServeOptions options;
-  options.ingest_batch =
-      EnvUint("RICD_INGEST_BATCH", options.ingest_batch, 1, 1ull << 24);
-  options.window = window::WindowOptions::FromEnv();
-  return options;
-}
 
 DetectionService::DetectionService(ServeOptions options)
     : options_(std::move(options)),

@@ -20,9 +20,8 @@
 
 namespace ricd::serve {
 
-/// Configuration of the online detection service. Environment knobs (read
-/// by FromEnv): RICD_INGEST_BATCH (records per refresh) and the
-/// RICD_WINDOW_* retention knobs.
+/// Configuration of the online detection service. The library reads none of
+/// it from the environment; each caller sets the fields it needs.
 struct ServeOptions {
   core::FrameworkOptions framework;
 
@@ -37,13 +36,9 @@ struct ServeOptions {
   /// even if the size trigger has not fired (0 = size trigger only).
   uint32_t max_batch_delay_ms = 50;
 
-  /// Windowed retention (RICD_WINDOW_CLICKS / RICD_WINDOW_SECONDS). The
-  /// defaults keep both bounds at 0 — unbounded, accumulate forever.
+  /// Windowed retention. The defaults keep both bounds at 0 — unbounded,
+  /// accumulate forever.
   window::WindowOptions window;
-
-  /// Applies RICD_INGEST_BATCH and the RICD_WINDOW_* retention knobs on top
-  /// of the defaults.
-  static ServeOptions FromEnv();
 };
 
 /// The in-process serving façade: accepts click events without blocking,
@@ -102,10 +97,6 @@ class DetectionService {
 
   /// Pins the whole current snapshot (batch queries, STATS).
   VerdictStore::ReadRef Verdicts() const { return store_.Acquire(); }
-
-  /// A SlateFilter view over the live verdicts, for wiring into
-  /// i2i::Recommender — each Allow* call pins the current snapshot.
-  const i2i::SlateFilter& slate_filter() const { return filter_; }
 
   /// Serving-time filtered recommendation: the paper's intercept-before-I2I
   /// semantics on the query path (flagged items and blocked pairs never

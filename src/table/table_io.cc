@@ -15,21 +15,20 @@ constexpr char kBinaryMagic[8] = {'R', 'I', 'C', 'D', 'T', 'B', 'L', '1'};
 
 }  // namespace
 
-Status WriteDelimited(const ClickTable& table, const std::string& path,
-                      char delimiter) {
+Status WriteCsv(const ClickTable& table, const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return Status::IoError("cannot open for write: " + path);
-  out << "user" << delimiter << "item" << delimiter << "clicks\n";
+  out << "user,item,clicks\n";
   for (size_t i = 0; i < table.num_rows(); ++i) {
-    out << table.user(i) << delimiter << table.item(i) << delimiter
-        << table.clicks(i) << '\n';
+    out << table.user(i) << ',' << table.item(i) << ',' << table.clicks(i)
+        << '\n';
   }
   out.flush();
   if (!out) return Status::IoError("write failed: " + path);
   return Status::Ok();
 }
 
-Result<ClickTable> ReadDelimited(const std::string& path, char delimiter) {
+Result<ClickTable> ReadCsv(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open for read: " + path);
   ClickTable out;
@@ -40,7 +39,7 @@ Result<ClickTable> ReadDelimited(const std::string& path, char delimiter) {
     std::string_view sv = TrimString(line);
     if (sv.empty()) continue;
     if (line_no == 1 && sv.starts_with("user")) continue;  // header
-    const auto fields = SplitString(sv, delimiter);
+    const auto fields = SplitString(sv, ',');
     if (fields.size() != 3) {
       return Status::Corruption(
           StringPrintf("%s:%zu: expected 3 fields, got %zu", path.c_str(),

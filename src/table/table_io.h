@@ -9,32 +9,14 @@
 
 namespace ricd::table {
 
-/// Writes `table` as delimiter-separated "user item clicks" rows with a
-/// header line.
-Status WriteDelimited(const ClickTable& table, const std::string& path,
-                      char delimiter);
+/// Writes `table` as comma-separated "user,item,clicks" rows with a header
+/// line.
+Status WriteCsv(const ClickTable& table, const std::string& path);
 
-/// Reads a file produced by WriteDelimited (a header line is auto-detected
-/// and skipped; blank lines are ignored). Any malformed row fails the whole
-/// read with Corruption, naming the line number.
-Result<ClickTable> ReadDelimited(const std::string& path, char delimiter);
-
-/// Comma-separated convenience wrappers.
-inline Status WriteCsv(const ClickTable& table, const std::string& path) {
-  return WriteDelimited(table, path, ',');
-}
-inline Result<ClickTable> ReadCsv(const std::string& path) {
-  return ReadDelimited(path, ',');
-}
-
-/// Tab-separated convenience wrappers (the export format of most warehouse
-/// dumps, including MaxCompute's).
-inline Status WriteTsv(const ClickTable& table, const std::string& path) {
-  return WriteDelimited(table, path, '\t');
-}
-inline Result<ClickTable> ReadTsv(const std::string& path) {
-  return ReadDelimited(path, '\t');
-}
+/// Reads a file produced by WriteCsv (a header line is auto-detected and
+/// skipped; blank lines are ignored). Any malformed row fails the whole read
+/// with Corruption, naming the line number.
+Result<ClickTable> ReadCsv(const std::string& path);
 
 /// Writes a compact binary image (magic + row count + raw columns). Roughly
 /// 5x faster to load than CSV; used for caching generated workloads.

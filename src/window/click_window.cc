@@ -2,21 +2,10 @@
 
 #include <utility>
 
-#include "common/string_util.h"
 #include "obs/flight_recorder.h"
 #include "obs/metric_names.h"
 
 namespace ricd::window {
-
-WindowOptions WindowOptions::FromEnv() {
-  WindowOptions options;
-  // 0 is a valid bound here: it reads as "unbounded".
-  options.max_clicks =
-      EnvUint("RICD_WINDOW_CLICKS", options.max_clicks, 0, 1ull << 40);
-  options.max_seconds =
-      EnvUint("RICD_WINDOW_SECONDS", options.max_seconds, 0, 1ull << 40);
-  return options;
-}
 
 table::ClickTable WindowSnapshot::Materialize() const {
   table::ClickTable out;

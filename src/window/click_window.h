@@ -12,13 +12,12 @@
 
 namespace ricd::window {
 
-/// Configuration of the windowed click retention layer. Environment knobs
-/// (read by FromEnv): RICD_WINDOW_CLICKS (count retention — at most this
-/// many rows retained, enforced at segment granularity) and
-/// RICD_WINDOW_SECONDS (time retention — sealed segments whose newest event
-/// is more than this many event-seconds behind the high watermark are
-/// evicted). 0 means "unbounded" for both, which degenerates to the legacy
-/// accumulate-forever behavior bit-for-bit.
+/// Configuration of the windowed click retention layer: count retention (at
+/// most max_clicks rows retained, enforced at segment granularity) and time
+/// retention (sealed segments whose newest event is more than max_seconds
+/// event-seconds behind the high watermark are evicted). 0 means
+/// "unbounded" for both, which degenerates to the legacy accumulate-forever
+/// behavior bit-for-bit.
 struct WindowOptions {
   /// Count retention: evict oldest sealed segments while the retained row
   /// count exceeds this. 0 = no count bound. The live (unsealed) segment is
@@ -38,9 +37,6 @@ struct WindowOptions {
   /// event-seconds (0 = count-triggered sealing only). Keeps time-based
   /// eviction granular under slow ingest.
   uint64_t segment_seconds = 0;
-
-  /// Applies RICD_WINDOW_CLICKS / RICD_WINDOW_SECONDS on top of defaults.
-  static WindowOptions FromEnv();
 };
 
 /// One sealed, immutable run of clicks. Segments are handed out as

@@ -2,7 +2,8 @@
 // leg of tools/check.sh runs this to sweep the lock-free paths: concurrent
 // producers against the bounded ingest queue, wait-free queriers racing
 // snapshot republication (including publishes that retract verdicts),
-// and raw VerdictStore publish/acquire churn across ring-slot recycling.
+// ingest acked while a detection run is in flight, and raw VerdictStore
+// publish/acquire churn across ring-slot recycling.
 // Every assertion is an invariant that holds under any interleaving; the
 // test never sleeps waiting for "enough" concurrency to happen.
 
@@ -19,6 +20,8 @@
 #include "gen/scenario.h"
 #include "obs/flight_recorder.h"
 #include "obs/request_trace.h"
+#include "scenario/materialize.h"
+#include "scenario/registry.h"
 #include "serve/detection_service.h"
 #include "serve/ingest_queue.h"
 #include "serve/protocol.h"
@@ -148,7 +151,8 @@ TEST(ServeStressTest, ConcurrentProducersQueriersAndRebuilds) {
 // stream timestamped clicks through a retention-bounded window and another
 // thread loops on ForceRebuild (publishing from outside the refresh
 // thread), every snapshot any reader pins must account for exactly the
-// rows its window held — applied + bootstrap rows == retained + evicted.
+// rows its window held — applied + bootstrap rows == retained + evicted —
+// and retain no more than the standing bound max_clicks + segment_clicks.
 TEST(ServeStressTest, EveryPublishReportsTheCutItRanOver) {
   auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, 42);
   ASSERT_TRUE(scenario.ok()) << scenario.status();
@@ -170,6 +174,9 @@ TEST(ServeStressTest, EveryPublishReportsTheCutItRanOver) {
   const auto check_cut = [&](const VerdictSnapshot& snap) {
     EXPECT_EQ(snap.stats.applied + bootstrap.num_rows(),
               snap.stats.window_retained_rows + snap.stats.window_evicted_rows)
+        << "epoch " << snap.epoch;
+    EXPECT_LE(snap.stats.window_retained_rows,
+              options.window.max_clicks + options.window.segment_clicks)
         << "epoch " << snap.epoch;
   };
   ThreadPool readers(2);
@@ -213,6 +220,72 @@ TEST(ServeStressTest, EveryPublishReportsTheCutItRanOver) {
   EXPECT_EQ(final_ref->stats.applied, streamed);
   EXPECT_GT(final_ref->stats.window_evicted_rows, 0u);
   EXPECT_GT(checked.load(), 0u);
+  ASSERT_TRUE(service.Shutdown().ok());
+}
+
+// Ingest is acked while a detection run is in flight. One thread re-runs
+// detection back to back (ForceRebuild, the same refresh every publish
+// runs) while the tiny regime_shift schedule streams in; each push first
+// waits until a run is in flight and counts as acked during that run when
+// the run is still unfinished after the push returns. How long a run takes
+// changes how many runs the stream overlaps, not whether pushes land inside
+// one. The counters bracket ForceRebuild from outside, so a counted push
+// may have landed before the run took state_mu_.
+TEST(ServeStressTest, IngestIsAckedWhileARebuildRuns) {
+  auto spec = ricd::scenario::FindScenario("regime_shift");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  auto materialized = ricd::scenario::Materialize(*spec);
+  ASSERT_TRUE(materialized.ok()) << materialized.status();
+  const table::ClickTable& rows = materialized->table;
+  const std::vector<ricd::scenario::ArrivalEvent> schedule =
+      ricd::scenario::ArrivalSchedule(*spec, rows);
+
+  ServeOptions options;
+  options.framework = TinyFrameworkOptions();
+  options.ingest_batch = 256;
+  options.max_batch_delay_ms = 2;
+  options.window.max_clicks = rows.num_rows() / 4;
+  options.window.segment_clicks = 512;
+  DetectionService service(options);
+  ASSERT_TRUE(service.Start(rows).ok());
+
+  // Runs begun and runs finished; runs finish in the order they begin.
+  std::atomic<bool> streaming{true};
+  std::atomic<uint64_t> runs_begun{0};
+  std::atomic<uint64_t> runs_finished{0};
+  std::thread rebuilder([&] {
+    while (streaming.load(std::memory_order_acquire)) {
+      runs_begun.fetch_add(1, std::memory_order_acq_rel);
+      const Status rebuilt = service.ForceRebuild();
+      runs_finished.fetch_add(1, std::memory_order_acq_rel);
+      EXPECT_TRUE(rebuilt.ok()) << rebuilt;
+    }
+  });
+  // No ASSERT until the join: an early return would destroy a joinable
+  // thread.
+  uint64_t acked_during_run = 0;
+  for (const ricd::scenario::ArrivalEvent& ev : schedule) {
+    // Run number `run` has begun; it is in flight while fewer than `run`
+    // runs have finished.
+    uint64_t run = runs_begun.load(std::memory_order_acquire);
+    while (runs_finished.load(std::memory_order_acquire) >= run) {
+      std::this_thread::yield();
+      run = runs_begun.load(std::memory_order_acquire);
+    }
+    const Status pushed = service.IngestClickAt(rows.row(ev.row), ev.ts);
+    if (pushed.ok()) {
+      if (runs_finished.load(std::memory_order_acquire) < run) {
+        ++acked_during_run;
+      }
+    } else {
+      EXPECT_EQ(pushed.code(), StatusCode::kResourceExhausted) << pushed;
+    }
+  }
+  streaming.store(false, std::memory_order_release);
+  rebuilder.join();
+
+  EXPECT_GT(acked_during_run, 0u) << "no ingest acked while detection ran";
+  ASSERT_TRUE(service.Drain().ok());
   ASSERT_TRUE(service.Shutdown().ok());
 }
 

@@ -69,28 +69,6 @@ ServeOptions TinyServeOptions() {
 // Protocol
 // ---------------------------------------------------------------------------
 
-// First in the file, so no service thread reads the environment while it is
-// edited. RICD_INGEST_BATCH must be at least 1; a window bound of 0 reads as
-// "unbounded".
-TEST(ServeOptionsTest, FromEnvKeepsEachKnobsLowerBound) {
-  ::setenv("RICD_INGEST_BATCH", "0", 1);
-  ::setenv("RICD_WINDOW_CLICKS", "0", 1);
-  ::setenv("RICD_WINDOW_SECONDS", "300", 1);
-  ServeOptions options = ServeOptions::FromEnv();
-  EXPECT_EQ(options.ingest_batch, ServeOptions{}.ingest_batch);
-  EXPECT_EQ(options.window.max_clicks, 0u);
-  EXPECT_EQ(options.window.max_seconds, 300u);
-  ::setenv("RICD_INGEST_BATCH", "512", 1);
-  ::setenv("RICD_WINDOW_CLICKS", "49152", 1);
-  options = ServeOptions::FromEnv();
-  EXPECT_EQ(options.ingest_batch, 512u);
-  EXPECT_EQ(options.window.max_clicks, 49152u);
-  for (const char* name :
-       {"RICD_INGEST_BATCH", "RICD_WINDOW_CLICKS", "RICD_WINDOW_SECONDS"}) {
-    ::unsetenv(name);
-  }
-}
-
 TEST(ProtocolTest, FramePrependsLittleEndianLength) {
   const std::string frame = EncodePing();
   ASSERT_EQ(frame.size(), 5u);  // 4-byte prefix + 1-byte opcode
@@ -821,6 +799,59 @@ TEST(TcpServerTest, EndToEndQueryIngestStats) {
   ASSERT_TRUE(service.Shutdown().ok());
 }
 
+// Four connections at once, each a closed loop of queries with every 8th
+// request an ingest batch: no request fails, and once drained the published
+// cut holds exactly the rows the INGEST acks accepted.
+TEST(TcpServerTest, ConcurrentClientsQueryAndIngestWithoutFailures) {
+  auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, 42);
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  const table::ClickTable& rows = scenario->table;
+  DetectionService service(TinyServeOptions());
+  ASSERT_TRUE(service.Start(rows).ok());
+  constexpr size_t kClients = 4;
+  TcpServer server(&service, TcpServer::Options{0, kClients});
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr size_t kRequestsPerClient = 200;
+  constexpr size_t kIngestEvery = 8;
+  constexpr size_t kIngestBatchRows = 16;
+  std::atomic<uint64_t> accepted{0};
+  ThreadPool clients(kClients);
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.Submit([&, c] {
+      TcpClient client;
+      const Status connected = client.Connect(server.port());
+      ASSERT_TRUE(connected.ok()) << "client " << c << ": " << connected;
+      for (size_t i = 0; i < kRequestsPerClient; ++i) {
+        const size_t r = (c * 7919 + i * 31) % rows.num_rows();
+        if (i % kIngestEvery == kIngestEvery - 1) {
+          std::vector<table::ClickRecord> batch;
+          for (size_t j = 0; j < kIngestBatchRows; ++j) {
+            batch.push_back(rows.row((r + j) % rows.num_rows()));
+          }
+          const auto ack = client.Ingest(batch);
+          ASSERT_TRUE(ack.ok()) << "client " << c << ": " << ack.status();
+          accepted.fetch_add(ack->accepted, std::memory_order_relaxed);
+        } else {
+          const auto verdict =
+              i % 2 == 0 ? client.QueryUser(rows.user(r))
+                         : client.QueryPair(rows.user(r), rows.item(r));
+          ASSERT_TRUE(verdict.ok())
+              << "client " << c << ": " << verdict.status();
+        }
+      }
+    });
+  }
+  clients.Wait();
+  ASSERT_TRUE(service.Drain().ok());
+  EXPECT_GT(accepted.load(), 0u);
+  EXPECT_EQ(service.Verdicts()->stats.applied, accepted.load());
+
+  server.Stop();
+  EXPECT_GE(server.connections_served(), kClients);
+  ASSERT_TRUE(service.Shutdown().ok());
+}
+
 // METRICS end to end: with every request sampled, the exposition must show
 // non-zero serve-path histograms, STATS must carry non-zero query
 // quantiles, and sampled traces must land in the flight recorder
@@ -942,8 +973,8 @@ TEST(TcpServerTest, RequestWithTrailingBytesIsRejected) {
 }
 
 // The telemetry cost model, checked without a wall clock: unsampled
-// requests take no clock read and observe no histogram (bench_serving still
-// reports the overhead ratio as a gauge).
+// requests take no clock read and observe no histogram (bench_kernels'
+// BM_ServeQuery pair times the overhead).
 TEST(TelemetryGateTest, UnsampledRequestsReadNoClockAndObserveNothing) {
   const uint64_t saved_sample = obs::TraceSampleEvery();
   auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, 42);

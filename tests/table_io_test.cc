@@ -132,38 +132,6 @@ TEST_F(TableIoTest, BinaryRejectsTruncatedFile) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST_F(TableIoTest, TsvRoundTrip) {
-  const std::string path = TempPath("roundtrip.tsv");
-  const ClickTable original = Sample();
-  ASSERT_TRUE(WriteTsv(original, path).ok());
-  auto loaded = ReadTsv(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded->num_rows(), original.num_rows());
-  for (size_t i = 0; i < original.num_rows(); ++i) {
-    EXPECT_EQ(loaded->row(i), original.row(i));
-  }
-}
-
-TEST_F(TableIoTest, TsvIsActuallyTabSeparated) {
-  const std::string path = TempPath("tabs.tsv");
-  ASSERT_TRUE(WriteTsv(Sample(), path).ok());
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_NE(header.find('\t'), std::string::npos);
-  EXPECT_EQ(header.find(','), std::string::npos);
-  // And the CSV reader must reject it (wrong field count).
-  EXPECT_FALSE(ReadCsv(path).ok());
-}
-
-TEST_F(TableIoTest, CustomDelimiter) {
-  const std::string path = TempPath("semi.txt");
-  ASSERT_TRUE(WriteDelimited(Sample(), path, ';').ok());
-  auto loaded = ReadDelimited(path, ';');
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_rows(), Sample().num_rows());
-}
-
 TEST_F(TableIoTest, CsvLargeTableRoundTrip) {
   ClickTable big;
   for (int i = 0; i < 5000; ++i) big.Append(i, i * 2, (i % 40) + 1);

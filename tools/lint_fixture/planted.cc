@@ -11,7 +11,6 @@ int PlantedViolations() {
   const int noise = std::rand();  // planted: no-rand
   std::thread worker([] {});      // planted: no-raw-thread
   worker.join();
-  DoRiskyThing(noise);  // planted: discarded-status
   FakeRegistry registry;
   int* series = registry.GetCounter("my.adhoc.metric");  // planted: metric-name-literal
   char scratch[8];

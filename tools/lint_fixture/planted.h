@@ -9,12 +9,6 @@
 
 using namespace std;  // planted: no-using-namespace-in-header
 
-struct Status {
-  bool ok = true;
-};
-
-Status DoRiskyThing(int attempts);
-
 int OpenSocket();
 int close(int fd);  // shadow of the libc call, for the planted close() below
 

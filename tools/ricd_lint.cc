@@ -28,10 +28,6 @@
 //   no-using-namespace-in-header  `using namespace` in any header
 //   include-guard              header guards must be RICD_<PATH>_<FILE>_H_
 //                              (src/ prefix stripped)
-//   discarded-status           a Status/Result-returning call used as a
-//                              whole statement (token-level; multi-line
-//                              calls are in scope in v2; the compile-time
-//                              half is [[nodiscard]] + -Werror=unused-result)
 //   unchecked-io-return        mmap/munmap/fread/fwrite/pread/pwrite or a
 //                              socket call (accept/send/recv/listen/bind/
 //                              close) called as a whole statement — the
@@ -330,7 +326,6 @@ const char* const kAllRules[] = {
     "no-stdio-in-src",
     "no-using-namespace-in-header",
     "include-guard",
-    "discarded-status",
     "unchecked-io-return",
     "metric-name-literal",
     "atomic-order-justify",
@@ -388,14 +383,11 @@ class Linter {
     }
   }
 
-  void AddFile(SourceFile file) {
-    CollectStatusFunctions(file);
-    files_.push_back(std::move(file));
-  }
+  void AddFile(SourceFile file) { files_.push_back(std::move(file)); }
 
   void Run() {
-    // Cross-file state (the Status/Result name set, the include graph) needs
-    // every file loaded, so rule application is a second pass.
+    // Cross-file state (the include graph) needs every file loaded, so rule
+    // application is a second pass.
     for (const SourceFile& file : files_) LintFile(file);
     if (RuleEnabled("include-cycle")) CheckIncludeCycles();
     if (RuleEnabled("stale-allowlist")) CheckStaleAllowlist();
@@ -478,51 +470,6 @@ class Linter {
     }
     if (toks.size() > start) out.push_back({start, toks.size()});
     return out;
-  }
-
-  // -- cross-file harvest: Status/Result-returning names --------------------
-
-  /// Pass 1a: function names declared to return Status or Result<...> in any
-  /// scanned header feed the discarded-call rule. Pass 1b: names that are
-  /// ALSO declared somewhere with a void/value return type are ambiguous
-  /// (`Run`, `Parse`, ...) and get subtracted — the rule only fires on names
-  /// whose every visible declaration returns Status/Result.
-  void CollectStatusFunctions(const SourceFile& file) {
-    static const std::set<std::string> kValueTypes = {
-        "void",   "bool",   "int",    "int64_t", "uint64_t", "uint32_t",
-        "size_t", "float",  "double", "auto",    "string"};
-    const bool is_header = HasSuffix(file.rel_path, ".h");
-    const std::vector<Token>& t = file.tokens;
-    for (size_t i = 0; i + 2 < t.size(); ++i) {
-      if (t[i].kind != Token::kIdent) continue;
-      if (is_header && (t[i].text == "Status" || t[i].text == "Result")) {
-        size_t j = i + 1;
-        if (t[i].text == "Result") {
-          if (!(t[j].kind == Token::kPunct && t[j].text == "<")) continue;
-          int angle = 0;
-          for (; j < t.size(); ++j) {
-            if (t[j].kind != Token::kPunct) continue;
-            if (t[j].text == "<") ++angle;
-            if (t[j].text == ">" && --angle == 0) break;
-          }
-          ++j;
-        }
-        if (j + 1 < t.size() && t[j].kind == Token::kIdent &&
-            t[j + 1].kind == Token::kPunct && t[j + 1].text == "(") {
-          // `Status` must be a return type, not a scope (`Status::Ok`), so
-          // the previous token may not be `::` / `.` / `->`.
-          if (i == 0 || t[i - 1].kind != Token::kPunct ||
-              (t[i - 1].text != "::" && t[i - 1].text != "." &&
-               t[i - 1].text != "->")) {
-            status_functions_.insert(t[j].text);
-          }
-        }
-      }
-      if (kValueTypes.count(t[i].text) > 0 && t[i + 1].kind == Token::kIdent &&
-          t[i + 2].kind == Token::kPunct && t[i + 2].text == "(") {
-        ambiguous_functions_.insert(t[i + 1].text);
-      }
-    }
   }
 
   // -- per-file rules --------------------------------------------------------
@@ -632,7 +579,7 @@ class Linter {
       if (in_library) CheckOrderSite(file, i);
     }
 
-    CheckStatements(file, is_header);
+    CheckStatements(file);
     if (in_library) CheckGuardedFields(file);
     if (is_header) CheckIncludeGuard(file);
   }
@@ -675,9 +622,9 @@ class Linter {
     }
   }
 
-  // -- statement-level rules: discarded-status, unchecked-io-return ---------
+  // -- statement-level rule: unchecked-io-return ----------------------------
 
-  void CheckStatements(const SourceFile& file, bool is_header) {
+  void CheckStatements(const SourceFile& file) {
     static const std::set<std::string> kIoCalls = {
         "mmap", "munmap", "fread",  "fwrite", "pread", "pwrite",
         "accept", "send", "recv",   "listen", "bind",  "close"};
@@ -723,27 +670,7 @@ class Linter {
         Report(file, t[stmt.begin].line, "unchecked-io-return",
                name + "() return ignored — it is the only error signal "
                       "(MAP_FAILED / short transfer)");
-        continue;
       }
-      if (is_header) continue;
-      if (status_functions_.count(name) == 0 ||
-          ambiguous_functions_.count(name) > 0) {
-        continue;
-      }
-      bool excluded = false;
-      for (size_t j = stmt.begin; j < stmt.end && !excluded; ++j) {
-        if (t[j].kind == Token::kPunct && t[j].text == "=") excluded = true;
-        if (t[j].kind == Token::kIdent &&
-            (t[j].text == "return" || t[j].text == "co_return" ||
-             HasPrefix(t[j].text, "RICD_") ||
-             t[j].text.find("EXPECT") != std::string::npos ||
-             t[j].text.find("ASSERT") != std::string::npos)) {
-          excluded = true;
-        }
-      }
-      if (excluded) continue;
-      Report(file, t[stmt.begin].line, "discarded-status",
-             "Status/Result-returning call discarded — inspect or (void) it");
     }
   }
 
@@ -1026,8 +953,6 @@ class Linter {
   std::set<std::string> enabled_;
   std::vector<AllowEntry> allowlist_;
   std::string allowlist_path_;
-  std::set<std::string> status_functions_;
-  std::set<std::string> ambiguous_functions_;
   std::vector<SourceFile> files_;
   std::vector<Violation> violations_;
   std::vector<OrderSite> order_sites_;

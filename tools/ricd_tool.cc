@@ -20,7 +20,6 @@
 //   ricd_tool validate --in=clicks.csv|clicks.bin | --snapshot=graph.snap
 //   ricd_tool snapshot save --in=clicks.csv --out=graph.snap
 //                      [--labels=labels.csv]
-//   ricd_tool snapshot load --in=graph.snap
 //   ricd_tool snapshot info --in=graph.snap
 //   ricd_tool serve    --in=clicks.csv [--port=0] [--handlers=4]
 //                      [--batch=2048 --duration=0]
@@ -33,9 +32,11 @@
 // answers QUERY/INGEST/STATS requests over the length-prefixed TCP
 // protocol of src/serve until --duration seconds elapse (0 = until stdin
 // reaches EOF). --port=0 binds an ephemeral port (printed on stdout).
-// Environment knobs: RICD_SERVE_PORT (default port when --port is absent),
-// RICD_INGEST_BATCH (default for --batch) and RICD_WINDOW_CLICKS /
-// RICD_WINDOW_SECONDS (retention of the rows every refresh re-detects over).
+// --batch is the number of pending records that triggers a refresh.
+// Environment knobs: RICD_SERVE_PORT (default port when --port is absent)
+// and RICD_WINDOW_CLICKS (count retention of the rows every refresh
+// re-detects over; 0 = unbounded). INGEST frames carry no event time, so
+// `serve` has no time retention.
 // `client` speaks one request to a running server and prints the reply.
 // `monitor` pulls the METRICS exposition (Prometheus-style text plus the
 // most recent flight-recorder events) from a running server; --watch
@@ -68,10 +69,9 @@
 // scale-calibrated paper campaign; `--scale`/`--seed` still override the
 // spec's own values. `redteam` runs the adversarial robustness sweep
 // (src/eval/redteam): every attack family x the pinned knob grid, scored
-// by RICD/FRAUDAR/CopyCatch; with RICD_BENCH_JSON=<path> set, the
-// per-point precision/recall/f1 gauges are appended as one record with
-// source "ricd_tool redteam"; the committed BENCH_adversarial.json holds
-// bench_adversarial's sweep instead.
+// by RICD/FRAUDAR/CopyCatch; --metrics_json=<path> writes the per-point
+// precision/recall/f1 gauges (bench.adversarial.*) into its report; the
+// committed BENCH_adversarial.json holds bench_adversarial's sweep instead.
 //
 // All click CSVs are "user,item,clicks" rows (a header is optional); label
 // files are "kind,id" rows as written by `generate --labels`.
@@ -638,17 +638,6 @@ int RunRedteamSweep(const FlagParser& flags) {
 
   g_workload.scale = gen::ScenarioScaleName(base->scale);
   g_workload.seed = base->seed;
-
-  // Same RICD_BENCH_JSON contract as the benches: append one record with
-  // the bench.adversarial.* gauges for the robustness trajectory.
-  const char* bench_json = std::getenv("RICD_BENCH_JSON");
-  if (bench_json != nullptr && bench_json[0] != '\0') {
-    const std::string record =
-        obs::GlobalMetricsReportJson("ricd_tool redteam", g_workload);
-    const Status appended = obs::AppendJsonLine(bench_json, record);
-    if (!appended.ok()) return Fail(appended);
-    std::printf("\n[obs] appended redteam record to %s\n", bench_json);
-  }
   return 0;
 }
 
@@ -717,7 +706,7 @@ int RunValidate(const FlagParser& flags) {
   return 0;
 }
 
-/// The `snapshot` command family: save | load | info.
+/// The `snapshot` command family: save | info.
 int RunSnapshotSave(const FlagParser& flags) {
   auto clicks = LoadClicks(flags);
   if (!clicks.ok()) return Fail(clicks.status());
@@ -751,29 +740,6 @@ int RunSnapshotSave(const FlagParser& flags) {
               static_cast<unsigned long long>(info->num_items),
               static_cast<unsigned long long>(info->num_edges),
               info->has_labels ? " (with labels)" : "");
-  return 0;
-}
-
-int RunSnapshotLoad(const FlagParser& flags) {
-  const auto in = flags.GetString("in", "");
-  if (!in.ok()) return 2;
-  if (const int rc = RejectUnknown(flags)) return rc;
-  if (in->empty()) {
-    return Fail(Status::InvalidArgument("--in=<graph.snap> required"));
-  }
-
-  auto view = snapshot::GraphView::Map(*in);
-  if (!view.ok()) return Fail(view.status());
-  std::printf("loaded snapshot %s (mmap zero-copy): %u users, %u items, "
-              "%llu edges, %llu clicks",
-              in->c_str(), view->graph().num_users(), view->graph().num_items(),
-              static_cast<unsigned long long>(view->graph().num_edges()),
-              static_cast<unsigned long long>(view->graph().total_clicks()));
-  if (view->has_labels()) {
-    std::printf("; labels: %zu users, %zu items",
-                view->label_user_ids().size(), view->label_item_ids().size());
-  }
-  std::printf("\n");
   return 0;
 }
 
@@ -826,8 +792,10 @@ int RunServe(const FlagParser& flags) {
   auto params = ParamsFromFlags(flags);
   if (!params.ok()) return Fail(params.status());
 
-  serve::ServeOptions options = serve::ServeOptions::FromEnv();
+  serve::ServeOptions options;
   options.framework.params = *params;
+  options.window.max_clicks =
+      EnvUint("RICD_WINDOW_CLICKS", options.window.max_clicks, 0, 1ull << 40);
   const auto port = flags.GetInt("port", DefaultServePort());
   const auto handlers = flags.GetInt("handlers", 4);
   const auto batch =
@@ -1055,13 +1023,11 @@ int RunMonitor(const FlagParser& flags) {
 
 int RunSnapshot(const std::string& action, const FlagParser& flags) {
   if (action == "save") return RunSnapshotSave(flags);
-  if (action == "load") return RunSnapshotLoad(flags);
   if (action == "info") return RunSnapshotInfo(flags);
   std::fprintf(stderr,
-               "usage: ricd_tool snapshot <save|load|info> [--flags]\n"
+               "usage: ricd_tool snapshot <save|info> [--flags]\n"
                "  save  --in=clicks.{csv,bin} --out=graph.snap "
                "[--labels=labels.csv]\n"
-               "  load  --in=graph.snap\n"
                "  info  --in=graph.snap\n");
   return 2;
 }
