@@ -129,6 +129,10 @@ inline constexpr char kWindowEvictSegmentsTotal[] =
 inline constexpr char kWindowRetainedRows[] = "window.retained.rows";
 inline constexpr char kWindowRetainedSegments[] = "window.retained.segments";
 inline constexpr char kWindowSealSegmentsTotal[] = "window.seal.segments_total";
+/// Rebuilds of the window's consolidated sealed run, one per sealed-set
+/// change that a MaterializeRetained call observes.
+inline constexpr char kWindowSealedRunRebuildsTotal[] =
+    "window.sealed_run_rebuilds_total";
 
 // --- snapshot: binary graph container ---
 inline constexpr char kSnapshotBytesMapped[] = "snapshot.bytes_mapped";

@@ -21,7 +21,8 @@ namespace {
 /// Copies the flagged ids of `result` with their risks into `out`, sorted
 /// by id, and lists the rows of `retained` whose user and item are both
 /// flagged as blocked pairs. `retained` is consolidated — sorted by (user,
-/// item) — so the pairs come out sorted too.
+/// item) — so each flagged user's rows are one range, found by binary
+/// search, and the pairs come out sorted too.
 void FillVerdicts(const core::FrameworkResult& result,
                   const table::ClickTable& retained, VerdictSnapshot* out) {
   std::vector<std::pair<table::UserId, double>> users;
@@ -44,11 +45,16 @@ void FillVerdicts(const core::FrameworkResult& result,
     out->flagged_items.push_back(v);
     out->item_risks.push_back(risk);
   }
-  for (size_t i = 0; i < retained.num_rows(); ++i) {
-    if (out->FlaggedUser(retained.user(i)) &&
-        out->FlaggedItem(retained.item(i))) {
-      out->blocked_pairs.emplace_back(retained.user(i), retained.item(i));
+  const std::vector<table::UserId>& row_users = retained.user_column();
+  auto from = row_users.begin();
+  for (const table::UserId u : out->flagged_users) {
+    const auto [first, last] = std::equal_range(from, row_users.end(), u);
+    for (auto it = first; it != last; ++it) {
+      const table::ItemId v = retained.item(
+          static_cast<size_t>(it - row_users.begin()));
+      if (out->FlaggedItem(v)) out->blocked_pairs.emplace_back(u, v);
     }
+    from = last;
   }
 }
 

@@ -32,8 +32,12 @@ struct ServeOptions {
   /// this many records are pending.
   size_t ingest_batch = 2048;
 
-  /// Time trigger: a partial batch is flushed after this many milliseconds
-  /// even if the size trigger has not fired (0 = size trigger only).
+  /// Time trigger: after each publish, and after each poll that found the
+  /// queue empty, the refresh thread waits this many milliseconds unless the
+  /// size trigger fires first, then drains whatever is pending, a partial
+  /// batch included. The wait starts when the last refresh ended, not when
+  /// the oldest pending click arrived, so below the size trigger a publish
+  /// comes every delay plus one refresh. 0 polls every 10 ms.
   uint32_t max_batch_delay_ms = 50;
 
   /// Windowed retention. The defaults keep both bounds at 0 — unbounded,

@@ -1,11 +1,47 @@
 #include "window/click_window.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "obs/flight_recorder.h"
 #include "obs/metric_names.h"
+#include "obs/trace.h"
 
 namespace ricd::window {
+namespace {
+
+/// Merges two consolidated tables into one. A pair present in both gets the
+/// saturating sum ConsolidateDuplicates would give it: saturating addition
+/// of non-negative counts is associative, so merging consolidated parts
+/// equals consolidating their concatenation.
+table::ClickTable MergeConsolidated(const table::ClickTable& a,
+                                    const table::ClickTable& b) {
+  constexpr uint64_t kMaxClicks =
+      std::numeric_limits<table::ClickCount>::max();
+  table::ClickTable out;
+  out.Reserve(a.num_rows() + b.num_rows());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.num_rows() && j < b.num_rows()) {
+    if (a.user(i) != b.user(j)) {
+      out.Append(a.user(i) < b.user(j) ? a.row(i++) : b.row(j++));
+    } else if (a.item(i) != b.item(j)) {
+      out.Append(a.item(i) < b.item(j) ? a.row(i++) : b.row(j++));
+    } else {
+      const uint64_t sum = static_cast<uint64_t>(a.clicks(i)) + b.clicks(j);
+      out.Append(a.user(i), a.item(i),
+                 static_cast<table::ClickCount>(std::min(sum, kMaxClicks)));
+      ++i;
+      ++j;
+    }
+  }
+  for (; i < a.num_rows(); ++i) out.Append(a.row(i));
+  for (; j < b.num_rows(); ++j) out.Append(b.row(j));
+  return out;
+}
+
+}  // namespace
 
 table::ClickTable WindowSnapshot::Materialize() const {
   table::ClickTable out;
@@ -27,7 +63,9 @@ ClickWindow::ClickWindow(WindowOptions options)
       segments_gauge_(obs::MetricsRegistry::Global().GetGauge(
           obs::metric_names::kWindowRetainedSegments)),
       retained_rows_gauge_(obs::MetricsRegistry::Global().GetGauge(
-          obs::metric_names::kWindowRetainedRows)) {}
+          obs::metric_names::kWindowRetainedRows)),
+      sealed_run_rebuilds_counter_(obs::MetricsRegistry::Global().GetCounter(
+          obs::metric_names::kWindowSealedRunRebuildsTotal)) {}
 
 void ClickWindow::Append(const table::ClickRecord& record, uint64_t ts) {
   MutexLock lock(mu_);
@@ -62,6 +100,7 @@ void ClickWindow::SealLiveLocked() {
   obs::FlightRecorder::Global().Record(obs::FlightEventKind::kSegmentSeal,
                                        seg->seq, seg->rows.num_rows(), "seal");
   segments_.push_back(std::move(seg));
+  ++sealed_version_;
   live_ = table::ClickTable();
   live_min_ts_ = 0;
   live_max_ts_ = 0;
@@ -107,6 +146,7 @@ void ClickWindow::EvictLocked() {
   }
   segments_.erase(segments_.begin(),
                   segments_.begin() + static_cast<ptrdiff_t>(evict));
+  ++sealed_version_;
 }
 
 void ClickWindow::UpdateGaugesLocked() {
@@ -125,7 +165,27 @@ WindowSnapshot ClickWindow::Snapshot() const {
 }
 
 table::ClickTable ClickWindow::MaterializeRetained() const {
-  return Snapshot().Materialize();
+  RICD_TRACE_SPAN("window.materialize");
+  std::shared_ptr<const table::ClickTable> sealed;
+  table::ClickTable live;
+  {
+    MutexLock lock(mu_);
+    if (sealed_run_version_ != sealed_version_) {
+      // Drop the stale run first so it and its replacement never coexist.
+      sealed_run_.reset();
+      auto run = std::make_shared<table::ClickTable>();
+      run->Reserve(sealed_rows_retained_);
+      for (const auto& seg : segments_) run->AppendTable(seg->rows);
+      run->ConsolidateDuplicates();
+      sealed_run_ = std::move(run);
+      sealed_run_version_ = sealed_version_;
+      sealed_run_rebuilds_counter_->Add(1);
+    }
+    sealed = sealed_run_;
+    live = live_;
+  }
+  live.ConsolidateDuplicates();
+  return MergeConsolidated(*sealed, live);
 }
 
 WindowStats ClickWindow::stats() const {

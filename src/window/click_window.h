@@ -80,7 +80,8 @@ struct WindowSnapshot {
   /// Flattens retained rows (oldest segment first, live last) into one
   /// consolidated table — the exact input an offline bootstrap over "what
   /// the window retains" sees. Deterministic: segment order is seal order
-  /// and ConsolidateDuplicates is a stable canonical sort+merge.
+  /// and ConsolidateDuplicates is a stable canonical sort+merge. The
+  /// reference ClickWindow::MaterializeRetained is tested against.
   table::ClickTable Materialize() const;
 };
 
@@ -115,7 +116,10 @@ class ClickWindow {
   /// one copy of the live buffer.
   WindowSnapshot Snapshot() const RICD_EXCLUDES(mu_);
 
-  /// Snapshot().Materialize() convenience.
+  /// Equals Snapshot().Materialize(). Keeps the sealed segments consolidated
+  /// into one cached run, rebuilt on the first call after a seal or an
+  /// eviction changes the sealed set; every call copies and consolidates
+  /// only the live segment and merges it into that run in one linear pass.
   table::ClickTable MaterializeRetained() const RICD_EXCLUDES(mu_);
 
   WindowStats stats() const RICD_EXCLUDES(mu_);
@@ -141,6 +145,14 @@ class ClickWindow {
   uint64_t sealed_rows_retained_ RICD_GUARDED_BY(mu_) = 0;
   uint64_t evicted_segments_ RICD_GUARDED_BY(mu_) = 0;
   uint64_t evicted_rows_ RICD_GUARDED_BY(mu_) = 0;
+  /// Bumped by every seal and every eviction: each changes the sealed set.
+  uint64_t sealed_version_ RICD_GUARDED_BY(mu_) = 0;
+  /// The retained sealed segments' rows consolidated into one table, as of
+  /// sealed_run_version_. Read-only once built, so MaterializeRetained
+  /// merges into it after releasing mu_.
+  mutable std::shared_ptr<const table::ClickTable> sealed_run_
+      RICD_GUARDED_BY(mu_) = std::make_shared<const table::ClickTable>();
+  mutable uint64_t sealed_run_version_ RICD_GUARDED_BY(mu_) = 0;
 
   // Instruments, resolved once in the constructor (registry lookups take a
   // mutex) and immutable afterwards.
@@ -149,6 +161,7 @@ class ClickWindow {
   obs::Counter* const evict_rows_counter_;
   obs::Gauge* const segments_gauge_;
   obs::Gauge* const retained_rows_gauge_;
+  obs::Counter* const sealed_run_rebuilds_counter_;
 };
 
 }  // namespace ricd::window

@@ -223,14 +223,15 @@ TEST(ServeStressTest, EveryPublishReportsTheCutItRanOver) {
   ASSERT_TRUE(service.Shutdown().ok());
 }
 
-// Ingest is acked while a detection run is in flight. One thread re-runs
-// detection back to back (ForceRebuild, the same refresh every publish
-// runs) while the tiny regime_shift schedule streams in; each push first
-// waits until a run is in flight and counts as acked during that run when
-// the run is still unfinished after the push returns. How long a run takes
-// changes how many runs the stream overlaps, not whether pushes land inside
-// one. The counters bracket ForceRebuild from outside, so a counted push
-// may have landed before the run took state_mu_.
+// Ingest is acked while a detection run is in flight. The refresh thread
+// appends a drained batch to the window and publishes inside one state_mu_
+// section. So before a push, a window that has appended rows beyond the
+// pinned snapshot's cut (stats.applied after the bootstrap rows) shows that
+// section begun; after the push, an unchanged epoch shows it unfinished. A
+// push seen between the two was acked while the run held state_mu_, which an
+// IngestClickAt that waited on that mutex could never be. Pushes take far
+// less time than a run, so while rows are queued each push first waits for
+// the run that will drain them to begin.
 TEST(ServeStressTest, IngestIsAckedWhileARebuildRuns) {
   auto spec = ricd::scenario::FindScenario("regime_shift");
   ASSERT_TRUE(spec.ok()) << spec.status();
@@ -249,40 +250,29 @@ TEST(ServeStressTest, IngestIsAckedWhileARebuildRuns) {
   DetectionService service(options);
   ASSERT_TRUE(service.Start(rows).ok());
 
-  // Runs begun and runs finished; runs finish in the order they begin.
-  std::atomic<bool> streaming{true};
-  std::atomic<uint64_t> runs_begun{0};
-  std::atomic<uint64_t> runs_finished{0};
-  std::thread rebuilder([&] {
-    while (streaming.load(std::memory_order_acquire)) {
-      runs_begun.fetch_add(1, std::memory_order_acq_rel);
-      const Status rebuilt = service.ForceRebuild();
-      runs_finished.fetch_add(1, std::memory_order_acq_rel);
-      EXPECT_TRUE(rebuilt.ok()) << rebuilt;
-    }
-  });
-  // No ASSERT until the join: an early return would destroy a joinable
-  // thread.
   uint64_t acked_during_run = 0;
   for (const ricd::scenario::ArrivalEvent& ev : schedule) {
-    // Run number `run` has begun; it is in flight while fewer than `run`
-    // runs have finished.
-    uint64_t run = runs_begun.load(std::memory_order_acquire);
-    while (runs_finished.load(std::memory_order_acquire) >= run) {
+    uint64_t epoch = 0;
+    bool run_begun = false;
+    while (true) {
+      uint64_t cut = rows.num_rows();
+      {
+        const VerdictStore::ReadRef pinned = service.Verdicts();
+        epoch = pinned->epoch;
+        cut += pinned->stats.applied;
+      }
+      run_begun = service.window_stats().appended_rows > cut;
+      const IngestQueueStats queued = service.queue_stats();
+      if (run_begun || queued.pushed == queued.popped) break;
       std::this_thread::yield();
-      run = runs_begun.load(std::memory_order_acquire);
     }
     const Status pushed = service.IngestClickAt(rows.row(ev.row), ev.ts);
     if (pushed.ok()) {
-      if (runs_finished.load(std::memory_order_acquire) < run) {
-        ++acked_during_run;
-      }
+      if (run_begun && service.Verdicts()->epoch == epoch) ++acked_during_run;
     } else {
       EXPECT_EQ(pushed.code(), StatusCode::kResourceExhausted) << pushed;
     }
   }
-  streaming.store(false, std::memory_order_release);
-  rebuilder.join();
 
   EXPECT_GT(acked_during_run, 0u) << "no ingest acked while detection ran";
   ASSERT_TRUE(service.Drain().ok());

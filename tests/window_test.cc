@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,7 +18,10 @@
 
 #include "check/diff_result.h"
 #include "check/validate_window.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "ricd/framework.h"
 #include "scenario/materialize.h"
 #include "scenario/registry.h"
@@ -175,6 +179,78 @@ TEST(ClickWindowTest, TimeSealSplitsSlowTraffic) {
 }
 
 // ---------------------------------------------------------------------------
+// MaterializeRetained's cached sealed run against the reference
+// ---------------------------------------------------------------------------
+
+// Seeded random append sequences under count and under time retention, with
+// (user, item) pairs repeating within and across segments and a share of
+// counts near ClickCount's maximum, so merges saturate. After every append
+// the cached path must equal Snapshot().Materialize() column for column, and
+// the run must be rebuilt once per sealed-set change a call observes: a
+// seal, or an eviction alone (time retention, or a live row pushing the
+// count past the bound), never once per call.
+TEST(ClickWindowTest, MaterializeRetainedEqualsTheReferenceAfterEveryAppend) {
+  constexpr table::ClickCount kMax =
+      std::numeric_limits<table::ClickCount>::max();
+  constexpr uint64_t kAppends = 1500;
+  obs::Counter* const rebuilds = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kWindowSealedRunRebuildsTotal);
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    for (const bool time_retention : {false, true}) {
+      Rng rng(seed);
+      WindowOptions options;
+      options.segment_clicks = 8 + rng.Uniform(57);  // 8..64
+      if (time_retention) {
+        options.max_seconds = 40;
+      } else {
+        options.max_clicks = 3 * options.segment_clicks + rng.Uniform(8);
+      }
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << " segment_clicks "
+                   << options.segment_clicks << " max_clicks "
+                   << options.max_clicks << " max_seconds "
+                   << options.max_seconds);
+      ClickWindow window(options);
+      const uint64_t rebuilds_before = rebuilds->Value();
+      uint64_t want_rebuilds = 0;
+      uint64_t saturated_rows = 0;
+      WindowStats seen = window.stats();
+      uint64_t ts = 0;
+      for (uint64_t i = 0; i < kAppends; ++i) {
+        const table::ClickCount clicks =
+            rng.Bernoulli(0.1) ? kMax - static_cast<table::ClickCount>(
+                                            rng.Uniform(3))
+                               : static_cast<table::ClickCount>(
+                                     1 + rng.Uniform(5));
+        ts += rng.Uniform(3);
+        window.Append({static_cast<table::UserId>(rng.Uniform(12)),
+                       static_cast<table::ItemId>(rng.Uniform(12)), clicks},
+                      ts);
+        const WindowStats stats = window.stats();
+        if (stats.sealed_segments != seen.sealed_segments ||
+            stats.evicted_segments != seen.evicted_segments) {
+          ++want_rebuilds;
+        }
+        seen = stats;
+
+        const table::ClickTable got = window.MaterializeRetained();
+        const table::ClickTable want = window.Snapshot().Materialize();
+        ASSERT_EQ(got.user_column(), want.user_column()) << "append " << i;
+        ASSERT_EQ(got.item_column(), want.item_column()) << "append " << i;
+        ASSERT_EQ(got.click_column(), want.click_column()) << "append " << i;
+        saturated_rows += static_cast<uint64_t>(std::count(
+            got.click_column().begin(), got.click_column().end(), kMax));
+      }
+      const WindowStats stats = window.stats();
+      EXPECT_GT(stats.evicted_segments, 0u);
+      EXPECT_GT(saturated_rows, 0u);
+      EXPECT_EQ(rebuilds->Value() - rebuilds_before, want_rebuilds);
+      EXPECT_LT(want_rebuilds, kAppends);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Invariant validators
 // ---------------------------------------------------------------------------
 
@@ -293,6 +369,10 @@ TEST(ClickWindowRaceTest, AppenderSealsAndEvictsUnderConcurrentReaders) {
             check::ValidateWindowStats(stats, window.options());
         EXPECT_TRUE(stats_ok.ok()) << stats_ok;
         EXPECT_LE(snap.rows(), stats.appended_rows);
+        // Rebuilds the cached sealed run while the appender seals and evicts.
+        const table::ClickTable retained = window.MaterializeRetained();
+        EXPECT_TRUE(retained.IsConsolidated());
+        EXPECT_LE(retained.num_rows(), window.stats().appended_rows);
       }
     });
   }
@@ -390,7 +470,7 @@ TEST(WindowedDifferentialTest, EveryPublishEqualsOfflineRunOverRetainedRows) {
         }
         ASSERT_TRUE(service.Drain().ok());
 
-        const table::ClickTable retained = replay.MaterializeRetained();
+        const table::ClickTable retained = replay.Snapshot().Materialize();
         core::FrameworkResult want;
         if (!retained.empty()) {
           auto run = offline.Run(retained);
