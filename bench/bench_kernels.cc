@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -64,19 +65,47 @@ gen::ScenarioScale ScaleArg(int64_t arg) {
   return static_cast<gen::ScenarioScale>(arg);
 }
 
-void BM_GraphBuild(benchmark::State& state) {
-  const auto& scenario = CachedScenario(ScaleArg(state.range(0)));
+void TimeGraphBuild(benchmark::State& state, const table::ClickTable& table) {
   for (auto _ : state) {
-    auto g = graph::GraphBuilder::FromTable(scenario.table);
+    auto g = graph::GraphBuilder::FromTable(table);
     benchmark::DoNotOptimize(g);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(scenario.table.num_rows()));
+                          static_cast<int64_t>(table.num_rows()));
+}
+
+/// Scenario tables come consolidated by (user, item): user runs ascend, so
+/// the builder probes only its item map.
+void BM_GraphBuild(benchmark::State& state) {
+  TimeGraphBuild(state, CachedScenario(ScaleArg(state.range(0))).table);
 }
 BENCHMARK(BM_GraphBuild)
     ->Arg(static_cast<int>(gen::ScenarioScale::kTiny))
     ->Arg(static_cast<int>(gen::ScenarioScale::kSmall))
     ->Unit(benchmark::kMillisecond);
+
+/// The small table's rows plus 10% repeated rows, in a seeded random order:
+/// a user's rows rarely neighbour each other, so nearly every row probes
+/// the user map, and the repeats go through the duplicate merge.
+void BM_GraphBuildShuffled(benchmark::State& state) {
+  static const auto* shuffled = [] {
+    const table::ClickTable& rows =
+        CachedScenario(gen::ScenarioScale::kSmall).table;
+    Rng rng(11);
+    std::vector<size_t> order(rows.num_rows());
+    std::iota(order.begin(), order.end(), size_t{0});
+    for (size_t i = 0; i < rows.num_rows() / 10; ++i) {
+      order.push_back(static_cast<size_t>(rng.Uniform(rows.num_rows())));
+    }
+    rng.Shuffle(order);
+    auto* table = new table::ClickTable;
+    table->Reserve(order.size());
+    for (const size_t i : order) table->Append(rows.row(i));
+    return table;
+  }();
+  TimeGraphBuild(state, *shuffled);
+}
+BENCHMARK(BM_GraphBuildShuffled)->Unit(benchmark::kMillisecond);
 
 /// Point-lookup query stream: ~75% hits drawn from the graph's external ids,
 /// ~25% misses, in a shuffled order that defeats branch-predictor warmup.

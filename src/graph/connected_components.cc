@@ -1,46 +1,65 @@
 #include "graph/connected_components.h"
 
-#include <algorithm>
-#include <deque>
+#include <limits>
+#include <utility>
 
 namespace ricd::graph {
 
 std::vector<Group> ActiveConnectedComponents(const MutableView& view) {
   const BipartiteGraph& g = view.graph();
   const uint32_t nu = g.num_users();
+  constexpr VertexId kNone = std::numeric_limits<VertexId>::max();
 
-  std::vector<uint8_t> user_visited(nu, 0);
-  std::vector<uint8_t> item_visited(g.num_items(), 0);
-  std::vector<Group> groups;
-
-  for (VertexId start = 0; start < nu; ++start) {
-    if (user_visited[start] || !view.IsActive(Side::kUser, start) ||
-        view.ActiveDegree(Side::kUser, start) == 0) {
+  // Union-find over the users, reading only active users' rows: an active
+  // item joins the set of the first user that reaches it (its owner), and
+  // each later user that reaches it merges into that set. A surviving hot
+  // item's pruned users are never read. The smaller root always wins a
+  // union, so every root is its set's smallest user.
+  std::vector<VertexId> parent(nu, kNone);  // kNone: in no component
+  std::vector<VertexId> owner(g.num_items(), kNone);
+  const auto find = [&parent](VertexId x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  for (VertexId u = 0; u < nu; ++u) {
+    if (!view.IsActive(Side::kUser, u) ||
+        view.ActiveDegree(Side::kUser, u) == 0) {
       continue;
     }
-    Group group;
-    std::deque<std::pair<Side, VertexId>> frontier;
-    frontier.emplace_back(Side::kUser, start);
-    user_visited[start] = 1;
-    while (!frontier.empty()) {
-      const auto [side, v] = frontier.front();
-      frontier.pop_front();
-      if (side == Side::kUser) {
-        group.users.push_back(v);
-      } else {
-        group.items.push_back(v);
+    parent[u] = u;
+    for (const VertexId v : g.UserNeighbors(u)) {
+      if (!view.IsActive(Side::kItem, v)) continue;
+      if (owner[v] == kNone) {
+        owner[v] = u;
+        continue;
       }
-      auto& other_visited = side == Side::kUser ? item_visited : user_visited;
-      const Side other = Other(side);
-      for (const VertexId w : g.Neighbors(side, v)) {
-        if (other_visited[w] || !view.IsActive(other, w)) continue;
-        other_visited[w] = 1;
-        frontier.emplace_back(other, w);
-      }
+      VertexId a = find(owner[v]);
+      VertexId b = find(u);
+      if (a == b) continue;
+      if (a > b) std::swap(a, b);
+      parent[b] = a;
     }
-    std::sort(group.users.begin(), group.users.end());
-    std::sort(group.items.begin(), group.items.end());
-    groups.push_back(std::move(group));
+  }
+
+  // Roots come up in ascending order, so groups are emitted by smallest
+  // user, and ascending scans fill their member lists already sorted.
+  std::vector<Group> groups;
+  std::vector<uint32_t> group_of(nu);  // group index, set for roots
+  for (VertexId u = 0; u < nu; ++u) {
+    if (parent[u] == kNone) continue;
+    const VertexId root = find(u);
+    if (root == u) {
+      group_of[u] = static_cast<uint32_t>(groups.size());
+      groups.emplace_back();
+    }
+    groups[group_of[root]].users.push_back(u);
+  }
+  for (VertexId v = 0; v < g.num_items(); ++v) {
+    if (owner[v] == kNone) continue;
+    groups[group_of[find(owner[v])]].items.push_back(v);
   }
   return groups;
 }

@@ -3,119 +3,172 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "graph/id_lookup.h"
 
 namespace ricd::graph {
+namespace {
+
+Status TooManyIds() {
+  return Status::OutOfRange("too many distinct users/items for 32-bit ids");
+}
+
+/// Frees a temporary array now rather than at the end of the build.
+template <typename T>
+void Release(std::vector<T>& v) {
+  std::vector<T>().swap(v);
+}
+
+}  // namespace
 
 Result<BipartiteGraph> GraphBuilder::FromTable(const table::ClickTable& table) {
   GraphArrays g;
   const size_t n = table.num_rows();
+  const std::vector<table::UserId>& users = table.user_column();
+  const std::vector<table::ItemId>& items = table.item_column();
+  const std::vector<table::ClickCount>& clicks = table.click_column();
 
-  // Pass 1: compact external ids in first-seen order. The id maps live only
-  // for the build; the finished graph answers lookups from its id sections.
-  std::unordered_map<table::UserId, VertexId> user_dense;
-  std::unordered_map<table::ItemId, VertexId> item_dense;
-  user_dense.reserve(n / 4 + 1);
-  item_dense.reserve(n / 8 + 1);
+  // Pass 1: compact external ids in first-seen order and count each dense
+  // id's rows. A row whose user repeats the previous row's reuses its dense
+  // id. While each new user run starts above the previous one, the run's
+  // user is new and takes the next dense id without a probe; the user map
+  // is filled from the ids so far only when that order first breaks. So a
+  // table sorted by user (every consolidated table is) never probes for a
+  // user. The id maps live only for this pass; the finished graph answers
+  // lookups from its id sections.
   std::vector<VertexId> row_user(n);
   std::vector<VertexId> row_item(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (table.clicks(i) == 0) {
-      return Status::InvalidArgument(
-          StringPrintf("row %zu has zero clicks", i));
-    }
-    const auto [uit, uinserted] = user_dense.try_emplace(
-        table.user(i), static_cast<VertexId>(g.user_ids.size()));
-    if (uinserted) g.user_ids.push_back(table.user(i));
-    row_user[i] = uit->second;
-
-    const auto [iit, iinserted] = item_dense.try_emplace(
-        table.item(i), static_cast<VertexId>(g.item_ids.size()));
-    if (iinserted) g.item_ids.push_back(table.item(i));
-    row_item[i] = iit->second;
-  }
-
-  // Boundary check (always on): dense ids are 32-bit; a table with more
-  // distinct users/items than VertexId can address would silently alias
-  // vertices above.
-  if (g.user_ids.size() > std::numeric_limits<VertexId>::max() ||
-      g.item_ids.size() > std::numeric_limits<VertexId>::max()) {
-    return Status::OutOfRange("too many distinct users/items for 32-bit ids");
-  }
-  const uint32_t num_users = static_cast<uint32_t>(g.user_ids.size());
-  const uint32_t num_items = static_cast<uint32_t>(g.item_ids.size());
-
-  // Pass 2: counting sort rows into user-CSR order, merging duplicates: a
-  // stable sort by item, then a stable sort of that by user, so rows come
-  // out by (user, item) with duplicates adjacent. Merging saturates, and a
-  // saturating sum of positive counts does not depend on row order.
-  const auto sort_by = [](const std::vector<VertexId>& key, uint32_t num_keys,
-                          const std::vector<uint32_t>& rows,
-                          std::vector<uint32_t>& out) {
-    std::vector<uint32_t> start(num_keys + 1, 0);
-    for (const VertexId k : key) ++start[k + 1];
-    for (uint32_t k = 0; k < num_keys; ++k) start[k + 1] += start[k];
-    for (const uint32_t row : rows) out[start[key[row]]++] = row;
-  };
-  std::vector<uint32_t> by_item(n);
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  sort_by(row_item, num_items, order, by_item);
-  sort_by(row_user, num_users, by_item, order);
-  std::vector<uint32_t>().swap(by_item);
-
-  g.user_offsets.assign(num_users + 1, 0);
-  g.user_adj.reserve(n);
-  g.user_clicks.reserve(n);
-  constexpr uint64_t kMaxClicks = std::numeric_limits<table::ClickCount>::max();
+  std::vector<uint64_t> user_next;  // rows per user, then sort cursors
+  std::vector<uint64_t> item_next;  // rows per item, then sort cursors
   {
-    VertexId prev_user = std::numeric_limits<VertexId>::max();
-    VertexId prev_item = std::numeric_limits<VertexId>::max();
-    for (uint32_t k = 0; k < n; ++k) {
-      const uint32_t i = order[k];
-      const VertexId u = row_user[i];
-      const VertexId v = row_item[i];
-      if (u == prev_user && v == prev_item) {
-        const uint64_t sum =
-            static_cast<uint64_t>(g.user_clicks.back()) + table.clicks(i);
-        g.user_clicks.back() =
-            static_cast<table::ClickCount>(std::min(sum, kMaxClicks));
-      } else {
-        g.user_adj.push_back(v);
-        g.user_clicks.push_back(table.clicks(i));
-        g.user_offsets[u + 1]++;
-        prev_user = u;
-        prev_item = v;
+    FlatIdMap user_map;
+    FlatIdMap item_map;
+    VertexId u = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (clicks[i] == 0) {
+        return Status::InvalidArgument(
+            StringPrintf("row %zu has zero clicks", i));
+      }
+      if (i == 0 || users[i] != users[i - 1]) {
+        if (user_map.empty() && (i == 0 || users[i] > users[i - 1])) {
+          u = static_cast<VertexId>(g.user_ids.size());
+        } else {
+          if (user_map.empty()) user_map = FlatIdMap(g.user_ids);
+          u = user_map.FindOrInsert(users[i]);
+        }
+        if (u == FlatIdMap::kNoId) return TooManyIds();
+        if (u == g.user_ids.size()) {
+          g.user_ids.push_back(users[i]);
+          user_next.push_back(0);
+        }
+      }
+      const VertexId v = item_map.FindOrInsert(items[i]);
+      if (v == FlatIdMap::kNoId) return TooManyIds();
+      if (v == g.item_ids.size()) {
+        g.item_ids.push_back(items[i]);
+        item_next.push_back(0);
+      }
+      row_user[i] = u;
+      row_item[i] = v;
+      ++user_next[u];
+      ++item_next[v];
+    }
+  }
+  const auto num_users = static_cast<uint32_t>(g.user_ids.size());
+  const auto num_items = static_cast<uint32_t>(g.item_ids.size());
+
+  // Pass 2: two stable counting sorts put the rows in (user, item) order
+  // with duplicates adjacent: by item carrying (user, clicks), then by user
+  // carrying (item, clicks) straight into the user-CSR arrays.
+  std::exclusive_scan(item_next.begin(), item_next.end(), item_next.begin(),
+                      uint64_t{0});
+  std::vector<VertexId> by_item_user(n);
+  std::vector<table::ClickCount> by_item_clicks(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t slot = item_next[row_item[i]]++;
+    by_item_user[slot] = row_user[i];
+    by_item_clicks[slot] = clicks[i];
+  }
+  Release(row_user);
+  Release(row_item);
+
+  // item_next[v] now ends item v's run.
+  std::exclusive_scan(user_next.begin(), user_next.end(), user_next.begin(),
+                      uint64_t{0});
+  g.user_adj.resize(n);
+  g.user_clicks.resize(n);
+  {
+    uint64_t k = 0;
+    for (VertexId v = 0; v < num_items; ++v) {
+      for (; k < item_next[v]; ++k) {
+        const uint64_t slot = user_next[by_item_user[k]]++;
+        g.user_adj[slot] = v;
+        g.user_clicks[slot] = by_item_clicks[k];
       }
     }
   }
-  for (uint32_t u = 0; u < num_users; ++u) {
-    g.user_offsets[u + 1] += g.user_offsets[u];
-  }
+  Release(by_item_user);
+  Release(by_item_clicks);
+  Release(item_next);
 
-  // Pass 3: transpose user-CSR into item-CSR. Iterating users in order keeps
-  // each item's user list sorted without a per-item sort.
-  const uint64_t num_edges = g.user_adj.size();
+  // Pass 3: merge duplicates in place, summing into user totals and
+  // counting item degrees. Merging saturates, and a saturating sum of
+  // positive counts does not depend on row order. user_next[u] now ends
+  // user u's run.
+  constexpr uint64_t kMaxClicks = std::numeric_limits<table::ClickCount>::max();
+  g.user_offsets.resize(num_users + 1);
+  g.user_total_clicks.resize(num_users);
   g.item_offsets.assign(num_items + 1, 0);
-  for (const VertexId v : g.user_adj) g.item_offsets[v + 1]++;
+  {
+    uint64_t r = 0;
+    uint64_t w = 0;
+    for (VertexId u = 0; u < num_users; ++u) {
+      const uint64_t end = user_next[u];
+      uint64_t total = 0;
+      while (r < end) {
+        const VertexId v = g.user_adj[r];
+        uint64_t sum = g.user_clicks[r++];
+        for (; r < end && g.user_adj[r] == v; ++r) {
+          sum = std::min(sum + g.user_clicks[r], kMaxClicks);
+        }
+        g.user_adj[w] = v;
+        g.user_clicks[w++] = static_cast<table::ClickCount>(sum);
+        ++g.item_offsets[v + 1];
+        total += sum;
+      }
+      g.user_offsets[u + 1] = w;
+      g.user_total_clicks[u] = total;
+      g.total_clicks += total;
+    }
+    g.user_adj.resize(w);
+    g.user_clicks.resize(w);
+  }
+  Release(user_next);
+
+  // Pass 4: transpose user-CSR into item-CSR, summing item totals.
+  // Iterating users in order keeps each item's user list sorted without a
+  // per-item sort.
+  const uint64_t num_edges = g.user_adj.size();
   for (uint32_t v = 0; v < num_items; ++v) {
     g.item_offsets[v + 1] += g.item_offsets[v];
   }
   g.item_adj.resize(num_edges);
   g.item_clicks.resize(num_edges);
+  g.item_total_clicks.assign(num_items, 0);
   {
     std::vector<uint64_t> cursor(g.item_offsets.begin(),
                                  g.item_offsets.end() - 1);
-    for (uint32_t u = 0; u < num_users; ++u) {
+    for (VertexId u = 0; u < num_users; ++u) {
       for (uint64_t e = g.user_offsets[u]; e < g.user_offsets[u + 1]; ++e) {
         const VertexId v = g.user_adj[e];
         const uint64_t slot = cursor[v]++;
         g.item_adj[slot] = u;
         g.item_clicks[slot] = g.user_clicks[e];
+        g.item_total_clicks[v] += g.user_clicks[e];
       }
     }
   }
@@ -127,19 +180,6 @@ Result<BipartiteGraph> GraphBuilder::FromTable(const table::ClickTable& table) {
   RICD_DCHECK_EQ(g.user_offsets.back(), g.user_adj.size());
   RICD_DCHECK_EQ(g.item_offsets.back(), g.item_adj.size());
   RICD_DCHECK_EQ(g.user_adj.size(), g.item_adj.size());
-
-  // Weighted degrees.
-  g.user_total_clicks.assign(num_users, 0);
-  g.item_total_clicks.assign(num_items, 0);
-  for (uint32_t u = 0; u < num_users; ++u) {
-    uint64_t sum = 0;
-    for (uint64_t e = g.user_offsets[u]; e < g.user_offsets[u + 1]; ++e) {
-      sum += g.user_clicks[e];
-      g.item_total_clicks[g.user_adj[e]] += g.user_clicks[e];
-    }
-    g.user_total_clicks[u] = sum;
-    g.total_clicks += sum;
-  }
 
   return BipartiteGraph::FromArrays(std::move(g));
 }

@@ -1,48 +1,29 @@
 #include "graph/id_lookup.h"
 
+#include <utility>
+
 namespace ricd::graph {
-namespace {
-
-inline constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
-
-/// SplitMix64 finalizer: full-avalanche mixing of the raw external id, so
-/// sequential id blocks (the common allocator pattern upstream) spread
-/// across the table instead of clustering into one probe run.
-inline uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 FlatIdMap::FlatIdMap(std::span<const int64_t> ids) {
   if (ids.empty()) return;
-  size_t capacity = 2;
+  uint64_t capacity = 2;
   while (capacity < ids.size() * 2) capacity *= 2;
-  keys_.assign(capacity, 0);
-  vals_.assign(capacity, kEmptySlot);
-  mask_ = capacity - 1;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    uint64_t slot = Mix(static_cast<uint64_t>(ids[i])) & mask_;
-    while (vals_[slot] != kEmptySlot) slot = (slot + 1) & mask_;
-    keys_[slot] = ids[i];
-    vals_[slot] = static_cast<uint32_t>(i);
-  }
+  Rehash(capacity);
+  for (const int64_t id : ids) FindOrInsert(id);
 }
 
-bool FlatIdMap::Lookup(int64_t external, uint32_t* out) const {
-  if (vals_.empty()) return false;
-  uint64_t slot = Mix(static_cast<uint64_t>(external)) & mask_;
-  while (vals_[slot] != kEmptySlot) {
-    if (keys_[slot] == external) {
-      *out = vals_[slot];
-      return true;
-    }
-    slot = (slot + 1) & mask_;
+void FlatIdMap::Rehash(uint64_t capacity) {
+  const std::vector<int64_t> keys = std::move(keys_);
+  const std::vector<uint32_t> vals = std::move(vals_);
+  keys_.assign(capacity, 0);
+  vals_.assign(capacity, kNoId);
+  mask_ = capacity - 1;
+  for (size_t s = 0; s < vals.size(); ++s) {
+    if (vals[s] == kNoId) continue;
+    const uint64_t slot = Probe(keys[s]);
+    keys_[slot] = keys[s];
+    vals_[slot] = vals[s];
   }
-  return false;
 }
 
 }  // namespace ricd::graph

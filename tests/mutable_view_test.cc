@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
 #include "graph/connected_components.h"
 #include "graph/graph_builder.h"
 #include "graph/hot_items.h"
@@ -148,6 +154,77 @@ TEST(ConnectedComponentsTest, EmptyGraph) {
   MutableView view(g);
   EXPECT_TRUE(ActiveConnectedComponents(view).empty());
 }
+
+/// Oracle: breadth-first search from each active user of non-zero active
+/// degree, in ascending order, over every active neighbour of both sides.
+std::vector<Group> BfsComponents(const MutableView& view) {
+  const BipartiteGraph& g = view.graph();
+  std::vector<uint8_t> user_visited(g.num_users(), 0);
+  std::vector<uint8_t> item_visited(g.num_items(), 0);
+  std::vector<Group> groups;
+  for (VertexId start = 0; start < g.num_users(); ++start) {
+    if (user_visited[start] || !view.IsActive(Side::kUser, start) ||
+        view.ActiveDegree(Side::kUser, start) == 0) {
+      continue;
+    }
+    Group group;
+    std::deque<std::pair<Side, VertexId>> frontier;
+    frontier.emplace_back(Side::kUser, start);
+    user_visited[start] = 1;
+    while (!frontier.empty()) {
+      const auto [side, v] = frontier.front();
+      frontier.pop_front();
+      (side == Side::kUser ? group.users : group.items).push_back(v);
+      auto& other_visited = side == Side::kUser ? item_visited : user_visited;
+      for (const VertexId w : g.Neighbors(side, v)) {
+        if (other_visited[w] || !view.IsActive(Other(side), w)) continue;
+        other_visited[w] = 1;
+        frontier.emplace_back(Other(side), w);
+      }
+    }
+    std::sort(group.users.begin(), group.users.end());
+    std::sort(group.items.begin(), group.items.end());
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+/// Property: on random sparse graphs with random users and items removed,
+/// the components, their order and their member lists equal the BFS
+/// oracle's.
+class ComponentsPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ComponentsPropertyTest, MatchesBfsOracle) {
+  Rng rng(GetParam());
+  const uint64_t users = 1 + rng.Uniform(200);
+  const uint64_t items = 1 + rng.Uniform(200);
+  table::ClickTable t;
+  for (uint64_t r = rng.Uniform(400); r > 0; --r) {
+    t.Append(static_cast<table::UserId>(rng.Uniform(users)),
+             static_cast<table::ItemId>(rng.Uniform(items)), 1);
+  }
+  const BipartiteGraph g = GraphBuilder::FromTable(t).value();
+  MutableView view(g);
+  for (int round = 0; round < 4; ++round) {
+    const std::vector<Group> got = ActiveConnectedComponents(view);
+    const std::vector<Group> want = BfsComponents(view);
+    ASSERT_EQ(got.size(), want.size()) << "round " << round;
+    for (size_t c = 0; c < want.size(); ++c) {
+      EXPECT_EQ(got[c].users, want[c].users) << "round " << round;
+      EXPECT_EQ(got[c].items, want[c].items) << "round " << round;
+    }
+    const double drop = 0.1 * (round + 1);
+    for (VertexId u = 0; u < g.num_users(); ++u) {
+      if (rng.Bernoulli(drop)) view.Remove(Side::kUser, u);
+    }
+    for (VertexId v = 0; v < g.num_items(); ++v) {
+      if (rng.Bernoulli(drop)) view.Remove(Side::kItem, v);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ComponentsPropertyTest,
+                         ::testing::Range(1, 41));
 
 TEST(HotItemsTest, FlagsMatchThreshold) {
   table::ClickTable t;

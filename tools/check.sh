@@ -6,7 +6,11 @@
 #           the `lint` label and the invariant-validator tests, which run
 #           with RICD_VALIDATE=1)
 #   asan    -DRICD_SANITIZE=address,undefined — full suite under
-#           AddressSanitizer + UndefinedBehaviorSanitizer
+#           AddressSanitizer + UndefinedBehaviorSanitizer, compiled with
+#           -fno-sanitize-recover=undefined (a UBSan finding aborts its
+#           test, so a passing test cannot hide its report behind ctest's
+#           --output-on-failure) and -D_GLIBCXX_ASSERTIONS (libstdc++
+#           bounds and precondition checks)
 #   tsan    -DRICD_SANITIZE=thread — the concurrency-focused tests
 #           (race_test is written for this leg) under ThreadSanitizer
 #
@@ -86,7 +90,8 @@ case ",$ONLY," in *,plain,*)
   run_config plain "" "-Werror" -j "$JOBS"
 esac
 case ",$ONLY," in *,asan,*)
-  run_config asan "address,undefined" "" -j "$JOBS"
+  run_config asan "address,undefined" \
+      "-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" -j "$JOBS"
 esac
 case ",$ONLY," in *,tsan,*)
   # Deterministic concurrency workloads (race_test exists for this leg and
