@@ -14,6 +14,7 @@
 
 #include "bench/bench_common.h"
 #include "common/string_util.h"
+#include "graph/hot_items.h"
 #include "table/table_stats.h"
 
 namespace ricd::bench {
@@ -61,7 +62,8 @@ int Run() {
               stats.item_side.avg_degree, stats.item_side.stdev_clicks);
   std::printf("(paper: user 11.35 / 4.32 / 33.34, item 54.94 / 20.49 / 992.78)\n\n");
 
-  const uint64_t t_hot = table::ComputeHotThreshold(workload.scenario.table, 0.8);
+  const uint64_t t_hot =
+      graph::DeriveHotThreshold(workload.graph, graph::kHotClickMass);
   std::printf("hot threshold from the 80%% click-mass rule: T_hot = %llu "
               "(%.1fx the mean item clicks; paper: 1320 = 24x)\n\n",
               static_cast<unsigned long long>(t_hot),

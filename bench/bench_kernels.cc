@@ -24,9 +24,7 @@
 #include "graph/intersection.h"
 #include "graph/mutable_view.h"
 #include "i2i/i2i_score.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/request_trace.h"
 #include "ricd/extension_biclique.h"
 #include "ricd/framework.h"
 #include "serve/detection_service.h"
@@ -283,11 +281,11 @@ BENCHMARK(BM_CorePruningMetricsOff)
 /// One verdict query through TcpServer::HandleRequest in-process (no
 /// sockets, no client threads), alternating QUERY_USER and QUERY_PAIR over
 /// a live DetectionService bootstrapped on the small baseline. telemetry:1
-/// runs with 1-in-64 request traces, the flight recorder and the metrics
-/// registry on; telemetry:0 with every sink off. The throughput ratio of
-/// the pair is the serve-path telemetry overhead, budgeted at 5% in
-/// DESIGN.md §11. The sinks are process-global, so they are restored before
-/// returning.
+/// runs with the metrics registry on, so every 64th request observes its
+/// latency; telemetry:0 with it off, so no request does. The throughput
+/// ratio of the pair is the serve-path telemetry overhead, budgeted at 5%
+/// in DESIGN.md §11. The registry is process-global, so it is restored
+/// before returning.
 void BM_ServeQuery(benchmark::State& state) {
   const bool telemetry = state.range(0) != 0;
   const table::ClickTable& rows =
@@ -316,20 +314,13 @@ void BM_ServeQuery(benchmark::State& state) {
   }
 
   auto& registry = obs::MetricsRegistry::Global();
-  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-  const uint64_t saved_sample = obs::TraceSampleEvery();
   const bool registry_was_enabled = registry.enabled();
-  const bool recorder_was_enabled = recorder.enabled();
-  obs::SetTraceSampleEvery(telemetry ? 64 : 0);
-  recorder.set_enabled(telemetry);
   registry.set_enabled(telemetry);
   size_t i = 0;
   for (auto _ : state) {
     std::string reply = server.HandleRequest(payloads[i++ % payloads.size()]);
     benchmark::DoNotOptimize(reply);
   }
-  obs::SetTraceSampleEvery(saved_sample);
-  recorder.set_enabled(recorder_was_enabled);
   registry.set_enabled(registry_was_enabled);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 

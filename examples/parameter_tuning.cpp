@@ -9,6 +9,7 @@
 #include "eval/metrics.h"
 #include "gen/scenario.h"
 #include "graph/graph_builder.h"
+#include "graph/hot_items.h"
 #include "ricd/framework.h"
 #include "table/table_stats.h"
 
@@ -30,7 +31,8 @@ int main() {
 
   // Step 1: data-driven starting points.
   const auto stats = table::ComputeTableStats(scenario->table);
-  const uint64_t derived_t_hot = table::ComputeHotThreshold(scenario->table, 0.8);
+  const uint64_t derived_t_hot =
+      ricd::graph::DeriveHotThreshold(*graph, ricd::graph::kHotClickMass);
   const double derived_t_click =
       (stats.user_side.avg_clicks * 0.8) / (stats.user_side.avg_degree * 0.2);
   std::printf("=== step 1: derive starting points from the data ===\n");

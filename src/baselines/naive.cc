@@ -15,7 +15,8 @@ Result<DetectionResult> NaiveAlgorithm::Detect(const graph::BipartiteGraph& g) {
   }
 
   const uint64_t t_hot =
-      params_.t_hot > 0 ? params_.t_hot : graph::DeriveHotThreshold(g, 0.8);
+      params_.t_hot > 0 ? params_.t_hot
+                        : graph::DeriveHotThreshold(g, graph::kHotClickMass);
   const auto hot = graph::ComputeHotFlags(g, t_hot);
 
   // GETALPHA: per-user hot-item exposure (distinct hot items clicked).

@@ -53,8 +53,6 @@ const char* FlightEventKindName(FlightEventKind kind) noexcept {
       return "backpressure";
     case FlightEventKind::kValidatorViolation:
       return "validator_violation";
-    case FlightEventKind::kRequestTrace:
-      return "request_trace";
     case FlightEventKind::kShutdown:
       return "shutdown";
     case FlightEventKind::kSegmentSeal:

@@ -10,13 +10,13 @@
 
 namespace ricd::obs {
 
-/// Categories of serve-plane events worth keeping for a post-mortem.
+/// Categories of serve-plane events worth keeping for a post-mortem: state
+/// changes only, so a burst of requests never pushes them out of the ring.
 enum class FlightEventKind : uint32_t {
   kNone = 0,
   kPublish = 1,             // a = epoch, b = flagged users
   kBackpressure = 4,        // a = queue capacity, b = rejected total
-  kValidatorViolation = 5,  // a = violation count, b = 0
-  kRequestTrace = 6,        // a = request id, b = latency micros
+  kValidatorViolation = 5,  // a = refused epoch, b = 0
   kShutdown = 7,            // a = final epoch, b = applied records
   kSegmentSeal = 8,         // a = segment seq, b = segment rows
   kSegmentEvict = 9,        // a = segment seq, b = segment rows

@@ -120,7 +120,6 @@ inline constexpr char kServeServerProtocolErrors[] =
 inline constexpr char kServeServerRequestSeconds[] =
     "serve.server.request_seconds";
 inline constexpr char kServeServerRequests[] = "serve.server.requests";
-inline constexpr char kServeTraceSampled[] = "serve.trace.sampled";
 
 // --- window: bounded click retention ---
 inline constexpr char kWindowEvictRowsTotal[] = "window.evict.rows_total";

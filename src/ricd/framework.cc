@@ -30,7 +30,7 @@ Result<baselines::DetectionResult> RicdFramework::DetectOnce(
     ScreeningStats* screening_stats) {
   RicdParams effective = params;
   if (effective.t_hot == 0) {
-    effective.t_hot = graph::DeriveHotThreshold(graph, 0.8);
+    effective.t_hot = graph::DeriveHotThreshold(graph, graph::kHotClickMass);
   }
 
   ExtensionBicliqueExtractor extractor(effective);
@@ -116,7 +116,8 @@ Result<FrameworkResult> RicdFramework::RunOnGraph(
 
   result.effective_params = params;
   if (result.effective_params.t_hot == 0) {
-    result.effective_params.t_hot = graph::DeriveHotThreshold(graph, 0.8);
+    result.effective_params.t_hot =
+        graph::DeriveHotThreshold(graph, graph::kHotClickMass);
   }
   result.ranked = RankByRisk(graph, result.detection.groups);
   if (check::ValidationEnabled()) {

@@ -14,7 +14,7 @@ Result<baselines::DetectionResult> ScreenedDetector::Detect(
 
   RicdParams effective = params_;
   if (effective.t_hot == 0) {
-    effective.t_hot = graph::DeriveHotThreshold(graph, 0.8);
+    effective.t_hot = graph::DeriveHotThreshold(graph, graph::kHotClickMass);
   }
 
   // Community-size filter: groups that cannot hold a (k1, k2) attack are

@@ -117,9 +117,13 @@ Status DetectionService::IngestClickAt(const table::ClickRecord& record,
   Status status = queue_.Push(record, event_ts);
   if (!status.ok()) {
     ingest_rejected_->Add(1);
-    obs::FlightRecorder::Global().Record(
-        obs::FlightEventKind::kBackpressure, queue_.depth(),
-        queue_.stats().rejected, "queue_full");
+    // A refusal storm is one state change: only a refusal that opens a
+    // backpressure episode records it (see RefreshLoop).
+    if (!backpressure_high_.exchange(true, std::memory_order_relaxed)) {  // order: episode latch shared with producers; exchange elects one recorder, no data hangs off it
+      obs::FlightRecorder::Global().Record(
+          obs::FlightEventKind::kBackpressure, queue_.capacity(),
+          queue_.stats().rejected, "queue_full");
+    }
     return status;
   }
   ingest_accepted_->Add(1);
@@ -179,22 +183,18 @@ void DetectionService::RefreshLoop() {
     for (const double wait : queue_waits) queue_wait_hist_->Observe(wait);
     const uint64_t depth = queue_.depth();
     queue_depth_gauge_->Set(static_cast<double>(depth));
-    // Edge-triggered backpressure telemetry: one flight event when the
-    // queue crosses half full (e.g. ingest outpacing detection), re-armed
-    // once it drains below a quarter — so a stall is visible in the flight
-    // recorder well before producers start seeing ResourceExhausted.
+    // Backpressure telemetry, one flight event per episode: whichever of
+    // this thread (the queue crossing half full, so a stall shows before
+    // producers see ResourceExhausted) or a refused push in IngestClickAt
+    // sets the latch first records it. The latch re-arms below a quarter.
     if (depth >= queue_.capacity() / 2) {
-      if (!backpressure_high_.exchange(
-              true, std::memory_order_relaxed)) {  // order: refresh-thread-
-        // only latch; atomic solely so tests may peek at it
+      if (!backpressure_high_.exchange(true, std::memory_order_relaxed)) {  // order: episode latch shared with producers; exchange elects one recorder, no data hangs off it
         obs::FlightRecorder::Global().Record(
-            obs::FlightEventKind::kBackpressure, depth, queue_.capacity(),
-            "queue_high");
+            obs::FlightEventKind::kBackpressure, queue_.capacity(),
+            queue_.stats().rejected, "queue_high");
       }
     } else if (depth < queue_.capacity() / 4) {
-      backpressure_high_.store(
-          false, std::memory_order_relaxed);  // order: refresh-thread-only
-                                              // latch; no data published
+      backpressure_high_.store(false, std::memory_order_relaxed);  // order: episode latch re-arm; producers only read it through exchange, no data published
     }
     if (check::ValidationEnabled()) {
       // Audited here — on the single consumer thread — because that is the

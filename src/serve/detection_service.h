@@ -189,8 +189,9 @@ class DetectionService {
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> applied_{0};
-  /// Edge-trigger latch for the queue_high backpressure flight event
-  /// (refresh thread only; atomic so tests may peek).
+  /// Backpressure-episode latch: set by whichever of a refused producer
+  /// (queue_full) or the refresh thread (queue_high) records the episode's
+  /// one flight event; the refresh thread clears it below a quarter full.
   std::atomic<bool> backpressure_high_{false};
   Mutex wake_mu_ RICD_ACQUIRED_AFTER(state_mu_);
   std::condition_variable wake_cv_;     // kicks the refresh thread

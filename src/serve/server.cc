@@ -29,10 +29,14 @@ Status Errno(const char* what) {
   return Status::IoError(StringPrintf("%s: %s", what, std::strerror(errno)));
 }
 
+/// One request in this many has its latency observed: the sampled ids are
+/// the multiples, so replaying a request stream samples the same requests.
+constexpr uint64_t kSampleEvery = 64;
+
 /// A running timer for a sampled request, nothing for an unsampled one: the
 /// unsampled majority never reads the clock.
-std::optional<WallTimer> StartIfSampled(const obs::RequestTrace& trace) {
-  if (!trace.sampled()) return std::nullopt;
+std::optional<WallTimer> StartIfSampled(bool sampled) {
+  if (!sampled) return std::nullopt;
   return WallTimer();
 }
 
@@ -105,8 +109,6 @@ TcpServer::TcpServer(DetectionService* service, Options options)
           obs::metric_names::kServeServerRequests)),
       protocol_errors_counter_(obs::MetricsRegistry::Global().GetCounter(
           obs::metric_names::kServeServerProtocolErrors)),
-      trace_sampled_counter_(obs::MetricsRegistry::Global().GetCounter(
-          obs::metric_names::kServeTraceSampled)),
       request_latency_(obs::MetricsRegistry::Global().GetHistogram(
           obs::metric_names::kServeServerRequestSeconds)),
       query_latency_(obs::MetricsRegistry::Global().GetHistogram(
@@ -235,22 +237,22 @@ std::string TcpServer::HandleRequest(const std::string& payload) {
   // Request ids are assigned here (not per connection) so deterministic
   // 1-in-N sampling covers the whole server uniformly regardless of how
   // requests spread over connections.
-  // Latency histograms (and phase timers) are fed only by the sampled
-  // requests: per-request clock reads and bucket updates on every call
-  // would cost more than the serve path itself at in-process rates, while
-  // a deterministic 1-in-N sample estimates the same distribution. The
-  // request count is exact — request_ids_ counts everything and is folded
-  // into the serve.server.requests counter on STATS/METRICS reads.
+  // Latency histograms are fed only by the sampled requests: per-request
+  // clock reads and bucket updates on every call would cost more than the
+  // serve path itself at in-process rates, while a deterministic 1-in-N
+  // sample estimates the same distribution. A disabled registry would drop
+  // the observations, so it samples nothing. The request count is exact —
+  // request_ids_ counts everything and is folded into the
+  // serve.server.requests counter on STATS/METRICS reads.
   const uint64_t request_id =
       request_ids_.fetch_add(1, std::memory_order_relaxed);  // order: id allocation only; uniqueness is all dispatch needs
-  obs::RequestTrace trace(request_id, obs::ShouldTraceRequest(request_id));
-  if (!trace.sampled()) return DispatchRequest(payload, &trace);
-
-  trace_sampled_counter_->Add(1);
+  if (request_id % kSampleEvery != 0 ||
+      !obs::MetricsRegistry::Global().enabled()) {
+    return DispatchRequest(payload, /*sampled=*/false);
+  }
   WallTimer timer;
-  std::string response = DispatchRequest(payload, &trace);
+  std::string response = DispatchRequest(payload, /*sampled=*/true);
   request_latency_->Observe(timer.ElapsedSeconds());
-  trace.Finish();
   return response;
 }
 
@@ -264,7 +266,7 @@ void TcpServer::SyncRequestCounter() {
 }
 
 std::string TcpServer::DispatchRequest(const std::string& payload,
-                                       obs::RequestTrace* trace) {
+                                       bool sampled) {
   PayloadReader reader(payload);
   const Result<uint8_t> op = reader.GetU8();
   if (!op.ok()) {
@@ -273,16 +275,12 @@ std::string TcpServer::DispatchRequest(const std::string& payload,
   }
   // Answers one query from a pinned snapshot; the query is timed only when
   // the request is sampled.
-  const auto verdict = [this, trace](const char* phase, auto lookup) {
-    const std::optional<WallTimer> timer = StartIfSampled(*trace);
+  const auto verdict = [this, sampled](auto lookup) {
+    const std::optional<WallTimer> timer = StartIfSampled(sampled);
     const VerdictStore::ReadRef snap = service_->Verdicts();
     VerdictReply reply = lookup(*snap);
     reply.epoch = snap->epoch;
-    if (timer) {
-      const double seconds = timer->ElapsedSeconds();
-      query_latency_->Observe(seconds);
-      trace->AddPhase(phase, seconds);
-    }
+    if (timer) query_latency_->Observe(timer->ElapsedSeconds());
     return EncodeVerdict(reply);
   };
   switch (static_cast<OpCode>(op.value())) {
@@ -292,7 +290,7 @@ std::string TcpServer::DispatchRequest(const std::string& payload,
     case OpCode::kQueryUser: {
       const Result<int64_t> user = reader.GetI64();
       if (!user.ok() || reader.remaining() != 0) break;
-      return verdict("query_user", [&](const VerdictSnapshot& snap) {
+      return verdict([&](const VerdictSnapshot& snap) {
         return VerdictReply{snap.FlaggedUser(user.value()),
                             snap.UserRisk(user.value())};
       });
@@ -300,7 +298,7 @@ std::string TcpServer::DispatchRequest(const std::string& payload,
     case OpCode::kQueryItem: {
       const Result<int64_t> item = reader.GetI64();
       if (!item.ok() || reader.remaining() != 0) break;
-      return verdict("query_item", [&](const VerdictSnapshot& snap) {
+      return verdict([&](const VerdictSnapshot& snap) {
         return VerdictReply{snap.FlaggedItem(item.value()),
                             snap.ItemRisk(item.value())};
       });
@@ -310,7 +308,7 @@ std::string TcpServer::DispatchRequest(const std::string& payload,
       if (!user.ok()) break;
       const Result<int64_t> item = reader.GetI64();
       if (!item.ok() || reader.remaining() != 0) break;
-      return verdict("query_pair", [&](const VerdictSnapshot& snap) {
+      return verdict([&](const VerdictSnapshot& snap) {
         const bool blocked = snap.BlockedPair(user.value(), item.value());
         return VerdictReply{blocked,
                             blocked ? snap.UserRisk(user.value()) : 0.0};
@@ -318,17 +316,12 @@ std::string TcpServer::DispatchRequest(const std::string& payload,
     }
     case OpCode::kIngest: {
       // Spans decode + enqueue: the whole ingest handling.
-      const std::optional<WallTimer> ingest_timer = StartIfSampled(*trace);
+      const std::optional<WallTimer> ingest_timer = StartIfSampled(sampled);
       const Result<std::vector<table::ClickRecord>> records =
           DecodeIngest(payload);
       if (!records.ok()) {
         protocol_errors_counter_->Add(1);
         return EncodeError(records.status());
-      }
-      std::optional<WallTimer> enqueue_timer;
-      if (ingest_timer) {
-        trace->AddPhase("decode", ingest_timer->ElapsedSeconds());
-        enqueue_timer.emplace();
       }
       IngestAck ack;
       for (const table::ClickRecord& r : records.value()) {
@@ -343,10 +336,7 @@ std::string TcpServer::DispatchRequest(const std::string& payload,
         }
       }
       ack.epoch = service_->Verdicts()->epoch;
-      if (ingest_timer) {
-        trace->AddPhase("enqueue", enqueue_timer->ElapsedSeconds());
-        ingest_latency_->Observe(ingest_timer->ElapsedSeconds());
-      }
+      if (ingest_timer) ingest_latency_->Observe(ingest_timer->ElapsedSeconds());
       return EncodeIngestAck(ack);
     }
     case OpCode::kStats: {

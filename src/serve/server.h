@@ -9,7 +9,6 @@
 
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "obs/request_trace.h"
 #include "serve/detection_service.h"
 #include "serve/protocol.h"
 
@@ -58,26 +57,26 @@ class TcpServer {
   }
 
   /// Serves one request payload, returning the response frame. This is the
-  /// full per-request path — request-id assignment, deterministic trace
+  /// full per-request path — request-id assignment, deterministic latency
   /// sampling, latency histograms, protocol dispatch — independent of the
   /// socket transport. Public so the obs-overhead benchmark can drive it
   /// in-process and measure exactly what a connection handler pays.
   /// Thread-safe.
   ///
-  /// Telemetry cost model: unsampled requests (the 1-1/N majority) pay one
-  /// id fetch_add and one sampling branch; clock reads, latency histogram
-  /// updates and phase records happen only on sampled requests, whose
-  /// observations estimate the full latency distribution.
+  /// Telemetry cost model: a request is sampled when its id is a multiple
+  /// of 64 while the global MetricsRegistry is enabled. Unsampled requests
+  /// (the 63-in-64 majority) pay one id fetch_add and one branch; clock
+  /// reads and latency histogram updates happen only on sampled requests,
+  /// whose observations estimate the full latency distribution.
   std::string HandleRequest(const std::string& payload);
 
  private:
   void AcceptLoop();
   void HandleConnection(int fd);
 
-  /// Protocol dispatch for one request, recording per-opcode phases into
-  /// `trace` when it is sampled.
-  std::string DispatchRequest(const std::string& payload,
-                              obs::RequestTrace* trace);
+  /// Protocol dispatch for one request; a sampled request times itself into
+  /// its per-op latency histogram.
+  std::string DispatchRequest(const std::string& payload, bool sampled);
 
   /// Folds requests handled since the last call into the exact
   /// serve.server.requests counter (called on STATS/METRICS reads; the hot
@@ -97,7 +96,6 @@ class TcpServer {
 
   obs::Counter* const requests_counter_;
   obs::Counter* const protocol_errors_counter_;
-  obs::Counter* const trace_sampled_counter_;
   obs::Histogram* const request_latency_;
   obs::Histogram* const query_latency_;
   obs::Histogram* const ingest_latency_;

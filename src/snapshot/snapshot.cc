@@ -190,61 +190,6 @@ Status SaveSnapshot(const graph::BipartiteGraph& graph,
   return Status::Ok();
 }
 
-Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-
-  // Header facts come from the full validator, which needs the section
-  // table too; both fit comfortably in one small read.
-  const uint64_t prefix =
-      std::min<uint64_t>(file_size, sizeof(SnapshotHeader) +
-                                        kMaxSnapshotSections *
-                                            sizeof(SectionEntry));
-  std::vector<uint8_t> head(prefix);
-  in.read(reinterpret_cast<char*>(head.data()),
-          static_cast<std::streamsize>(head.size()));
-  if (!in) return Status::IoError("read failed: " + path);
-  if (head.size() < sizeof(SnapshotHeader)) {
-    return Status::Corruption("validate.snapshot: header_truncated: " + path);
-  }
-
-  SnapshotHeader h;
-  std::memcpy(&h, head.data(), sizeof(h));
-  if (std::memcmp(h.magic, kSnapshotMagic, sizeof(h.magic)) != 0) {
-    return Status::Corruption("validate.snapshot: bad_magic: " + path);
-  }
-  SnapshotInfo info;
-  info.version = h.version;
-  info.num_users = h.num_users;
-  info.num_items = h.num_items;
-  info.num_edges = h.num_edges;
-  info.total_clicks = h.total_clicks;
-  info.file_bytes = h.file_bytes;
-  info.checksum = h.checksum;
-  info.has_labels = (h.flags & kFlagHasLabels) != 0;
-  if (info.has_labels &&
-      head.size() >= sizeof(SnapshotHeader) +
-                         h.section_count * sizeof(SectionEntry) &&
-      h.section_count <= kMaxSnapshotSections) {
-    for (uint32_t i = 0; i < h.section_count; ++i) {
-      SectionEntry e;
-      std::memcpy(&e, head.data() + sizeof(SnapshotHeader) +
-                          i * sizeof(SectionEntry),
-                  sizeof(e));
-      if (e.kind == static_cast<uint32_t>(SectionKind::kLabelUsers)) {
-        info.label_users = e.bytes / sizeof(int64_t);
-      }
-      if (e.kind == static_cast<uint32_t>(SectionKind::kLabelItems)) {
-        info.label_items = e.bytes / sizeof(int64_t);
-      }
-    }
-  }
-  return info;
-}
-
 Result<GraphView> GraphView::FromImage(std::span<const uint8_t> data,
                                        std::shared_ptr<const void> retention) {
   RICD_RETURN_IF_ERROR(HostSupported());

@@ -28,7 +28,8 @@ namespace ricd::snapshot {
 /// record `snapshot.save` / `snapshot.load` spans plus byte counters in
 /// the global metrics registry.
 
-/// Decoded header facts of a snapshot, for `ricd_tool snapshot info`.
+/// Decoded header facts of a loaded snapshot (GraphView::info()), as
+/// `ricd_tool snapshot info` prints them.
 struct SnapshotInfo {
   uint32_t version = 0;
   uint64_t num_users = 0;
@@ -52,9 +53,6 @@ std::vector<uint8_t> SerializeSnapshot(const graph::BipartiteGraph& graph,
 Status SaveSnapshot(const graph::BipartiteGraph& graph,
                     const std::string& path,
                     const gen::LabelSet* labels = nullptr);
-
-/// Reads and validates only the header of the snapshot at `path`.
-Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path);
 
 /// A loaded snapshot: a BipartiteGraph whose storage aliases the snapshot
 /// image, plus the optional label sections. The graph

@@ -134,27 +134,4 @@ uint32_t DeriveTClick(const TableStats& stats) {
   return static_cast<uint32_t>(t + 0.5);
 }
 
-uint64_t ComputeHotThreshold(const ClickTable& table, double mass_fraction) {
-  std::unordered_map<int64_t, uint64_t> totals;
-  uint64_t total_clicks = 0;
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    totals[table.item(i)] += table.clicks(i);
-    total_clicks += table.clicks(i);
-  }
-  if (totals.empty() || total_clicks == 0) return 0;
-
-  std::vector<uint64_t> per_item;
-  per_item.reserve(totals.size());
-  for (const auto& [id, t] : totals) per_item.push_back(t);
-  std::sort(per_item.begin(), per_item.end(), std::greater<uint64_t>());
-
-  const double target = mass_fraction * static_cast<double>(total_clicks);
-  uint64_t acc = 0;
-  for (uint64_t t : per_item) {
-    acc += t;
-    if (static_cast<double>(acc) >= target) return t;
-  }
-  return per_item.back();
-}
-
 }  // namespace ricd::table

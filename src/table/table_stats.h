@@ -46,12 +46,6 @@ std::vector<HistogramBucket> ItemClickHistogram(const ClickTable& table);
 /// Log2-binned histogram of per-user total clicks (Fig. 2b's distribution).
 std::vector<HistogramBucket> UserClickHistogram(const ClickTable& table);
 
-/// The paper's hot-item threshold rule (Section IV-A): rank items by total
-/// clicks descending and accumulate until `mass_fraction` (0.8 in the paper)
-/// of all clicks is covered; returns the click count of the last item taken
-/// (T_hot). Items with total clicks >= T_hot are "hot".
-uint64_t ComputeHotThreshold(const ClickTable& table, double mass_fraction);
-
 /// The paper's abnormal-click threshold derivation (Eq. 4):
 ///   T_click = (Avg_clk * 80%) / (Avg_cnt * 20%)
 /// over the user side — "a crowd worker's few target items absorb most of

@@ -1,7 +1,6 @@
-// Flight recorder (src/obs/flight_recorder) and request-trace sampling
-// (src/obs/request_trace) coverage: ring semantics, wrap-around, the
-// seqlock-per-slot read protocol under concurrent writers, signal-safe fd
-// dumps, and the deterministic 1-in-N request sampler.
+// Flight recorder (src/obs/flight_recorder) coverage: ring semantics,
+// wrap-around, the seqlock-per-slot read protocol under concurrent writers,
+// and signal-safe fd dumps.
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "obs/request_trace.h"
 
 namespace ricd::obs {
 namespace {
@@ -240,59 +238,6 @@ TEST(FlightRecorderTest, LappedWriterCannotTearOrRewindAPreemptedSlot) {
   EXPECT_EQ(after[0].seq, 2u);
   EXPECT_STREQ(after[0].detail, "C");
   EXPECT_EQ(recorder.dropped(), 1u);
-}
-
-TEST(RequestTraceTest, DeterministicSampling) {
-  SetTraceSampleEvery(4);
-  EXPECT_EQ(TraceSampleEvery(), 4u);
-  EXPECT_TRUE(ShouldTraceRequest(0));
-  EXPECT_FALSE(ShouldTraceRequest(1));
-  EXPECT_FALSE(ShouldTraceRequest(3));
-  EXPECT_TRUE(ShouldTraceRequest(4));
-  EXPECT_TRUE(ShouldTraceRequest(400));
-
-  SetTraceSampleEvery(0);  // 0 disables sampling entirely
-  EXPECT_FALSE(ShouldTraceRequest(0));
-  EXPECT_FALSE(ShouldTraceRequest(64));
-  SetTraceSampleEvery(64);
-}
-
-TEST(RequestTraceTest, FinishEmitsFlightEventWithSlowestPhase) {
-  FlightRecorder& global = FlightRecorder::Global();
-  global.set_enabled(true);
-  const uint64_t before = global.total_recorded();
-
-  RequestTrace trace(777, /*sampled=*/true);
-  trace.AddPhase("decode", 0.001);
-  trace.AddPhase("enqueue", 0.005);
-  trace.Finish();
-  trace.Finish();  // idempotent: second call must not re-record
-
-  EXPECT_EQ(global.total_recorded(), before + 1);
-  const std::vector<FlightEvent> events = global.Dump();
-  ASSERT_FALSE(events.empty());
-  const FlightEvent& ev = events.back();
-  EXPECT_EQ(ev.kind, FlightEventKind::kRequestTrace);
-  EXPECT_EQ(ev.a, 777u);
-  EXPECT_EQ(ev.b, 6000u);  // total phase time in micros
-  EXPECT_STREQ(ev.detail, "enqueue");
-}
-
-TEST(RequestTraceTest, UnsampledTraceRecordsNothing) {
-  FlightRecorder& global = FlightRecorder::Global();
-  global.set_enabled(true);
-  const uint64_t before = global.total_recorded();
-  RequestTrace trace(3, /*sampled=*/false);
-  trace.AddPhase("decode", 0.001);
-  trace.Finish();
-  EXPECT_EQ(global.total_recorded(), before);
-  EXPECT_FALSE(trace.sampled());
-}
-
-TEST(RequestTraceTest, PhaseCapacityIsBounded) {
-  RequestTrace trace(0, /*sampled=*/true);
-  for (int i = 0; i < 20; ++i) trace.AddPhase("phase", 0.001);
-  EXPECT_LE(trace.phase_count(), size_t{8});
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <unordered_set>
 
+#include "graph/graph_builder.h"
+#include "graph/hot_items.h"
 #include "table/table_stats.h"
 
 namespace ricd::gen {
@@ -85,7 +87,9 @@ TEST(BackgroundGeneratorTest, ShapeIsHeavyTailed) {
   auto t = GenerateBackground(c, rng);
   ASSERT_TRUE(t.ok());
   const auto stats = table::ComputeTableStats(*t);
-  const uint64_t t_hot = table::ComputeHotThreshold(*t, 0.8);
+  auto g = graph::GraphBuilder::FromTable(*t);
+  ASSERT_TRUE(g.ok()) << g.status();
+  const uint64_t t_hot = graph::DeriveHotThreshold(*g, graph::kHotClickMass);
   EXPECT_GT(static_cast<double>(t_hot), 5.0 * stats.item_side.avg_clicks);
   EXPECT_GT(stats.item_side.stdev_clicks, 8.0 * stats.item_side.avg_clicks);
   // Users average a handful of distinct items, like the paper's 4.3.

@@ -248,7 +248,7 @@ TEST(HotItemsTest, ThresholdBoundaryIsInclusive) {
   EXPECT_EQ(ComputeHotFlags(g, 51)[0], 0);
 }
 
-TEST(HotItemsTest, DeriveHotThresholdMatchesTableRule) {
+TEST(HotItemsTest, DeriveHotThresholdPicksMassBoundary) {
   table::ClickTable t;
   t.Append(1, 1, 80);
   t.Append(2, 2, 15);

@@ -15,8 +15,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -29,7 +31,6 @@
 #include "gen/scenario.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/request_trace.h"
 #include "graph/graph_builder.h"
 #include "i2i/recommender.h"
 #include "scenario/materialize.h"
@@ -576,8 +577,9 @@ TEST(DetectionServiceTest, FilterRecommendationsDropsFlaggedItems) {
   ASSERT_TRUE(service.Shutdown().ok());
 }
 
-// Backpressure surfaces in the flight recorder with the queue depth: a
-// refused push records a queue_full event carrying depth == capacity.
+// Backpressure surfaces in the flight recorder once per episode: the first
+// refused push records a queue_full event carrying the queue capacity, and
+// the refusals after it, in the same episode, record nothing more.
 TEST(DetectionServiceTest, RejectedIngestRecordsBackpressureFlightEvent) {
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const bool was_enabled = recorder.enabled();
@@ -594,20 +596,24 @@ TEST(DetectionServiceTest, RejectedIngestRecordsBackpressureFlightEvent) {
     ASSERT_TRUE(service.IngestClickAt({i, i, 1}, i).ok());
   }
   const uint64_t before = recorder.total_recorded();
-  ASSERT_EQ(service.IngestClickAt({4, 4, 1}, 4).code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_GT(recorder.total_recorded(), before);
-
-  bool saw_queue_full = false;
-  for (const obs::FlightEvent& ev : recorder.Dump()) {
-    if (ev.kind == obs::FlightEventKind::kBackpressure &&
-        std::string(ev.detail) == "queue_full") {
-      saw_queue_full = true;
-      EXPECT_EQ(ev.a, 4u);   // queue depth at refusal == capacity
-      EXPECT_GE(ev.b, 1u);   // cumulative rejected count
-    }
+  constexpr uint64_t kRefused = 5000;
+  for (uint64_t i = 0; i < kRefused; ++i) {
+    ASSERT_EQ(service.IngestClickAt({4, 4, 1}, 4).code(),
+              StatusCode::kResourceExhausted);
   }
-  EXPECT_TRUE(saw_queue_full);
+  EXPECT_EQ(service.queue_stats().rejected, kRefused);
+
+  size_t backpressure_events = 0;
+  for (const obs::FlightEvent& ev : recorder.Dump()) {
+    if (ev.seq < before || ev.kind != obs::FlightEventKind::kBackpressure) {
+      continue;
+    }
+    ++backpressure_events;
+    EXPECT_STREQ(ev.detail, "queue_full");
+    EXPECT_EQ(ev.a, 4u);  // queue capacity
+    EXPECT_EQ(ev.b, 1u);  // rejected total when the episode opened
+  }
+  EXPECT_EQ(backpressure_events, 1u);
 
   ASSERT_TRUE(service.Shutdown().ok());
   recorder.set_enabled(was_enabled);
@@ -852,19 +858,20 @@ TEST(TcpServerTest, ConcurrentClientsQueryAndIngestWithoutFailures) {
   ASSERT_TRUE(service.Shutdown().ok());
 }
 
-// METRICS end to end: with every request sampled, the exposition must show
-// non-zero serve-path histograms, STATS must carry non-zero query
-// quantiles, and sampled traces must land in the flight recorder
-// section of the exposition text.
+// METRICS end to end: the exposition must show non-zero serve-path
+// histograms (a fresh server samples its request 0), STATS must carry
+// non-zero query quantiles, and the flight-recorder section of the
+// exposition text must show this service's bootstrap publish.
 TEST(TcpServerTest, MetricsExpositionShowsServeActivity) {
-  const uint64_t saved_sample = obs::TraceSampleEvery();
-  obs::SetTraceSampleEvery(1);
-  obs::FlightRecorder::Global().set_enabled(true);
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.set_enabled(true);
 
   auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, 42);
   ASSERT_TRUE(scenario.ok()) << scenario.status();
+  const uint64_t before = recorder.total_recorded();
   DetectionService service(TinyServeOptions());
   ASSERT_TRUE(service.Start(scenario->table).ok());
+  const uint64_t bootstrap_epoch = service.Verdicts()->epoch;
   TcpServer server(&service, TcpServer::Options{0, 2});
   ASSERT_TRUE(server.Start().ok());
 
@@ -894,9 +901,22 @@ TEST(TcpServerTest, MetricsExpositionShowsServeActivity) {
                           nullptr, 10),
             0u);
   EXPECT_NE(text.find("ricd_serve_request_query_seconds"), std::string::npos);
-  // Sampled request traces surface in the flight-recorder section.
-  EXPECT_NE(text.find("# flight"), std::string::npos);
-  EXPECT_NE(text.find("request_trace"), std::string::npos);
+  // The bootstrap publish surfaces in the flight-recorder section.
+  bool saw_bootstrap_publish = false;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    unsigned long long seq = 0;
+    unsigned long long micros = 0;
+    unsigned long long a = 0;
+    char kind[32] = {};
+    if (std::sscanf(line.c_str(), "# flight %llu %llu %31s a=%llu", &seq,
+                    &micros, kind, &a) == 4 &&
+        seq >= before && std::string(kind) == "publish" &&
+        a == bootstrap_epoch) {
+      saw_bootstrap_publish = true;
+    }
+  }
+  EXPECT_TRUE(saw_bootstrap_publish) << text;
 
   // STATS reports the same histograms as quantiles.
   const auto stats = client.Stats();
@@ -907,7 +927,56 @@ TEST(TcpServerTest, MetricsExpositionShowsServeActivity) {
   client.Disconnect();
   server.Stop();
   ASSERT_TRUE(service.Shutdown().ok());
-  obs::SetTraceSampleEvery(saved_sample);
+}
+
+// The flight recorder keeps state changes only, so query load cannot push
+// them out of its ring: 30 rounds of 4,000 queries at the default sampling,
+// each round followed by a publish, leave a publish event for every epoch.
+TEST(TcpServerTest, QueryLoadLeavesEveryPublishInTheFlightRecorder) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.set_enabled(true);
+
+  auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, 42);
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  const table::ClickTable& rows = scenario->table;
+  const uint64_t before = recorder.total_recorded();
+  DetectionService service(TinyServeOptions());
+  ASSERT_TRUE(service.Start(rows).ok());
+  const uint64_t first_epoch = service.Verdicts()->epoch;
+  // HandleRequest runs in-process on this thread; no socket is needed.
+  TcpServer server(&service, TcpServer::Options{0, 1});
+
+  std::vector<std::string> queries;
+  for (size_t i = 0; i < 64; ++i) {
+    queries.push_back(EncodeQueryUser(rows.user(i % rows.num_rows())).substr(4));
+  }
+  constexpr uint64_t kRounds = 30;
+  constexpr size_t kQueriesPerRound = 4000;
+  for (uint64_t round = 0; round < kRounds; ++round) {
+    for (size_t i = 0; i < kQueriesPerRound; ++i) {
+      const std::string reply = server.HandleRequest(queries[i % 64]);
+      ASSERT_GT(reply.size(), 4u);
+      ASSERT_EQ(static_cast<uint8_t>(reply[4]),
+                static_cast<uint8_t>(OpCode::kVerdict));
+    }
+    // A synchronous publish: no round waits on the refresh thread's timer.
+    ASSERT_TRUE(service.ForceRebuild().ok());
+  }
+  const uint64_t last_epoch = service.Verdicts()->epoch;
+  ASSERT_EQ(last_epoch, first_epoch + kRounds);
+
+  std::vector<bool> recorded(kRounds + 1, false);
+  for (const obs::FlightEvent& ev : recorder.Dump()) {
+    if (ev.seq >= before && ev.kind == obs::FlightEventKind::kPublish &&
+        ev.a >= first_epoch && ev.a <= last_epoch) {
+      recorded[ev.a - first_epoch] = true;
+    }
+  }
+  for (uint64_t epoch = first_epoch; epoch <= last_epoch; ++epoch) {
+    EXPECT_TRUE(recorded[epoch - first_epoch])
+        << "publish of epoch " << epoch << " fell out of the recorder";
+  }
+  ASSERT_TRUE(service.Shutdown().ok());
 }
 
 TEST(TcpServerTest, UnknownOpcodeAndOversizedFrameAreRejected) {
@@ -972,17 +1041,15 @@ TEST(TcpServerTest, RequestWithTrailingBytesIsRejected) {
   ASSERT_TRUE(service.Shutdown().ok());
 }
 
-// The telemetry cost model, checked without a wall clock: unsampled
-// requests take no clock read and observe no histogram (bench_kernels'
-// BM_ServeQuery pair times the overhead).
+// The telemetry cost model, checked without a wall clock: a request is
+// sampled when its id is a multiple of 64 while the metrics registry is
+// enabled, and only a sampled request reads the clock or observes a
+// histogram (bench_kernels' BM_ServeQuery pair times the overhead).
 TEST(TelemetryGateTest, UnsampledRequestsReadNoClockAndObserveNothing) {
-  const uint64_t saved_sample = obs::TraceSampleEvery();
   auto scenario = gen::MakeScenario(gen::ScenarioScale::kTiny, 42);
   ASSERT_TRUE(scenario.ok()) << scenario.status();
   DetectionService service(TinyServeOptions());
   ASSERT_TRUE(service.Start(scenario->table).ok());
-  // HandleRequest runs in-process on this thread; no socket is needed.
-  TcpServer server(&service, TcpServer::Options{0, 1});
 
   const table::ClickRecord row = scenario->table.row(0);
   const std::vector<std::string> requests = {
@@ -992,34 +1059,49 @@ TEST(TelemetryGateTest, UnsampledRequestsReadNoClockAndObserveNothing) {
       EncodeQueryPair(row.user, row.item),
       EncodeIngest({row}),
   };
-  const auto serve_each = [&](size_t n) {
-    for (size_t i = 0; i < n; ++i) {
+  // Serves requests number `first` to `last` of `server`, cycling through
+  // the request kinds. HandleRequest runs in-process on this thread; no
+  // socket is needed.
+  const auto serve = [&](TcpServer& server, size_t first, size_t last) {
+    for (size_t id = first; id <= last; ++id) {
       const std::string reply =
-          server.HandleRequest(requests[i % requests.size()].substr(4));
+          server.HandleRequest(requests[id % requests.size()].substr(4));
       ASSERT_GT(reply.size(), 4u);
       ASSERT_NE(static_cast<uint8_t>(reply[4]),
                 static_cast<uint8_t>(OpCode::kError));
     }
   };
 
-  obs::SetTraceSampleEvery(0);  // no request is sampled
+  TcpServer server(&service, TcpServer::Options{0, 1});
+  serve(server, 0, 0);
   uint64_t reads = WallTimer::ThreadClockReads();
   uint64_t observes = obs::Histogram::ThreadObserves();
-  serve_each(1000);
+  serve(server, 1, 63);
   EXPECT_EQ(WallTimer::ThreadClockReads() - reads, 0u);
   EXPECT_EQ(obs::Histogram::ThreadObserves() - observes, 0u);
 
-  // Sampled requests do show up in both hooks, so the zeros above are not
-  // vacuous: each one reads the clock at least twice and observes at least
-  // its request latency.
-  obs::SetTraceSampleEvery(1);
+  // Request 64 is sampled, so the zeros above are not vacuous: it reads
+  // the clock at least twice and observes at least its request latency.
   reads = WallTimer::ThreadClockReads();
   observes = obs::Histogram::ThreadObserves();
-  serve_each(requests.size());
-  EXPECT_GE(WallTimer::ThreadClockReads() - reads, 2 * requests.size());
-  EXPECT_GE(obs::Histogram::ThreadObserves() - observes, requests.size());
+  serve(server, 64, 64);
+  EXPECT_GE(WallTimer::ThreadClockReads() - reads, 2u);
+  EXPECT_GE(obs::Histogram::ThreadObserves() - observes, 1u);
 
-  obs::SetTraceSampleEvery(saved_sample);
+  // A disabled registry samples nothing, not even request 0.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  TcpServer quiet(&service, TcpServer::Options{0, 1});
+  registry.set_enabled(false);
+  reads = WallTimer::ThreadClockReads();
+  observes = obs::Histogram::ThreadObserves();
+  serve(quiet, 0, 0);
+  const uint64_t quiet_reads = WallTimer::ThreadClockReads() - reads;
+  const uint64_t quiet_observes = obs::Histogram::ThreadObserves() - observes;
+  registry.set_enabled(was_enabled);
+  EXPECT_EQ(quiet_reads, 0u);
+  EXPECT_EQ(quiet_observes, 0u);
+
   ASSERT_TRUE(service.Shutdown().ok());
 }
 

@@ -360,12 +360,6 @@ TEST_F(SnapshotFuzzTest, FilePathsRejectCorruptionCleanly) {
     ASSERT_FALSE(missing.ok());
     EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
   }
-  {
-    auto info = snapshot::ReadSnapshotInfo(::testing::TempDir() +
-                                           "/does_not_exist.snap");
-    ASSERT_FALSE(info.ok());
-    EXPECT_EQ(info.status().code(), StatusCode::kIoError);
-  }
 }
 
 }  // namespace

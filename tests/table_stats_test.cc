@@ -1,4 +1,4 @@
-// Unit tests for Table I/II statistics, histograms, and the hot threshold.
+// Unit tests for Table I/II statistics and the click histograms.
 
 #include "table/table_stats.h"
 
@@ -90,31 +90,6 @@ TEST(HistogramTest, UserHistogramAggregatesAcrossItems) {
 TEST(HistogramTest, EmptyTableYieldsNoBuckets) {
   EXPECT_TRUE(ItemClickHistogram(ClickTable()).empty());
   EXPECT_TRUE(UserClickHistogram(ClickTable()).empty());
-}
-
-TEST(HotThresholdTest, PicksMassBoundary) {
-  // Items with totals 80, 15, 5: 80% of 100 = 80 -> the top item alone
-  // covers it; T_hot = 80.
-  ClickTable t;
-  t.Append(1, 1, 80);
-  t.Append(1, 2, 15);
-  t.Append(1, 3, 5);
-  EXPECT_EQ(ComputeHotThreshold(t, 0.8), 80u);
-  // 90% needs the second item too.
-  EXPECT_EQ(ComputeHotThreshold(t, 0.9), 15u);
-  // 100% needs all.
-  EXPECT_EQ(ComputeHotThreshold(t, 1.0), 5u);
-}
-
-TEST(HotThresholdTest, UniformDistribution) {
-  ClickTable t;
-  for (int i = 0; i < 10; ++i) t.Append(1, i, 10);
-  // 80% of 100 = 80 -> 8 items of 10 clicks each.
-  EXPECT_EQ(ComputeHotThreshold(t, 0.8), 10u);
-}
-
-TEST(HotThresholdTest, EmptyTableIsZero) {
-  EXPECT_EQ(ComputeHotThreshold(ClickTable(), 0.8), 0u);
 }
 
 }  // namespace

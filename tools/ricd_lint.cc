@@ -641,6 +641,7 @@ class Linter {
       size_t i = stmt.begin;
       if (t[i].kind == Token::kPunct && t[i].text == "::") ++i;  // ::close()
       if (i >= stmt.end || t[i].kind != Token::kIdent) continue;
+      const size_t first_ident = i;
       size_t name_idx = i;
       ++i;
       while (i + 1 < stmt.end && t[i].kind == Token::kPunct &&
@@ -666,7 +667,7 @@ class Linter {
       if (close != stmt.end - 1) continue;
       const std::string& name = t[name_idx].text;
 
-      if (kIoCalls.count(name) > 0 && name_idx == stmt.begin) {
+      if (kIoCalls.count(name) > 0 && name_idx == first_ident) {
         Report(file, t[stmt.begin].line, "unchecked-io-return",
                name + "() return ignored — it is the only error signal "
                       "(MAP_FAILED / short transfer)");
@@ -998,9 +999,7 @@ bool ScanInto(Linter& linter, const fs::path& root_path,
       if (ext != ".cc" && ext != ".h") continue;
       const std::string rel =
           fs::relative(entry.path(), root_path).generic_string();
-      if (skip_fixture_dirs &&
-          (rel.find("lint_fixture") != std::string::npos ||
-           rel.find("tools/fixtures/") != std::string::npos)) {
+      if (skip_fixture_dirs && rel.find("tools/fixtures/") != std::string::npos) {
         continue;
       }
       if (rel.find("/build/") != std::string::npos ||
@@ -1025,9 +1024,10 @@ size_t CountRuleViolations(const Linter& linter, const std::string& rule) {
 /// with the rule enabled; fail/ must yield at least one violation of the
 /// rule and pass/ must yield none. Rules named by a fixture-local
 /// allowlist.txt are enabled alongside (the stale-allowlist fixtures plant
-/// entries against other rules). Exits nonzero when any expectation — or a
-/// missing fixture pair — fails, so a regressed rule is caught by tier-1
-/// without clang or a full repo scan.
+/// entries against other rules). Exits nonzero when any expectation fails
+/// or any rule of kAllRules lacks its pair, so a regressed rule — or a new
+/// rule that never proved itself — is caught by tier-1 without clang or a
+/// full repo scan.
 int RunSelfTest(const std::string& fixtures_root) {
   const fs::path root(fixtures_root);
   if (!fs::is_directory(root)) {
@@ -1043,6 +1043,12 @@ int RunSelfTest(const std::string& fixtures_root) {
     if (entry.is_directory()) rule_dirs.push_back(entry.path());
   }
   std::sort(rule_dirs.begin(), rule_dirs.end());
+  for (const char* rule : kAllRules) {
+    if (!fs::is_directory(root / rule)) {
+      std::fprintf(stderr, "selftest: %s: no fixture pair\n", rule);
+      ++failures;
+    }
+  }
   for (const fs::path& rule_dir : rule_dirs) {
     const std::string rule = rule_dir.filename().string();
     if (known.count(rule) == 0) {

@@ -33,10 +33,9 @@
 // protocol of src/serve until --duration seconds elapse (0 = until stdin
 // reaches EOF). --port=0 binds an ephemeral port (printed on stdout).
 // --batch is the number of pending records that triggers a refresh.
-// Environment knobs: RICD_SERVE_PORT (default port when --port is absent)
-// and RICD_WINDOW_CLICKS (count retention of the rows every refresh
-// re-detects over; 0 = unbounded). INGEST frames carry no event time, so
-// `serve` has no time retention.
+// Environment knob: RICD_WINDOW_CLICKS (count retention of the rows every
+// refresh re-detects over; 0 = unbounded). INGEST frames carry no event
+// time, so `serve` has no time retention.
 // `client` speaks one request to a running server and prints the reply.
 // `monitor` pulls the METRICS exposition (Prometheus-style text plus the
 // most recent flight-recorder events) from a running server; --watch
@@ -78,7 +77,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -100,6 +98,7 @@
 #include "gen/label_io.h"
 #include "gen/scenario.h"
 #include "graph/graph_builder.h"
+#include "graph/hot_items.h"
 #include "i2i/i2i_score.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -287,8 +286,11 @@ int RunStats(const FlagParser& flags) {
   if (!clicks.ok()) return Fail(clicks.status());
   if (const int rc = RejectUnknown(flags)) return rc;
 
+  const auto click_graph = graph::GraphBuilder::FromTable(*clicks);
+  if (!click_graph.ok()) return Fail(click_graph.status());
   const auto stats = table::ComputeTableStats(*clicks);
-  const uint64_t t_hot = table::ComputeHotThreshold(*clicks, 0.8);
+  const uint64_t t_hot =
+      graph::DeriveHotThreshold(*click_graph, graph::kHotClickMass);
   std::printf("rows:        %zu\n", clicks->num_rows());
   std::printf("users:       %llu\n",
               static_cast<unsigned long long>(stats.num_users));
@@ -730,16 +732,19 @@ int RunSnapshotSave(const FlagParser& flags) {
                                              have_labels ? &labels : nullptr);
   if (!save.ok()) return Fail(save);
 
-  auto info = snapshot::ReadSnapshotInfo(*out);
-  if (!info.ok()) return Fail(info.status());
+  // Read back through the validated loader, so the line below reports the
+  // file as a later load will see it.
+  auto view = snapshot::GraphView::Map(*out);
+  if (!view.ok()) return Fail(view.status());
+  const snapshot::SnapshotInfo& info = view->info();
   std::printf("saved snapshot %s: %llu bytes, %llu users, %llu items, %llu "
               "edges%s\n",
               out->c_str(),
-              static_cast<unsigned long long>(info->file_bytes),
-              static_cast<unsigned long long>(info->num_users),
-              static_cast<unsigned long long>(info->num_items),
-              static_cast<unsigned long long>(info->num_edges),
-              info->has_labels ? " (with labels)" : "");
+              static_cast<unsigned long long>(info.file_bytes),
+              static_cast<unsigned long long>(info.num_users),
+              static_cast<unsigned long long>(info.num_items),
+              static_cast<unsigned long long>(info.num_edges),
+              info.has_labels ? " (with labels)" : "");
   return 0;
 }
 
@@ -751,39 +756,34 @@ int RunSnapshotInfo(const FlagParser& flags) {
     return Fail(Status::InvalidArgument("--in=<graph.snap> required"));
   }
 
-  auto info = snapshot::ReadSnapshotInfo(*in);
-  if (!info.ok()) return Fail(info.status());
+  // The validated loader checks the header, the checksum and every section
+  // before anything is printed.
+  auto view = snapshot::GraphView::Map(*in);
+  if (!view.ok()) return Fail(view.status());
+  const snapshot::SnapshotInfo& info = view->info();
   std::printf("snapshot:     %s\n", in->c_str());
-  std::printf("version:      %u\n", info->version);
+  std::printf("version:      %u\n", info.version);
   std::printf("file bytes:   %llu\n",
-              static_cast<unsigned long long>(info->file_bytes));
+              static_cast<unsigned long long>(info.file_bytes));
   std::printf("checksum:     %016llx\n",
-              static_cast<unsigned long long>(info->checksum));
+              static_cast<unsigned long long>(info.checksum));
   std::printf("users:        %llu\n",
-              static_cast<unsigned long long>(info->num_users));
+              static_cast<unsigned long long>(info.num_users));
   std::printf("items:        %llu\n",
-              static_cast<unsigned long long>(info->num_items));
+              static_cast<unsigned long long>(info.num_items));
   std::printf("edges:        %llu\n",
-              static_cast<unsigned long long>(info->num_edges));
+              static_cast<unsigned long long>(info.num_edges));
   std::printf("clicks:       %llu\n",
-              static_cast<unsigned long long>(info->total_clicks));
+              static_cast<unsigned long long>(info.total_clicks));
   std::printf("labels:       %s",
-              info->has_labels ? "yes" : "no");
-  if (info->has_labels) {
+              info.has_labels ? "yes" : "no");
+  if (info.has_labels) {
     std::printf(" (%llu users, %llu items)",
-                static_cast<unsigned long long>(info->label_users),
-                static_cast<unsigned long long>(info->label_items));
+                static_cast<unsigned long long>(info.label_users),
+                static_cast<unsigned long long>(info.label_items));
   }
   std::printf("\n");
   return 0;
-}
-
-/// Default port: --port flag > RICD_SERVE_PORT env > 0 (ephemeral).
-int64_t DefaultServePort() {
-  const char* env = std::getenv("RICD_SERVE_PORT");
-  if (env == nullptr || env[0] == '\0') return 0;
-  const long parsed = std::strtol(env, nullptr, 10);
-  return (parsed > 0 && parsed <= 65535) ? parsed : 0;
 }
 
 int RunServe(const FlagParser& flags) {
@@ -796,7 +796,7 @@ int RunServe(const FlagParser& flags) {
   options.framework.params = *params;
   options.window.max_clicks =
       EnvUint("RICD_WINDOW_CLICKS", options.window.max_clicks, 0, 1ull << 40);
-  const auto port = flags.GetInt("port", DefaultServePort());
+  const auto port = flags.GetInt("port", 0);
   const auto handlers = flags.GetInt("handlers", 4);
   const auto batch =
       flags.GetInt("batch", static_cast<int64_t>(options.ingest_batch));
@@ -865,7 +865,7 @@ int RunServe(const FlagParser& flags) {
 }
 
 int RunClient(const FlagParser& flags) {
-  const auto port = flags.GetInt("port", DefaultServePort());
+  const auto port = flags.GetInt("port", 0);
   const auto op = flags.GetString("op", "ping");
   const auto user = flags.GetInt("user", -1);
   const auto item = flags.GetInt("item", -1);
@@ -875,8 +875,7 @@ int RunClient(const FlagParser& flags) {
   if (!user.ok() || !item.ok() || !in.ok()) return 2;
   if (const int rc = RejectUnknown(flags)) return rc;
   if (*port <= 0 || *port > 65535) {
-    return Fail(Status::InvalidArgument(
-        "--port=<server port> required (or set RICD_SERVE_PORT)"));
+    return Fail(Status::InvalidArgument("--port=<server port> required"));
   }
 
   serve::TcpClient client;
@@ -986,7 +985,7 @@ int RunClient(const FlagParser& flags) {
 /// METRICS exposition from a running server. Each poll opens a fresh
 /// connection so a restarted server picks up transparently under --watch.
 int RunMonitor(const FlagParser& flags) {
-  const auto port = flags.GetInt("port", DefaultServePort());
+  const auto port = flags.GetInt("port", 0);
   const auto watch = flags.GetBool("watch", false);
   const auto interval = flags.GetDouble("interval", 2.0);
   const auto count = flags.GetInt("count", 0);
@@ -996,8 +995,7 @@ int RunMonitor(const FlagParser& flags) {
   if (!count.ok()) return Fail(count.status());
   if (const int rc = RejectUnknown(flags)) return rc;
   if (*port <= 0 || *port > 65535) {
-    return Fail(Status::InvalidArgument(
-        "--port=<server port> required (or set RICD_SERVE_PORT)"));
+    return Fail(Status::InvalidArgument("--port=<server port> required"));
   }
   if (*interval <= 0.0) {
     return Fail(Status::InvalidArgument("--interval must be > 0"));
@@ -1055,7 +1053,7 @@ int Main(int argc, char** argv) {
   const FlagParser flags(static_cast<int>(args.size()) - 1, args.data() + 1);
   int rc = 2;
   if (command == "snapshot") {
-    // Second positional: the snapshot action (save|load|info).
+    // Second positional: the snapshot action (save|info).
     std::string action;
     size_t flag_start = 2;
     if (args.size() >= 3 && args[2][0] != '-') {
