@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "check/diff_result.h"
@@ -128,10 +129,19 @@ Status DetectionService::IngestClickAt(const table::ClickRecord& record,
   }
   ingest_accepted_->Add(1);
   const uint64_t accepted =
-      accepted_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  const uint64_t applied = applied_.load(std::memory_order_acquire);
-  if (accepted - applied >= options_.ingest_batch) {
-    // Size trigger hit — kick the refresh thread out of its timed wait.
+      accepted_.fetch_add(1, std::memory_order_seq_cst) + 1;
+  if (idle_.load(std::memory_order_seq_cst) &&
+      idle_.exchange(false, std::memory_order_seq_cst)) {
+    // The refresh thread sleeps with no timeout and this is the first click
+    // since: wake it under wake_mu_, which it holds from its check to its
+    // wait, so the wakeup cannot fall between the two.
+    MutexLock lock(wake_mu_);
+    wake_cv_.notify_one();
+  } else if (PendingClicks(accepted,
+                           applied_.load(std::memory_order_acquire)) >=
+             options_.ingest_batch) {
+    // Size trigger hit — cut the refresh thread's rest short. The rest is
+    // timed, so a notify that misses it costs at most what is left of it.
     wake_cv_.notify_one();
   }
   return Status::Ok();
@@ -159,17 +169,34 @@ void DetectionService::RefreshLoop() {
   queue_waits.reserve(options_.ingest_batch);
   std::vector<uint64_t> event_ts;
   event_ts.reserve(options_.ingest_batch);
-  const auto poll_interval = std::chrono::milliseconds(
-      options_.max_batch_delay_ms == 0 ? 10 : options_.max_batch_delay_ms);
+  const auto rest = std::chrono::milliseconds(options_.min_refresh_gap_ms);
+  const auto pending_clicks = [this] {
+    return PendingClicks(accepted_.load(std::memory_order_seq_cst),
+                         applied_.load(std::memory_order_acquire));
+  };
+  const auto ready = [&] {
+    return stop_.load(std::memory_order_acquire) || pending_clicks() > 0;
+  };
+  // Start's bootstrap publish begins the first rest.
+  auto rest_end = std::chrono::steady_clock::now() + rest;
   while (true) {
     {
       MutexLock lock(wake_mu_);
-      wake_cv_.wait_for(lock.native(), poll_interval, [this] {
-        if (stop_.load(std::memory_order_acquire)) return true;
-        const uint64_t accepted = accepted_.load(std::memory_order_acquire);
-        const uint64_t applied = applied_.load(std::memory_order_acquire);
-        return accepted - applied >= options_.ingest_batch;
+      // The rest: no refresh before rest_end unless a full batch is pending
+      // or Shutdown stops the service.
+      wake_cv_.wait_until(lock.native(), rest_end, [&] {
+        return stop_.load(std::memory_order_acquire) ||
+               pending_clicks() >= options_.ingest_batch;
       });
+      // Rested: refresh at once if anything is pending, else sleep with no
+      // timeout. The latch is set before the check that precedes each
+      // sleep, so a producer whose click that check missed finds it set and
+      // wakes this thread (IngestClickAt).
+      while (!ready()) {
+        idle_.store(true, std::memory_order_seq_cst);
+        if (!ready()) wake_cv_.wait(lock.native());
+        idle_.store(false, std::memory_order_relaxed);  // order: latch clear under wake_mu_; the loop re-sets it before any further check and sleep
+      }
     }
     const bool stopping = stop_.load(std::memory_order_acquire);
     pending.clear();
@@ -237,12 +264,22 @@ void DetectionService::RefreshLoop() {
         RICD_LOG(ERROR) << "serve refresh failed: " << status.ToString();
       }
       applied_.fetch_add(pending.size(), std::memory_order_acq_rel);
-      applied_cv_.notify_all();
-      continue;  // drain eagerly while batches are ready
+      {
+        // Drain holds wake_mu_ from its check to its wait.
+        MutexLock lock(wake_mu_);
+        applied_cv_.notify_all();
+      }
+      rest_end = std::chrono::steady_clock::now() + rest;
+      continue;
     }
-    applied_cv_.notify_all();
-    if (stopping) return;
+    if (stopping) break;
+    // A click is counted but the queue's next cell is not yet published:
+    // its producer is between claiming the cell and writing it.
+    std::this_thread::yield();
   }
+  // Wakes the Drain callers that Shutdown cut short (running_ is false).
+  MutexLock lock(wake_mu_);
+  applied_cv_.notify_all();
 }
 
 Status DetectionService::RefreshLocked() {
@@ -315,7 +352,6 @@ Status DetectionService::Drain() {
     return Status::FailedPrecondition("DetectionService not running");
   }
   const uint64_t target = accepted_.load(std::memory_order_acquire);
-  wake_cv_.notify_one();
   MutexLock lock(wake_mu_);
   applied_cv_.wait(lock.native(), [this, target] {
     return applied_.load(std::memory_order_acquire) >= target ||
@@ -339,7 +375,12 @@ Status DetectionService::Shutdown() {
   // Producers are refused from here on (running_ is false); let the refresh
   // thread drain what was already accepted, then stop it.
   stop_.store(true, std::memory_order_release);
-  wake_cv_.notify_one();
+  {
+    // Under wake_mu_, which the refresh thread holds from its check of
+    // stop_ to its wait.
+    MutexLock lock(wake_mu_);
+    wake_cv_.notify_one();
+  }
   refresh_thread_->Wait();
   refresh_thread_.reset();
   queue_depth_gauge_->Set(static_cast<double>(queue_.depth()));

@@ -28,22 +28,28 @@ struct ServeOptions {
   /// Click-event queue capacity (rounded up to a power of two).
   size_t queue_capacity = 1 << 16;
 
-  /// Size trigger: the refresh thread drains the queue and re-detects once
-  /// this many records are pending.
+  /// Size trigger: once this many records are pending, the refresh thread
+  /// drains the queue and re-detects without finishing its rest.
   size_t ingest_batch = 2048;
 
-  /// Time trigger: after each publish, and after each poll that found the
-  /// queue empty, the refresh thread waits this many milliseconds unless the
-  /// size trigger fires first, then drains whatever is pending, a partial
-  /// batch included. The wait starts when the last refresh ended, not when
-  /// the oldest pending click arrived, so below the size trigger a publish
-  /// comes every delay plus one refresh. 0 polls every 10 ms.
-  uint32_t max_batch_delay_ms = 50;
+  /// The rest: after each publish, the refresh thread starts no refresh for
+  /// this many milliseconds unless `ingest_batch` clicks are pending. A click
+  /// that arrives later starts one at once. 0 means a refresh follows each
+  /// publish whenever anything is pending.
+  uint32_t min_refresh_gap_ms = 50;
 
   /// Windowed retention. The defaults keep both bounds at 0 — unbounded,
   /// accumulate forever.
   window::WindowOptions window;
 };
+
+/// Clicks accepted but not yet applied, from two separately sampled counts.
+/// A producer counts its click only after pushing it, so a refresh can apply
+/// a click before it is counted and `applied` can read ahead of `accepted`:
+/// that is none pending, not a wrapped count near 2^64.
+constexpr uint64_t PendingClicks(uint64_t accepted, uint64_t applied) {
+  return accepted > applied ? accepted - applied : 0;
+}
 
 /// The in-process serving façade: accepts click events without blocking,
 /// answers verdict queries wait-free from the current VerdictSnapshot, and
@@ -59,12 +65,15 @@ struct ServeOptions {
 ///
 /// Threading model:
 ///  * any number of producer threads call IngestClick() (lock-free queue
-///    push + one atomic counter);
+///    push + one atomic counter). The refresh thread sleeps with no timeout
+///    while nothing is pending; the first producer to find it asleep takes
+///    wake_mu_ to wake it, so a producer takes wake_mu_ at most once per
+///    idle period;
 ///  * any number of query threads call IsFlaggedUser / IsFlaggedItem /
 ///    IsBlockedPair / Verdicts() (VerdictStore::Acquire — no mutexes);
 ///  * exactly one internal refresh thread drains the queue into the
 ///    window; Drain()/ForceRebuild()/Shutdown() coordinate with it via
-///    mutexes that producers and queriers never touch.
+///    mutexes that queriers never touch.
 class DetectionService {
  public:
   explicit DetectionService(ServeOptions options);
@@ -81,10 +90,13 @@ class DetectionService {
   /// Producer API: enqueues one click event. Returns ResourceExhausted when
   /// the queue is full (explicit backpressure — the caller decides whether
   /// to retry, shed or surface the error) and FailedPrecondition when the
-  /// service is not running. Never blocks. Events carry event-second 0
+  /// service is not running. Never waits on a refresh: the one push per
+  /// idle period that wakes the refresh thread holds wake_mu_ only to
+  /// notify. Events carry event-second 0
   /// (timeless legacy stream — time retention never expires them only if
   /// the clock stays at 0; mix timed and timeless ingest deliberately).
-  Status IngestClick(const table::ClickRecord& record) {
+  Status IngestClick(const table::ClickRecord& record)
+      RICD_EXCLUDES(wake_mu_) {
     return IngestClickAt(record, 0);
   }
 
@@ -92,7 +104,8 @@ class DetectionService {
   /// drives windowed retention (seal spans, time eviction). Timestamps are
   /// producer-supplied — replay determinism requires the trace, not the
   /// wall clock, to own time.
-  Status IngestClickAt(const table::ClickRecord& record, uint64_t event_ts);
+  Status IngestClickAt(const table::ClickRecord& record, uint64_t event_ts)
+      RICD_EXCLUDES(wake_mu_);
 
   /// Wait-free query API — one snapshot pin per call, no locks.
   bool IsFlaggedUser(table::UserId u) const;
@@ -129,7 +142,7 @@ class DetectionService {
 
   /// Graceful shutdown: stop accepting ingests, drain the queue, apply the
   /// final batch, stop the refresh thread. Idempotent.
-  Status Shutdown();
+  Status Shutdown() RICD_EXCLUDES(wake_mu_);
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
@@ -184,11 +197,19 @@ class DetectionService {
   /// Refresh-thread coordination. applied_ counts records whose refresh
   /// finished; Drain() waits for applied_ == accepted_. wake_mu_ guards no
   /// data — it exists so wake_cv_/applied_cv_ waits have a mutex; the
-  /// predicates read only the atomics below.
+  /// predicates read only the atomics below. The idle sleep and Drain()'s
+  /// wait have no timeout to repair a lost wakeup, so every change they
+  /// wait for is notified under wake_mu_; only the size trigger, which cuts
+  /// a timed rest short, notifies without it.
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> applied_{0};
+  /// Set by the refresh thread before it checks for pending clicks and
+  /// sleeps with no timeout; the producer whose exchange clears it wakes
+  /// that thread. A seq_cst pair with accepted_: either the thread's check
+  /// sees the producer's count or the producer sees the latch.
+  std::atomic<bool> idle_{false};
   /// Backpressure-episode latch: set by whichever of a refused producer
   /// (queue_full) or the refresh thread (queue_high) records the episode's
   /// one flight event; the refresh thread clears it below a quarter full.

@@ -49,7 +49,7 @@ TEST(ServeStressTest, ConcurrentProducersQueriersAndRebuilds) {
   options.framework = TinyFrameworkOptions();
   options.queue_capacity = 1024;  // small enough to exercise backpressure
   options.ingest_batch = 128;
-  options.max_batch_delay_ms = 2;
+  options.min_refresh_gap_ms = 2;
   DetectionService service(options);
   ASSERT_TRUE(service.Start(rows).ok());
 
@@ -162,7 +162,7 @@ TEST(ServeStressTest, EveryPublishReportsTheCutItRanOver) {
   ServeOptions options;
   options.framework = TinyFrameworkOptions();
   options.ingest_batch = 512;
-  options.max_batch_delay_ms = 2;
+  options.min_refresh_gap_ms = 2;
   options.window.segment_clicks = 256;
   options.window.max_clicks = 4096;
   DetectionService service(options);
@@ -243,7 +243,7 @@ TEST(ServeStressTest, IngestIsAckedWhileARebuildRuns) {
   ServeOptions options;
   options.framework = TinyFrameworkOptions();
   options.ingest_batch = 256;
-  options.max_batch_delay_ms = 2;
+  options.min_refresh_gap_ms = 2;
   options.window.max_clicks = rows.num_rows() / 4;
   options.window.segment_clicks = 512;
   DetectionService service(options);
@@ -340,7 +340,7 @@ TEST(ServeStressTest, TelemetryEnabledHandlersRaceRecorderReaders) {
   ServeOptions options;
   options.framework = TinyFrameworkOptions();
   options.ingest_batch = 256;
-  options.max_batch_delay_ms = 2;
+  options.min_refresh_gap_ms = 2;
   DetectionService service(options);
   ASSERT_TRUE(service.Start(rows).ok());
   TcpServer server(&service, TcpServer::Options{0, 2});

@@ -1,7 +1,8 @@
 // Tests for the online detection service (src/serve): wire protocol
 // round-trips and fuzzing, bounded-queue backpressure, RCU-style snapshot
-// publication, the DetectionService lifecycle, the TCP front end and its
-// telemetry cost model, and the differential guarantee — a click stream
+// publication, the DetectionService lifecycle and refresh policy (the rest
+// between refreshes, the wake of an idle refresh thread), the TCP front end
+// and its telemetry cost model, and the differential guarantee — a click stream
 // served through ingest batches with concurrent queries must, once drained,
 // publish exactly the offline pipeline's verdicts over the consolidated
 // full table.
@@ -18,6 +19,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <future>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -62,7 +67,7 @@ ServeOptions TinyServeOptions() {
   ServeOptions options;
   options.framework = TinyFrameworkOptions();
   options.ingest_batch = 64;
-  options.max_batch_delay_ms = 5;
+  options.min_refresh_gap_ms = 5;
   return options;
 }
 
@@ -495,10 +500,11 @@ TEST(DetectionServiceTest, StartPublishesBootstrapVerdicts) {
 TEST(DetectionServiceTest, QueueFullIngestRejectsWithDistinctStatus) {
   ServeOptions options = TinyServeOptions();
   options.queue_capacity = 4;
-  // Park the refresh thread: no size trigger, 60 s time trigger — the queue
-  // is provably untouched while the producer overruns it.
+  // Park the refresh thread: no size trigger, and a 60 s rest that Start's
+  // publish begins — the queue is provably untouched while the producer
+  // overruns it.
   options.ingest_batch = 1 << 20;
-  options.max_batch_delay_ms = 60000;
+  options.min_refresh_gap_ms = 60000;
   DetectionService service(options);
   ASSERT_TRUE(service.Start(table::ClickTable()).ok());
 
@@ -587,9 +593,10 @@ TEST(DetectionServiceTest, RejectedIngestRecordsBackpressureFlightEvent) {
 
   ServeOptions options = TinyServeOptions();
   options.queue_capacity = 4;
-  // Park the refresh thread so the overrun is deterministic.
+  // Park the refresh thread in the rest Start's publish begins, so the
+  // overrun is deterministic.
   options.ingest_batch = 1 << 20;
-  options.max_batch_delay_ms = 60000;
+  options.min_refresh_gap_ms = 60000;
   DetectionService service(options);
   ASSERT_TRUE(service.Start(table::ClickTable()).ok());
   for (int i = 0; i < 4; ++i) {
@@ -617,6 +624,127 @@ TEST(DetectionServiceTest, RejectedIngestRecordsBackpressureFlightEvent) {
 
   ASSERT_TRUE(service.Shutdown().ok());
   recorder.set_enabled(was_enabled);
+}
+
+// A refresh can apply a click before its producer counts it; the pending
+// count then reads 0, not a wrapped count that looks like a full batch.
+TEST(DetectionServiceTest, PendingClicksSaturatesAtZero) {
+  EXPECT_EQ(PendingClicks(5, 3), 2u);
+  EXPECT_EQ(PendingClicks(3, 3), 0u);
+  EXPECT_EQ(PendingClicks(3, 4), 0u);
+  EXPECT_EQ(PendingClicks(0, UINT64_MAX), 0u);
+}
+
+// A click that reaches a rested, idle service starts a refresh at once: the
+// refresh thread sleeps until work arrives, not until a timer fires.
+TEST(DetectionServiceTest, RestedServiceRefreshesAtOnce) {
+  ServeOptions options = TinyServeOptions();
+  options.min_refresh_gap_ms = 500;
+  DetectionService service(options);
+  ASSERT_TRUE(service.Start(table::ClickTable()).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+
+  const auto pushed_at = std::chrono::steady_clock::now();
+  ASSERT_TRUE(service.IngestClick({1, 1, 1}).ok());
+  auto waited = std::chrono::steady_clock::now() - pushed_at;
+  while (service.Verdicts()->stats.applied == 0 &&
+         waited < std::chrono::seconds(5)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    waited = std::chrono::steady_clock::now() - pushed_at;
+  }
+  EXPECT_EQ(service.Verdicts()->stats.applied, 1u);
+  EXPECT_LT(waited, std::chrono::milliseconds(250))
+      << "the click waited for a timer instead of waking the refresh thread";
+  ASSERT_TRUE(service.Shutdown().ok());
+}
+
+// The rest still holds under a trickle: publishes stay at least one rest
+// apart, so a click per millisecond does not buy a refresh per click.
+TEST(DetectionServiceTest, RestHoldsBetweenRefreshes) {
+  ServeOptions options = TinyServeOptions();
+  options.min_refresh_gap_ms = 100;
+  options.ingest_batch = 1 << 20;  // the size trigger is out of reach
+  DetectionService service(options);
+  ASSERT_TRUE(service.Start(table::ClickTable()).ok());
+
+  const auto begin = std::chrono::steady_clock::now();
+  const uint64_t first_epoch = service.Verdicts()->epoch;
+  uint64_t pushed = 0;
+  while (std::chrono::steady_clock::now() - begin < std::chrono::seconds(1)) {
+    const auto id = static_cast<table::UserId>(pushed % 16);
+    ASSERT_TRUE(service.IngestClick({id, id, 1}).ok());
+    ++pushed;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t publishes = service.Verdicts()->epoch - first_epoch;
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - begin)
+          .count();
+  // N publishes at least 100 ms apart span (N - 1) rests: 11 in one second.
+  EXPECT_LE(publishes, 1 + static_cast<uint64_t>(elapsed_ms) / 100)
+      << pushed << " clicks in " << elapsed_ms << " ms";
+
+  ASSERT_TRUE(service.Drain().ok());
+  EXPECT_EQ(service.Verdicts()->stats.applied, pushed);
+  ASSERT_TRUE(service.Shutdown().ok());
+}
+
+/// Runs `call` on `pool`'s one thread and waits at most 30 s for its status,
+/// so a call blocked on a lost wakeup fails its case instead of hanging the
+/// suite. A call still blocked then cannot be joined: the caller must leak
+/// the pool and whatever the call uses.
+std::optional<Status> CallWithWatchdog(ThreadPool* pool,
+                                       std::function<Status()> call) {
+  auto done = std::make_shared<std::promise<Status>>();
+  std::future<Status> status = done->get_future();
+  pool->Submit([done, call = std::move(call)] { done->set_value(call()); });
+  if (status.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    return std::nullopt;
+  }
+  return status.get();
+}
+
+// The idle sleep and Drain's wait have no timeout to repair a lost wakeup,
+// so every notify they must not miss is taken under wake_mu_. At rest 0 each
+// round's click wakes the idle refresh thread and its refresh races Drain's
+// check-then-wait; Shutdown then wakes the idle thread.
+TEST(DetectionServiceTest, NoLostWakeupAtRestZero) {
+  ServeOptions options = TinyServeOptions();
+  options.min_refresh_gap_ms = 0;
+  auto service = std::make_unique<DetectionService>(options);
+  auto watchdog = std::make_unique<ThreadPool>(1);
+  ASSERT_TRUE(service->Start(table::ClickTable()).ok());
+  DetectionService* const svc = service.get();
+  const auto abandon = [&service, &watchdog] {
+    (void)service.release();
+    (void)watchdog.release();
+  };
+
+  constexpr int kRounds = 2000;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto id = static_cast<table::UserId>(round % 8);
+    const std::optional<Status> drained =
+        CallWithWatchdog(watchdog.get(), [svc, id] {
+          RICD_RETURN_IF_ERROR(svc->IngestClick({id, id, 1}));
+          return svc->Drain();
+        });
+    if (!drained.has_value()) {
+      abandon();
+      FAIL() << "round " << round << " still blocked after 30 s";
+    }
+    ASSERT_TRUE(drained->ok()) << *drained;
+  }
+  EXPECT_EQ(svc->Verdicts()->stats.applied, static_cast<uint64_t>(kRounds));
+
+  const std::optional<Status> shut =
+      CallWithWatchdog(watchdog.get(), [svc] { return svc->Shutdown(); });
+  if (!shut.has_value()) {
+    abandon();
+    FAIL() << "Shutdown of the idle service still blocked after 30 s";
+  }
+  EXPECT_TRUE(shut->ok()) << *shut;
 }
 
 // STATS carries the window gauges of the published cut.
@@ -677,7 +805,7 @@ TEST(DetectionServiceDifferentialTest, StreamConvergesToOfflinePipeline) {
 
     ServeOptions options = TinyServeOptions();
     options.ingest_batch = 256;
-    options.max_batch_delay_ms = 2;
+    options.min_refresh_gap_ms = 2;
     DetectionService service(options);
     ASSERT_TRUE(service.Start(initial).ok());
 

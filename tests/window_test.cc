@@ -439,7 +439,7 @@ TEST(WindowedDifferentialTest, EveryPublishEqualsOfflineRunOverRetainedRows) {
       serve::ServeOptions options;
       options.framework = TinyFrameworkOptions();
       options.ingest_batch = 256;
-      options.max_batch_delay_ms = 2;
+      options.min_refresh_gap_ms = 2;
       options.window.max_clicks = retention.max_clicks;
       options.window.max_seconds = retention.max_seconds;
       options.window.segment_clicks = retention.segment_clicks;
