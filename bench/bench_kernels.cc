@@ -24,6 +24,7 @@
 #include "graph/intersection.h"
 #include "graph/mutable_view.h"
 #include "i2i/i2i_score.h"
+#include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "ricd/extension_biclique.h"
 #include "ricd/framework.h"
@@ -329,19 +330,44 @@ void BM_ServeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeQuery)->ArgName("telemetry")->Arg(1)->Arg(0);
 
+/// The Lemma-2 test's work over one benchmark run, reported per iteration:
+/// the sparse second-hop entries it read and the dense-row words it added.
+class Lemma2Work {
+ public:
+  void Report(benchmark::State& state) const {
+    state.counters["two_hop_entries"] = benchmark::Counter(
+        static_cast<double>(entries_->Value() - entries_before_),
+        benchmark::Counter::kAvgIterations);
+    state.counters["dense_words"] =
+        benchmark::Counter(static_cast<double>(words_->Value() - words_before_),
+                           benchmark::Counter::kAvgIterations);
+  }
+
+ private:
+  obs::Counter* entries_ = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kRicdExtractionTwoHopEntries);
+  obs::Counter* words_ = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kRicdExtractionDenseWords);
+  uint64_t entries_before_ = entries_->Value();
+  uint64_t words_before_ = words_->Value();
+};
+
 void BM_SquarePruning(benchmark::State& state) {
   const auto& g = CachedGraph(ScaleArg(state.range(0)));
   core::ExtensionBicliqueExtractor extractor(KernelParams());
   graph::MutableView view(g);
+  const Lemma2Work work;
   for (auto _ : state) {
     view.Reset();
     extractor.CorePruning(view, nullptr);
     extractor.SquarePruning(view, /*ordered=*/true, nullptr);
   }
+  work.Report(state);
 }
 BENCHMARK(BM_SquarePruning)
     ->Arg(static_cast<int>(gen::ScenarioScale::kTiny))
     ->Arg(static_cast<int>(gen::ScenarioScale::kSmall))
+    ->Arg(static_cast<int>(gen::ScenarioScale::kMedium))
     ->Unit(benchmark::kMillisecond);
 
 /// Two sweeps of SquarePruning and CorePruning on one view, as Extract runs
@@ -351,6 +377,7 @@ void BM_SquarePruningSweeps(benchmark::State& state) {
   const auto& g = CachedGraph(ScaleArg(state.range(0)));
   core::ExtensionBicliqueExtractor extractor(KernelParams());
   graph::MutableView view(g);
+  const Lemma2Work work;
   for (auto _ : state) {
     view.Reset();
     extractor.CorePruning(view, nullptr);
@@ -359,10 +386,12 @@ void BM_SquarePruningSweeps(benchmark::State& state) {
       extractor.CorePruning(view, nullptr);
     }
   }
+  work.Report(state);
 }
 BENCHMARK(BM_SquarePruningSweeps)
     ->Arg(static_cast<int>(gen::ScenarioScale::kTiny))
     ->Arg(static_cast<int>(gen::ScenarioScale::kSmall))
+    ->Arg(static_cast<int>(gen::ScenarioScale::kMedium))
     ->Unit(benchmark::kMillisecond);
 
 /// Parallel pruning at an explicit worker count (arg); above one worker the

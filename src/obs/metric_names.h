@@ -43,8 +43,8 @@ inline constexpr char kRicdExtractionItemsPrunedSquare[] =
     "ricd.extraction.items_pruned_square";
 // SquarePruning dense-row words added into the Lemma-2 test's bit-sliced
 // counters: a candidate whose sparse rows give fewer than m witnesses adds
-// each of its dense rows, ⌈n/64⌉ words apiece (n: the pass's same-side
-// active count), rechecks included.
+// its dense rows block by block until its m-th witness, and this counts
+// the words of the blocks actually added, rechecks included.
 inline constexpr char kRicdExtractionDenseWords[] =
     "ricd.extraction.dense_words";
 // SquarePruning re-evaluations before the commit walk, run in parallel:

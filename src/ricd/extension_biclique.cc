@@ -153,22 +153,45 @@ CompactSubgraph CompactActive(const graph::MutableView& view,
   return sub;
 }
 
+/// 512 same-side local ids as one 64-byte line of 8 words: the unit in
+/// which the dense phase of the Lemma-2 test adds rows, takes the
+/// qualifier mask and picks witnesses. Word i of block b holds local ids
+/// 512b + 64i .. 512b + 64i + 63. DESIGN.md §9.2 has the widths measured.
+struct alignas(64) IdBlock {
+  static constexpr uint32_t kWords = 8;
+  static constexpr uint32_t kIds = kWords * 64;
+
+  std::array<uint64_t, kWords> word{};
+
+  /// Bit `id` of the block, 0 <= id < kIds.
+  bool Test(uint32_t id) const {
+    return ((word[id >> 6] >> (id & 63)) & 1) != 0;
+  }
+};
+
 /// Bitsets over the same-side local ids of a side pass, one per counterpart
 /// row that holds at least `words` = ⌈n/64⌉ entries (n: the pass's
-/// same-side active count). Adding such a row into bit-sliced counters
-/// takes a few word operations per 64 same-side vertices, where reading it
-/// costs one random increment per entry. Built from the compact rows, so a
-/// bitset holds exactly its row's entries.
+/// same-side active count), cut into `blocks` = ⌈n/512⌉ IdBlocks. Adding
+/// such a row into bit-sliced counters takes a few word operations per 64
+/// same-side vertices, where reading it costs one random increment per
+/// entry. Built from the compact rows, so a bitset holds exactly its row's
+/// entries; the last block's words past ⌈n/64⌉ stay zero.
 struct DenseRows {
   static constexpr uint32_t kSparse = ~uint32_t{0};
 
   uint32_t words = 0;
+  uint32_t blocks = 0;
   std::vector<uint32_t> index;  // counterpart local id -> dense row or kSparse
-  std::vector<uint64_t> bits;   // dense row d at [d * words, (d + 1) * words)
+  std::vector<IdBlock> bits;    // dense row d at [d * blocks, (d + 1) * blocks)
 
   bool IsDense(VertexId w) const { return index[w] != kSparse; }
-  const uint64_t* Row(VertexId w) const {
-    return bits.data() + static_cast<size_t>(index[w]) * words;
+  const IdBlock* Row(VertexId w) const {
+    return bits.data() + static_cast<size_t>(index[w]) * blocks;
+  }
+  /// The words of block `b` that hold same-side ids: 8, or fewer in the
+  /// last block.
+  uint32_t WordsIn(uint32_t b) const {
+    return std::min(IdBlock::kWords, words - b * IdBlock::kWords);
   }
 };
 
@@ -176,6 +199,7 @@ DenseRows BuildDenseRows(const CompactSubgraph& sub, Side side) {
   const Side other = Other(side);
   DenseRows dense;
   dense.words = (sub.size(side) + 63) / 64;
+  dense.blocks = (sub.size(side) + IdBlock::kIds - 1) / IdBlock::kIds;
   dense.index.assign(sub.size(other), DenseRows::kSparse);
   uint32_t rows = 0;
   for (VertexId w = 0; w < sub.size(other); ++w) {
@@ -183,12 +207,14 @@ DenseRows BuildDenseRows(const CompactSubgraph& sub, Side side) {
       dense.index[w] = rows++;
     }
   }
-  dense.bits.assign(static_cast<size_t>(rows) * dense.words, 0);
+  dense.bits.assign(static_cast<size_t>(rows) * dense.blocks, IdBlock{});
   for (VertexId w = 0; w < sub.size(other); ++w) {
     if (!dense.IsDense(w)) continue;
-    const size_t start = static_cast<size_t>(dense.index[w]) * dense.words;
+    IdBlock* const row =
+        dense.bits.data() + static_cast<size_t>(dense.index[w]) * dense.blocks;
     for (const VertexId y : sub.Neighbors(other, w)) {
-      dense.bits[start + (y >> 6)] |= uint64_t{1} << (y & 63);
+      const uint32_t bit = y % IdBlock::kIds;
+      row[y / IdBlock::kIds].word[bit >> 6] |= uint64_t{1} << (bit & 63);
     }
   }
   return dense;
@@ -196,10 +222,11 @@ DenseRows BuildDenseRows(const CompactSubgraph& sub, Side side) {
 
 /// Reusable per-worker scratch of the Lemma-2 test: a flat counting array
 /// (reset cost proportional to the touched list, not to n) plus the touched
-/// list itself for the sparse rows, and the bit-sliced counter planes, a
-/// carry row and the qualifier mask for the dense ones (`words` each).
+/// list itself for the sparse rows; for the dense ones, the candidate's
+/// dense rows, its touched list bucketed by block, the bit-sliced counter
+/// planes of one block and the qualifier mask of every block added.
 /// Pooled per worker and reused across every candidate of a side pass —
-/// the evaluation allocates nothing per candidate once the planes have
+/// the evaluation allocates nothing per candidate once the buffers have
 /// grown. One cache line per worker, so neighbouring workers' `touched`
 /// appends never write to a shared line. `two_hop_entries` tallies the
 /// sparse second-hop entries the test has read, `dense_words` the
@@ -207,21 +234,22 @@ DenseRows BuildDenseRows(const CompactSubgraph& sub, Side side) {
 struct alignas(64) PruneScratch {
   std::vector<uint32_t> counts;
   std::vector<VertexId> touched;
-  std::vector<uint64_t> planes;  // all zero between evaluations
-  std::vector<uint64_t> carry;
-  std::vector<uint64_t> mask;
+  std::vector<const IdBlock*> rows;
+  std::vector<uint32_t> bucket_start;
+  std::vector<VertexId> bucketed;
+  std::vector<IdBlock> mask;
+  // Every dense count is below 2^32, so 32 planes hold it; all zero
+  // between blocks.
+  std::array<IdBlock, 32> planes;
   uint64_t two_hop_entries = 0;
   uint64_t dense_words = 0;
 
   /// Called on the worker's own thread, so its buffers come from that
   /// thread's allocations and never share a cache line with another
   /// worker's.
-  void EnsureUniverse(uint32_t n, uint32_t words) {
+  void EnsureUniverse(uint32_t n, uint32_t blocks) {
     if (counts.size() < n) counts.assign(n, 0);
-    if (mask.size() < words) {
-      carry.assign(words, 0);
-      mask.assign(words, 0);
-    }
+    if (mask.size() < blocks) mask.resize(blocks);
   }
 };
 static_assert(alignof(PruneScratch) == 64 && sizeof(PruneScratch) % 64 == 0,
@@ -238,96 +266,123 @@ struct Lemma2Pass {
 };
 
 /// The dense phase of the Lemma-2 test, for a candidate whose sparse rows
-/// alone gave fewer than m witnesses and whose sparse counts sit in
-/// `scratch.counts` for the vertices in `scratch.touched`. Adds x's
-/// `dense_rows` dense rows into bit-sliced counters (word i of plane j
-/// holds bit j of the counts of local ids 64i..64i+63), takes the "count >=
-/// ⌈αk⌉" mask by a bit-sliced compare, adds the sparse counts of the
-/// touched vertices, and picks witnesses from the mask: x itself, then the
-/// qualifiers the commit walk visits after x, then earlier ones.
+/// alone gave fewer than m witnesses, whose dense rows sit in
+/// `scratch.rows` and whose sparse counts sit in `scratch.counts` for the
+/// vertices in `scratch.touched`. Picks the witnesses a full qualifier mask
+/// would give, in the same order — x itself, then the qualifiers the commit
+/// walk visits after x, then earlier ones, each in ascending local id — and
+/// stops at the m-th. x sits once in each of its rows, so its count is its
+/// degree and it is taken before any row is added. Then the same-side ids
+/// are walked in ascending blocks: each block adds x's dense rows into
+/// bit-sliced counters (word i of plane j holds bit j of the counts of the
+/// block's ids 64i..64i+63), takes the "count >= ⌈αk⌉" mask by a bit-sliced
+/// compare, adds the sparse counts of the touched vertices in the block and
+/// picks from the mask the alive qualifiers the walk visits after x. The
+/// earlier ones come from the saved masks, only when every block has been
+/// added and the later ones fall short.
 template <typename Alive>
-bool PassesDensePhase(const Lemma2Pass& pass, VertexId x, uint32_t dense_rows,
-                      const Alive& alive, PruneScratch& scratch,
-                      std::span<VertexId> witnesses) {
-  const uint32_t words = pass.dense.words;
+bool PassesDensePhase(const Lemma2Pass& pass, VertexId x, const Alive& alive,
+                      PruneScratch& scratch, std::span<VertexId> witnesses) {
+  const DenseRows& dense = pass.dense;
   const uint32_t c = pass.common_needed;
-  // Every dense count is at most dense_rows < 2^planes, so no carry
-  // leaves the top plane.
-  const uint32_t planes = static_cast<uint32_t>(std::bit_width(dense_rows));
-  const size_t used = static_cast<size_t>(words) * planes;
-  if (scratch.planes.size() < used) scratch.planes.resize(used, 0);
-  uint64_t* const counter = scratch.planes.data();
-  const auto plane = [&](uint32_t j) {
-    return counter + static_cast<size_t>(j) * words;
-  };
-  uint64_t* const carry = scratch.carry.data();
-  for (const VertexId w : pass.sub.Neighbors(pass.side, x)) {
-    if (!pass.dense.IsDense(w)) continue;
-    const uint64_t* row = pass.dense.Row(w);
-    std::copy(row, row + words, carry);
-    // Ripple-carry add, a plane at a time across all words: the inner loop
-    // has no data-dependent branch, and the add stops at the first plane
-    // that passes no carry on.
-    for (uint32_t j = 0; j < planes; ++j) {
-      uint64_t* bits = plane(j);
-      uint64_t any = 0;
-      for (uint32_t i = 0; i < words; ++i) {
-        const uint64_t next = bits[i] & carry[i];
-        bits[i] ^= carry[i];
-        carry[i] = next;
-        any |= next;
-      }
-      if (any == 0) break;
-    }
-  }
-  scratch.dense_words += static_cast<uint64_t>(dense_rows) * words;
-
-  // Bit-sliced compare against c, from the top plane down: `gt` marks the
-  // counts already above c's prefix, `eq` those equal to it so far. A c
-  // wider than the planes exceeds every dense count.
-  uint64_t* const mask = scratch.mask.data();
-  const bool reachable = (uint64_t{c} >> planes) == 0;
-  for (uint32_t i = 0; i < words; ++i) {
-    uint64_t gt = 0;
-    uint64_t eq = reachable ? ~uint64_t{0} : 0;
-    for (uint32_t j = planes; j-- > 0;) {
-      const uint64_t bits = plane(j)[i];
-      if (((c >> j) & 1) != 0) {
-        eq &= bits;
-      } else {
-        gt |= eq & bits;
-        eq &= ~bits;
-      }
-    }
-    mask[i] = gt | eq;
-  }
-  // A touched vertex adds its sparse count to its dense one.
-  for (const VertexId y : scratch.touched) {
-    uint32_t count = scratch.counts[y];
-    for (uint32_t j = 0; j < planes; ++j) {
-      count += static_cast<uint32_t>((plane(j)[y >> 6] >> (y & 63)) & 1) << j;
-    }
-    if (count >= c) mask[y >> 6] |= uint64_t{1} << (y & 63);
-  }
-  std::fill(counter, counter + used, 0);
-
   const size_t needed = witnesses.size();
   size_t found = 0;
-  if (((mask[x >> 6] >> (x & 63)) & 1) != 0 && alive(x)) witnesses[found++] = x;
+  const bool x_qualifies = pass.sub.Degree(pass.side, x) >= c;
+  if (x_qualifies && alive(x)) witnesses[found++] = x;
+  if (found == needed) return true;
+
+  // The touched list, bucketed by block in one counting sort: bucket b
+  // ends up at [start[b], start[b + 1]).
+  std::vector<uint32_t>& start = scratch.bucket_start;
+  start.assign(static_cast<size_t>(dense.blocks) + 2, 0);
+  for (const VertexId y : scratch.touched) ++start[y / IdBlock::kIds + 2];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  scratch.bucketed.resize(scratch.touched.size());
+  for (const VertexId y : scratch.touched) {
+    scratch.bucketed[start[y / IdBlock::kIds + 1]++] = y;
+  }
+
+  // Takes the alive qualifiers of block b's mask that the commit walk
+  // visits after x (or before it), in ascending local id, up to the m-th
+  // witness.
   const uint32_t turn = pass.position[x];
-  const auto pick = [&](bool later) {
-    for (uint32_t i = 0; i < words && found < needed; ++i) {
-      for (uint64_t bits = mask[i]; bits != 0 && found < needed;
-           bits &= bits - 1) {
-        const auto y = static_cast<VertexId>(i * 64 + std::countr_zero(bits));
+  const auto pick = [&](uint32_t b, bool later) {
+    for (uint32_t i = 0; i < IdBlock::kWords && found < needed; ++i) {
+      for (uint64_t bits = scratch.mask[b].word[i];
+           bits != 0 && found < needed; bits &= bits - 1) {
+        const auto y = static_cast<VertexId>(b * IdBlock::kIds + i * 64 +
+                                             std::countr_zero(bits));
         if (y != x && (pass.position[y] > turn) == later && alive(y)) {
           witnesses[found++] = y;
         }
       }
     }
   };
-  pick(/*later=*/true);
-  pick(/*later=*/false);
+
+  // Every dense count is at most |rows| < 2^planes, so no carry leaves the
+  // top plane; a c wider than the planes exceeds every dense count.
+  const auto planes =
+      static_cast<uint32_t>(std::bit_width(scratch.rows.size()));
+  const bool reachable = (uint64_t{c} >> planes) == 0;
+  for (uint32_t b = 0; b < dense.blocks; ++b) {
+    // Ripple-carry add, a plane at a time across the block: the inner loop
+    // has no data-dependent branch, and the add stops at the first plane
+    // that passes no carry on.
+    for (const IdBlock* row : scratch.rows) {
+      IdBlock carry = row[b];
+      for (uint32_t j = 0; j < planes; ++j) {
+        IdBlock& bits = scratch.planes[j];
+        uint64_t any = 0;
+        for (uint32_t i = 0; i < IdBlock::kWords; ++i) {
+          const uint64_t next = bits.word[i] & carry.word[i];
+          bits.word[i] ^= carry.word[i];
+          carry.word[i] = next;
+          any |= next;
+        }
+        if (any == 0) break;
+      }
+    }
+    scratch.dense_words +=
+        static_cast<uint64_t>(scratch.rows.size()) * dense.WordsIn(b);
+
+    // Bit-sliced compare against c, from the top plane down: `gt` marks the
+    // counts already above c's prefix, `eq` those equal to it so far.
+    IdBlock& mask = scratch.mask[b];
+    for (uint32_t i = 0; i < IdBlock::kWords; ++i) {
+      uint64_t gt = 0;
+      uint64_t eq = reachable ? ~uint64_t{0} : 0;
+      for (uint32_t j = planes; j-- > 0;) {
+        const uint64_t bits = scratch.planes[j].word[i];
+        if (((c >> j) & 1) != 0) {
+          eq &= bits;
+        } else {
+          gt |= eq & bits;
+          eq &= ~bits;
+        }
+      }
+      mask.word[i] = gt | eq;
+    }
+    // A touched vertex adds its sparse count to its dense one.
+    for (uint32_t t = start[b]; t < start[b + 1]; ++t) {
+      const VertexId y = scratch.bucketed[t];
+      const uint32_t bit = y % IdBlock::kIds;
+      uint32_t count = scratch.counts[y];
+      for (uint32_t j = 0; j < planes; ++j) {
+        count += static_cast<uint32_t>(scratch.planes[j].Test(bit)) << j;
+      }
+      if (count >= c) mask.word[bit >> 6] |= uint64_t{1} << (bit & 63);
+    }
+    std::fill(scratch.planes.begin(), scratch.planes.begin() + planes,
+              IdBlock{});
+    if (b == x / IdBlock::kIds) {
+      RICD_DCHECK_EQ(mask.Test(x % IdBlock::kIds), x_qualifies);
+    }
+    pick(b, /*later=*/true);
+    if (found == needed) return true;
+  }
+  for (uint32_t b = 0; b < dense.blocks && found < needed; ++b) {
+    pick(b, /*later=*/false);
+  }
   return found == needed;
 }
 
@@ -350,14 +405,14 @@ bool PassesLemma2(const Lemma2Pass& pass, VertexId x, const Alive& alive,
   const Side other = Other(pass.side);
   const size_t needed = witnesses.size();
   scratch.touched.clear();
+  scratch.rows.clear();
   size_t found = 0;
-  uint32_t dense_rows = 0;
   uint64_t entries = 0;
   // x appears once in each of its rows, so it is its own (alpha, k)-neighbor
   // exactly when Lemma 1 already holds for it.
   for (const VertexId w : pass.sub.Neighbors(pass.side, x)) {
     if (pass.dense.IsDense(w)) {
-      ++dense_rows;
+      scratch.rows.push_back(pass.dense.Row(w));
       continue;
     }
     const std::span<const VertexId> second = pass.sub.Neighbors(other, w);
@@ -373,12 +428,13 @@ bool PassesLemma2(const Lemma2Pass& pass, VertexId x, const Alive& alive,
   }
   scratch.two_hop_entries += entries;
 
-  // Falling short means every sparse row was read to the end, so `counts`
-  // holds the full sparse counts.
+  // Falling short means every row was visited and every sparse row read to
+  // the end, so `rows` holds all of x's dense rows and `counts` the full
+  // sparse counts.
   const bool passes =
       found == needed ||
-      (dense_rows > 0 &&
-       PassesDensePhase(pass, x, dense_rows, alive, scratch, witnesses));
+      (!scratch.rows.empty() &&
+       PassesDensePhase(pass, x, alive, scratch, witnesses));
   for (const VertexId y : scratch.touched) scratch.counts[y] = 0;
   return passes;
 }
@@ -585,7 +641,7 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
   const auto all_alive = [](VertexId) { return true; };
   engine_->ParallelForChunks(n, [&](size_t worker, engine::VertexRange range) {
     PruneScratch& sc = scratch[worker];
-    sc.EnsureUniverse(n, dense.words);
+    sc.EnsureUniverse(n, dense.blocks);
     for (VertexId x = range.begin; x < range.end; ++x) {
       if (passed[x] != 0) continue;  // certified
       passed[x] = PassesLemma2(pass, x, all_alive, sc, witnesses_of(x));
@@ -612,7 +668,7 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
       static_cast<uint32_t>(reevaluate.size()),
       [&](size_t worker, engine::VertexRange range) {
         PruneScratch& sc = scratch[worker];
-        sc.EnsureUniverse(n, dense.words);
+        sc.EnsureUniverse(n, dense.blocks);
         for (uint32_t i = range.begin; i < range.end; ++i) {
           const VertexId x = reevaluate[i];
           const auto alive_at_turn = [&](VertexId y) {
@@ -632,7 +688,7 @@ void ExtensionBicliqueExtractor::SquarePruneSide(graph::MutableView& view,
   // PASS stands while its witnesses live. Otherwise the candidate is
   // rechecked against the live state on this thread.
   const auto is_alive = [&](VertexId y) { return alive[y] != 0; };
-  scratch[0].EnsureUniverse(n, dense.words);
+  scratch[0].EnsureUniverse(n, dense.blocks);
   uint64_t rechecks = 0;
   for (const VertexId x : order) {
     bool keep = passed[x] != 0;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -326,6 +327,143 @@ TEST(DenseRowsTest, EverySidePassMatchesReferenceCascade) {
     EXPECT_GT(entries->Value() - entries_before, 0u);
     EXPECT_GT(words->Value() - words_before, 0u);
   }
+}
+
+/// The witnesses of candidate X in a user pass that spans two blocks of
+/// the dense phase. 705 users (⌈705/64⌉ = 12 words: block 0 holds users
+/// 0..511, block 1 users 512..704 in 4 words); user u is local id u.
+/// Every user but X clicks a private 4-item set it shares with three other
+/// users, so it finds its 4 witnesses in its sparse rows alone. X clicks
+/// only the hot items 1..8, each of degree >= 12 and so dense, and is the
+/// one candidate that reaches the dense phase. At alpha 1 and
+/// k1 = k2 = 4, a qualifier of X shares 4 hot items with it:
+///  * an `earlier` user clicks items 1..4, so its two-hop size is below
+///    X's and the walk visits it first;
+///  * a `later` user clicks items 1..8, and the walk visits it after X.
+/// 96 more users click one hot item each, 12 per item, and qualify for
+/// nobody.
+struct BlockWalkCase {
+  static constexpr table::UserId kX = 600;
+  static constexpr uint32_t kDenseRows = 8;  // X's rows, all dense
+  static constexpr uint32_t kWords = 12;
+
+  std::vector<table::UserId> earlier;
+  std::vector<table::UserId> later;
+
+  graph::BipartiteGraph Graph() const {
+    table::ClickTable t;
+    for (table::ItemId h = 1; h <= 8; ++h) t.Append(kX, h, 1);
+    uint32_t filler = 0;
+    for (table::UserId u = 0; u < 705; ++u) {
+      if (u == kX) continue;
+      const table::ItemId cold = 1000 + 4 * (filler++ / 4);
+      for (table::ItemId d = 0; d < 4; ++d) t.Append(u, cold + d, 1);
+      const bool is_earlier =
+          std::find(earlier.begin(), earlier.end(), u) != earlier.end();
+      const bool is_later =
+          std::find(later.begin(), later.end(), u) != later.end();
+      if (is_earlier || is_later) {
+        for (table::ItemId h = 1; h <= (is_later ? 8 : 4); ++h) {
+          t.Append(u, h, 1);
+        }
+      } else if (u >= 200 && u < 296) {
+        t.Append(u, 1 + (u - 200) / 12, 1);
+      }
+    }
+    t.ConsolidateDuplicates();
+    return graph::GraphBuilder::FromTable(t).value();
+  }
+};
+
+/// Runs the first user pass of `test` at 1, 2, 4 and 8 workers against the
+/// reference, then every step of the sweeps. `check(view, dense_words)`
+/// sees each first pass and the dense-row words it added, all of them X's.
+template <typename Check>
+void ExpectBlockWalk(const BlockWalkCase& test, const Check& check) {
+  const auto g = test.Graph();
+  const RicdParams params = MakeParams(4, 4, 1.0);
+  for (table::UserId u = 0; u < 705; ++u) {
+    VertexId v = 0;
+    ASSERT_TRUE(g.LookupUser(u, &v));
+    ASSERT_EQ(v, u);
+  }
+  obs::Counter* words = obs::MetricsRegistry::Global().GetCounter(
+      obs::metric_names::kRicdExtractionDenseWords);
+  for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    engine::WorkerEngine engine(workers);
+    const ExtensionBicliqueExtractor extractor(params, &engine);
+    graph::MutableView got(g);
+    graph::MutableView want(g);
+    extractor.CorePruning(got, nullptr);
+    ASSERT_EQ(got.NumActive(Side::kUser), 705u);
+
+    ExtractionStats got_stats;
+    ExtractionStats want_stats;
+    const uint64_t words_before = words->Value();
+    extractor.SquarePruneSide(got, Side::kUser, /*ordered=*/true, &got_stats);
+    ReferenceSquarePruneSide(want, Side::kUser, params, &want_stats);
+    check(got, words->Value() - words_before);
+    EXPECT_TRUE(SameViewState(got, want));
+    EXPECT_EQ(StatsFields(got_stats), StatsFields(want_stats));
+
+    ExpectEveryStepMatchesReference(g, params, workers);
+  }
+}
+
+/// The certified witnesses of user `x`, or none when `x` did not survive.
+std::vector<VertexId> CertifiedWitnesses(const graph::MutableView& view,
+                                         VertexId x) {
+  const graph::WitnessCertificates& certificates =
+      view.Certificates(Side::kUser);
+  const auto it = std::lower_bound(certificates.vertices.begin(),
+                                   certificates.vertices.end(), x);
+  if (it == certificates.vertices.end() || *it != x) return {};
+  const std::span<const VertexId> w =
+      certificates.WitnessesOf(it - certificates.vertices.begin());
+  return std::vector<VertexId>(w.begin(), w.end());
+}
+
+/// X's fourth witness, its third later qualifier, sits in block 0: the
+/// walk stops there and adds one 8-word line of each dense row, although
+/// block 1 holds more qualifiers.
+TEST(DenseRowsTest, WalkStopsInTheBlockOfTheMthWitness) {
+  ExpectBlockWalk(
+      {.earlier = {40, 530}, .later = {10, 20, 30, 520}},
+      [](const graph::MutableView& got, uint64_t dense_words) {
+        EXPECT_EQ(dense_words, BlockWalkCase::kDenseRows * 8);
+        EXPECT_EQ(CertifiedWitnesses(got, BlockWalkCase::kX),
+                  (std::vector<VertexId>{BlockWalkCase::kX, 10, 20, 30}));
+      });
+}
+
+/// X's later qualifiers run out: after every block is added, its witnesses
+/// are X, its later qualifier, then earlier ones from both blocks, each
+/// group in ascending local id. The later qualifier sits in block 1, so a
+/// pick that took block 0's earlier qualifiers before moving on would list
+/// 100 ahead of it.
+TEST(DenseRowsTest, EarlierWitnessesComeFromTheSavedMasksOfEveryBlock) {
+  ExpectBlockWalk(
+      {.earlier = {100, 530, 540}, .later = {520}},
+      [](const graph::MutableView& got, uint64_t dense_words) {
+        EXPECT_EQ(dense_words,
+                  BlockWalkCase::kDenseRows * BlockWalkCase::kWords);
+        EXPECT_EQ(CertifiedWitnesses(got, BlockWalkCase::kX),
+                  (std::vector<VertexId>{BlockWalkCase::kX, 520, 100, 530}));
+      });
+}
+
+/// X has three qualifiers, itself included, and fails after adding every
+/// block, the partial last one included.
+TEST(DenseRowsTest, FailingCandidateAddsEveryBlock) {
+  ExpectBlockWalk(
+      {.earlier = {530}, .later = {20}},
+      [](const graph::MutableView& got, uint64_t dense_words) {
+        EXPECT_EQ(dense_words,
+                  BlockWalkCase::kDenseRows * BlockWalkCase::kWords);
+        EXPECT_FALSE(got.IsActive(Side::kUser, BlockWalkCase::kX));
+        EXPECT_TRUE(CertifiedWitnesses(got, BlockWalkCase::kX).empty());
+      });
 }
 
 /// Frontier CorePruning leaves the view in exactly the state the
